@@ -20,6 +20,7 @@ surfaces as a loud error instead of a bad coloring.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -129,28 +130,35 @@ class _Frame:
 
 
 class _Ctx:
-    """Per-graph scratch: degree buckets, corner tables, memos."""
+    """Per-graph scratch: corner tables and memos."""
 
     __slots__ = (
         "g",
         "deg",
-        "by_deg",
         "_corners",
         "_frames",
         "_badmemo",
         "_in2memo",
     )
 
-    def __init__(self, g: PlaneGraph):
+    def __init__(self, g):
+        # g is a PlaneGraph or a WorkingGraph: only the queries both
+        # answer are used (deg, rotations, corner_faces, face_lens,
+        # has_edge, edge_in_two_triangles, d2)
         self.g = g
         self.deg = g.deg
-        self.by_deg: dict[int, list[int]] = {}
-        for v, dv in enumerate(g.deg.tolist()):
-            self.by_deg.setdefault(dv, []).append(v)
         self._corners: dict[int, tuple[tuple, tuple]] = {}
         self._frames: dict[int, list[_Frame]] = {}
         self._badmemo: dict[int, Optional[str]] = {}
         self._in2memo: dict[tuple[int, int], bool] = {}
+
+    def forget(self, vertices) -> None:
+        """Drop the memos of vertices whose rotation, degree or corners changed."""
+        for v in vertices:
+            self._corners.pop(v, None)
+            self._frames.pop(v, None)
+            self._badmemo.pop(v, None)
+        self._in2memo.clear()
 
     def corners(self, v: int) -> tuple[tuple, tuple]:
         """(corner lengths, corner face ids) around v, rotation order."""
@@ -1050,25 +1058,26 @@ def rule_table() -> tuple[ReductionRule, ...]:
 # ======================================================================
 
 
-def _prospective_degrees_ok(ctx: _Ctx, deleted: int, binding: dict, rule) -> bool:
-    # no vertex may exceed degree 5 after delete + chords
-    g = ctx.g
+def degree_overflow(g, deleted: int, edges) -> Optional[tuple[int, int]]:
+    """The degree-5 guard: a vertex that would pass degree 5 once
+    ``deleted`` goes and the missing ``edges`` are added, with the degree
+    it would reach, or None."""
     gain: dict[int, int] = {}
-    for ra, rb in rule.add_edges:
-        a, b = binding[ra], binding[rb]
+    for a, b in edges:
         if not g.has_edge(a, b):
             gain[a] = gain.get(a, 0) + 1
             gain[b] = gain.get(b, 0) + 1
     for x, extra in gain.items():
         newd = int(g.deg[x]) - (1 if g.has_edge(x, deleted) else 0) + extra
         if newd > 5:
-            return False
-    return True
+            return x, newd
+    return None
 
 
 def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
     deleted = binding[rule.delete]
-    if not _prospective_degrees_ok(ctx, deleted, binding, rule):
+    edges = [(binding[a], binding[b]) for a, b in rule.add_edges]
+    if degree_overflow(ctx.g, deleted, edges) is not None:
         return None
     observed = ctx.g.d2(deleted)
     if observed > rule.claimed_d2_bound:
@@ -1135,40 +1144,33 @@ def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
         yield {"v": v, "v2": w[1], "v3": u, "v4": w[3], "x": x, "y": y}
 
 
-def _rule_matches(ctx: _Ctx, rule) -> Iterator[ConfigMatch]:
-    if rule.kind == "degree":
-        for v in ctx.by_deg.get(rule.degree, ()):
-            for fr in ctx.frames(v):
-                if rule.pred(ctx, fr):
-                    m = _make_match(ctx, rule, _ring_binding(v, fr))
-                    if m is not None:
-                        yield m
-    elif rule.kind in _FRAME_FAMILY:
-        family = _FRAME_FAMILY[rule.kind]
-        for v in ctx.by_deg.get(5, ()):
-            for fr in family(ctx, v):
-                if rule.pred(ctx, fr):
-                    m = _make_match(ctx, rule, _ring_binding(v, fr))
-                    if m is not None:
-                        yield m
-    elif rule.kind == "deg4":
-        for v in ctx.by_deg.get(5, ()):
-            for binding in _deg4_bindings(ctx, v):
-                m = _make_match(ctx, rule, binding)
-                if m is not None:
-                    yield m
+def _center_degree(rule) -> int:
+    return rule.degree if rule.kind == "degree" else 5
+
+
+def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
+    """Matches of one rule centred at v, in frame order."""
+    if rule.kind == "deg4":
+        bindings = _deg4_bindings(ctx, v)
     elif rule.kind == "degmid":
-        for v in ctx.by_deg.get(5, ()):
-            for binding in _degmid_bindings(ctx, v):
-                m = _make_match(ctx, rule, binding)
-                if m is not None:
-                    yield m
-    else:  # pragma: no cover - table construction error
-        raise AssertionError(f"unknown matcher family {rule.kind}")
+        bindings = _degmid_bindings(ctx, v)
+    else:
+        if rule.kind == "degree":
+            frames = ctx.frames(v)
+        elif rule.kind in _FRAME_FAMILY:
+            frames = _FRAME_FAMILY[rule.kind](ctx, v)
+        else:  # pragma: no cover - table construction error
+            raise AssertionError(f"unknown matcher family {rule.kind}")
+        bindings = (_ring_binding(v, fr) for fr in frames if rule.pred(ctx, fr))
+    for binding in bindings:
+        m = _make_match(ctx, rule, binding)
+        if m is not None:
+            yield m
 
 
 def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
-    """All verified matches, in detection priority order.
+    """All verified matches, in detection priority order: rule rank,
+    then centre vertex id, then frame.
 
     Raises:
         DegreeTooHigh: some vertex has degree above 5.
@@ -1176,8 +1178,71 @@ def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
     if g.n > 1 and int(g.deg.max()) > 5:
         raise DegreeTooHigh(f"max degree {int(g.deg.max())} > 5")
     ctx = _Ctx(g)
+    by_deg: dict[int, list[int]] = {}
+    for v, d in enumerate(g.deg.tolist()):
+        by_deg.setdefault(d, []).append(v)
     for rule in _PRIORITY:
-        yield from _rule_matches(ctx, rule)
+        for v in by_deg.get(_center_degree(rule), ()):
+            yield from _center_matches(ctx, rule, v)
+
+
+class MatchQueue:
+    """``iter_matches`` order on a graph that changes in place.
+
+    Each rule rank keeps a heap of centres still to examine.  A centre
+    examined without a match leaves the heap until ``touch`` reports it
+    within reach of a change; a centre whose matches were all refused
+    stays.  Touched centres go to a log that each rank reads only when a
+    search reaches it, so ranks past the first applicable match cost
+    nothing.  A step touches a bounded ball, so the log stays within a
+    constant times the number of vertices.
+    """
+
+    def __init__(self, g) -> None:
+        self._ctx = _Ctx(g)
+        by_deg: dict[int, list[int]] = {}
+        for v, d in enumerate(g.deg):
+            by_deg.setdefault(d, []).append(v)
+        self._heaps = [list(by_deg.get(_center_degree(r), ())) for r in _PRIORITY]
+        self._queued = [set(h) for h in self._heaps]
+        self._log: list[int] = []
+        self._read = [0] * len(_PRIORITY)
+
+    def touch(self, changed, reach) -> None:
+        """Report a step: ``changed`` vertices lose their memos, and
+        ``reach`` vertices are examined again."""
+        self._ctx.forget(changed)
+        self._log.extend(reach)
+
+    def matches(self) -> Iterator[ConfigMatch]:
+        """Matches in priority order.  Close the iterator before the
+        graph changes."""
+        ctx, deg, log = self._ctx, self._ctx.deg, self._log
+        for r, rule in enumerate(_PRIORITY):
+            k = _center_degree(rule)
+            heap, queued = self._heaps[r], self._queued[r]
+            for i in range(self._read[r], len(log)):
+                v = log[i]
+                if deg[v] == k and v not in queued:
+                    queued.add(v)
+                    heapq.heappush(heap, v)
+            self._read[r] = len(log)
+            kept: list[int] = []
+            try:
+                while heap:
+                    v = heapq.heappop(heap)
+                    found = False
+                    if deg[v] == k:
+                        for m in _center_matches(ctx, rule, v):
+                            if not found:
+                                found = True
+                                kept.append(v)
+                            yield m
+                    if not found:
+                        queued.discard(v)
+            finally:
+                for v in kept:
+                    heapq.heappush(heap, v)
 
 
 def detect(g: PlaneGraph) -> Optional[ConfigMatch]:

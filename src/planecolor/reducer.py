@@ -3,27 +3,32 @@
 The pipeline: detect a configuration, delete its designated vertex,
 chord the gap so distance-two constraints survive, recurse, then pick
 the smallest color the deleted vertex cannot see.  Every step is
-re-verified on the concrete graphs, never trusted from the table.
+re-verified on the concrete graph, never trusted from the table.
+
+``color16`` reduces one ``WorkingGraph`` in place: each step patches
+and checks only the hole, and detection re-examines only the centres
+within reach of it.  ``apply`` runs the same step on a copy and returns
+the reduced graph rebuilt from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configurations import ConfigMatch, iter_matches
+from .configurations import ConfigMatch, MatchQueue, degree_overflow
 from .conflict import Coloring, validate
 from .errors import (
     AnomalyNoConfiguration,
     DegreeOverflow,
-    Disconnected,
+    DegreeTooHigh,
     EmbeddingBroken,
     NoAvailableColor,
-    NotPlanarEmbedding,
 )
 from .exact_solver import DEFAULT_BUDGET, color_with_k
 from .plane_graph import PlaneGraph
+from .working_graph import WorkingGraph
 
 __all__ = [
     "ReductionTrace",
@@ -61,24 +66,6 @@ class ReductionTrace:
         }
 
 
-def _chord_targets_in_order(g: PlaneGraph, dv: int, u: int, targets: list[int]):
-    """Order chord targets for u's rotation slot.
-
-    The slot where dv sat in rot(u) is replaced by the chord partners
-    sorted by how far they sit past u in dv's own rotation; that is the
-    order in which the new edges fan across the hole dv leaves, so the
-    patched rotation stays a plane embedding.
-    """
-    rot_dv = g.rotations[dv]
-    d = len(rot_dv)
-    pu = rot_dv.index(u)
-
-    def past_u(t: int) -> int:
-        return (rot_dv.index(t) - pu) % d
-
-    return sorted(targets, key=past_u)
-
-
 def is_proper_wrt(g: PlaneGraph, h: PlaneGraph, deleted: int) -> bool:
     """Do all distance-two pairs of g (minus the deleted vertex) stay
     within distance two in h?
@@ -105,74 +92,67 @@ def is_proper_wrt(g: PlaneGraph, h: PlaneGraph, deleted: int) -> bool:
     return bool(np.all(inside & (have[np.minimum(pos, have.size - 1)] == need)))
 
 
+def _step(wg: WorkingGraph, match: ConfigMatch):
+    """Apply one match to the working graph in place.
+
+    Returns the trace, in the dense labels of the graph before the step,
+    with what ``WorkingGraph.delete`` reports: dv's distance-two ball,
+    the changed vertices and the vertices within reach of a change.
+
+    Raises:
+        DegreeOverflow: a chord endpoint would pass degree 5.
+        EmbeddingBroken: the patched graph would come out non-planar,
+            disconnected, not smaller, or lose a distance-two pair.
+    """
+    dv = match.deleted
+    adds = [e for e in match.added_edges() if not wg.has_edge(*e)]
+    over = degree_overflow(wg, dv, adds)
+    if over is not None:
+        raise DegreeOverflow(
+            f"rule {match.rule_id}: vertex {over[0]} would reach degree {over[1]}"
+        )
+    label = wg.label
+    before = wg.n + wg.m
+    deleted = label(dv)
+    added = tuple((label(a), label(b)) for a, b in adds)
+    ball, changed, reach = wg.delete(dv, adds, match.rule_id)
+    trace = ReductionTrace(
+        step=-1,
+        rule=match.rule_id,
+        deleted=deleted,
+        added_edges=added,
+        v_plus_e_before=before,
+        v_plus_e_after=wg.n + wg.m,
+        observed_d2=match.observed_d2,
+    )
+    return trace, ball, changed, reach
+
+
 def apply(g: PlaneGraph, match: ConfigMatch) -> tuple[PlaneGraph, ReductionTrace]:
     """Delete the match's vertex, add its chords, rebuild the graph.
 
     Raises:
-        DegreeOverflow: a chord endpoint would pass degree 5.
-        EmbeddingBroken: the patched rotations fail validation, come
-            out non-planar, disconnected, or lose a distance-two pair.
+        DegreeOverflow: a chord endpoint would pass degree 5, or the
+            reduced graph has a vertex above degree 5.
+        EmbeddingBroken: the patched rotations come out non-planar,
+            disconnected, or lose a distance-two pair.
     """
-    dv = match.deleted
-    adds = [e for e in match.added_edges() if not g.has_edge(*e)]
-
-    gain: dict[int, int] = {}
-    for a, b in adds:
-        gain[a] = gain.get(a, 0) + 1
-        gain[b] = gain.get(b, 0) + 1
-    for x, extra in gain.items():
-        newd = g.degree(x) - (1 if g.has_edge(x, dv) else 0) + extra
-        if newd > 5:
-            raise DegreeOverflow(
-                f"rule {match.rule_id}: vertex {x} would reach degree {newd}"
-            )
-
-    chords_at: dict[int, list[int]] = {}
-    for a, b in adds:
-        chords_at.setdefault(a, []).append(b)
-        chords_at.setdefault(b, []).append(a)
-
-    new_rots: list[list[int]] = []
-    for v in range(g.n):
-        if v == dv:
-            continue
-        row = list(g.rotations[v])
-        if v in chords_at:
-            # chord endpoints are always former neighbours of dv
-            i = row.index(dv)
-            row[i : i + 1] = _chord_targets_in_order(g, dv, v, chords_at[v])
-        elif dv in row:
-            row.remove(dv)
-        new_rots.append([u - 1 if u > dv else u for u in row])
-
-    try:
-        h = PlaneGraph(new_rots)
-    except (NotPlanarEmbedding, Disconnected) as exc:
-        raise EmbeddingBroken(f"rule {match.rule_id} at {dv}: {exc}") from exc
-
-    before = g.n + g.m
-    after = h.n + h.m
-    if after >= before:
-        raise EmbeddingBroken(
-            f"rule {match.rule_id}: size did not drop ({before} -> {after})"
-        )
+    wg = WorkingGraph(g)
+    trace = _step(wg, match)[0]
+    h = wg.to_plane_graph()
     if h.n > 1 and int(h.deg.max()) > 5:
         raise DegreeOverflow(f"rule {match.rule_id}: reduced graph has degree > 5")
-    if not is_proper_wrt(g, h, dv):
-        raise EmbeddingBroken(
-            f"rule {match.rule_id}: a distance-two pair fell apart"
-        )
-
-    trace = ReductionTrace(
-        step=-1,
-        rule=match.rule_id,
-        deleted=dv,
-        added_edges=tuple(tuple(e) for e in adds),
-        v_plus_e_before=before,
-        v_plus_e_after=after,
-        observed_d2=match.observed_d2,
-    )
     return h, trace
+
+
+def _least_free(colors: dict[int, int], ball, dv: int) -> int:
+    seen = {colors[u] for u in ball}
+    for c in range(1, PALETTE + 1):
+        if c not in seen:
+            return c
+    raise NoAvailableColor(
+        f"vertex {dv} sees all {PALETTE} colors (d2={len(ball)})"
+    )
 
 
 def extend(g: PlaneGraph, trace: ReductionTrace, colors_h: dict[int, int]) -> dict:
@@ -186,19 +166,8 @@ def extend(g: PlaneGraph, trace: ReductionTrace, colors_h: dict[int, int]) -> di
     out: dict[int, int] = {}
     for hv, c in colors_h.items():
         out[hv + 1 if hv >= dv else hv] = c
-    seen = {out[u] for u in g.n2(dv)}
-    for c in range(1, PALETTE + 1):
-        if c not in seen:
-            out[dv] = c
-            return out
-    raise NoAvailableColor(
-        f"vertex {dv} sees all {PALETTE} colors (d2={g.d2(dv)})"
-    )
-
-
-def _base_coloring(g: PlaneGraph) -> dict[int, int]:
-    # at most 16 vertices left: give everyone a distinct color
-    return {v: v + 1 for v in range(g.n)}
+    out[dv] = _least_free(out, g.n2(dv), dv)
+    return out
 
 
 def color16(
@@ -208,73 +177,66 @@ def color16(
 
     Reduces until at most 16 vertices remain, colors those trivially,
     then unwinds.  If every matched configuration fails to apply on
-    some graph (which the table says cannot happen), the step is
-    retried with the exact solver before giving up.
+    some graph (which the table says cannot happen), that graph is
+    colored with the exact solver under ``budget`` before giving up.
 
     Returns the coloring plus the trace stack, outermost step first.
 
     Raises:
+        DegreeTooHigh: g has more than 16 vertices and a degree above 5.
         AnomalyNoConfiguration: no configuration matched and the exact
             fallback found nothing; the engine's claim failed on g.
     """
-    stack: list[tuple[PlaneGraph, ReductionTrace]] = []
-    cur = g
-    step = 0
-    while cur.n > PALETTE:
-        advanced = False
-        for match in iter_matches(cur):
+    wg = WorkingGraph(g)
+    if wg.n > PALETTE and max(wg.deg) > 5:
+        raise DegreeTooHigh(f"max degree {max(wg.deg)} > 5")
+    queue = MatchQueue(wg)
+    traces: list[ReductionTrace] = []
+    balls: list[tuple[int, tuple[int, ...]]] = []
+    while wg.n > PALETTE:
+        matches = queue.matches()
+        for match in matches:
             try:
-                nxt, trace = apply(cur, match)
+                trace, ball, changed, reach = _step(wg, match)
             except (EmbeddingBroken, DegreeOverflow):
                 continue
-            stack.append((cur, ReductionTrace(step=step, **_rest(trace))))
-            cur = nxt
-            step += 1
-            advanced = True
             break
-        if not advanced:
-            direct = color_with_k(cur, PALETTE, budget=budget * 10)
-            if isinstance(direct, Coloring):
-                colors = dict(direct.colors)
-                sentinel = ReductionTrace(
-                    step=step,
-                    rule="anomaly-exact-fallback",
-                    deleted=-1,
-                    added_edges=(),
-                    v_plus_e_before=cur.n + cur.m,
-                    v_plus_e_after=cur.n + cur.m,
-                    observed_d2=-1,
+        else:
+            cur = wg.to_plane_graph()
+            direct = color_with_k(cur, PALETTE, budget=budget)
+            if not isinstance(direct, Coloring):
+                raise AnomalyNoConfiguration(
+                    f"no configuration applies at n={cur.n}, m={cur.m}"
                 )
-                stack.append((cur, sentinel))
-                return _unwind(g, stack, colors)
-            raise AnomalyNoConfiguration(
-                f"no configuration applies at n={cur.n}, m={cur.m}"
+            live = wg.alive()
+            colors = {live[v]: c for v, c in direct.colors.items()}
+            sentinel = ReductionTrace(
+                step=len(traces),
+                rule="anomaly-exact-fallback",
+                deleted=-1,
+                added_edges=(),
+                v_plus_e_before=cur.n + cur.m,
+                v_plus_e_after=cur.n + cur.m,
+                observed_d2=-1,
             )
-    colors = _base_coloring(cur)
-    return _unwind(g, stack, colors)
-
-
-def _rest(trace: ReductionTrace) -> dict:
-    return {
-        "rule": trace.rule,
-        "deleted": trace.deleted,
-        "added_edges": trace.added_edges,
-        "v_plus_e_before": trace.v_plus_e_before,
-        "v_plus_e_after": trace.v_plus_e_after,
-        "observed_d2": trace.observed_d2,
-    }
+            return _unwind(g, traces + [sentinel], balls, colors)
+        matches.close()
+        queue.touch(changed, reach)
+        traces.append(replace(trace, step=len(traces)))
+        balls.append((match.deleted, tuple(ball)))
+    # at most 16 vertices left: give everyone a distinct color
+    colors = {v: i + 1 for i, v in enumerate(wg.alive())}
+    return _unwind(g, traces, balls, colors)
 
 
 def _unwind(
     g: PlaneGraph,
-    stack: list[tuple[PlaneGraph, ReductionTrace]],
+    traces: list[ReductionTrace],
+    balls: list[tuple[int, tuple[int, ...]]],
     colors: dict[int, int],
 ) -> tuple[Coloring, list[ReductionTrace]]:
-    traces = [t for _, t in stack]
-    for frame_g, trace in reversed(stack):
-        if trace.rule == "anomaly-exact-fallback":
-            continue
-        colors = extend(frame_g, trace, colors)
+    for dv, ball in reversed(balls):
+        colors[dv] = _least_free(colors, ball, dv)
     coloring = Coloring(palette=PALETTE, colors=colors)
     report = validate(g, coloring)
     if not report.valid:  # tripwire: unwinding is supposed to be safe

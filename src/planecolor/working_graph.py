@@ -1,0 +1,377 @@
+"""One mutable plane graph, reduced in place.
+
+``color16`` deletes one vertex per step and patches chords across the
+hole it leaves.  ``WorkingGraph`` holds that graph with the stable
+vertex ids of the input; a deleted vertex stays behind as a tombstone
+with an empty rotation.  A step touches only the hole:
+
+* the rotations of the deleted vertex's neighbours are patched;
+* degrees and d2 are updated within distance two of the hole;
+* corner data is re-walked on the faces that changed.  Detection reads
+  a corner's face length capped at 5, and face identity only for faces
+  of length at most 4, so no walk goes further than 5 darts.
+
+It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
+``rotations``, ``corner_faces``, ``face_lens``, ``has_edge``,
+``edge_in_two_triangles``, ``d2``), so the predicates in
+``configurations`` run on it unchanged.
+
+Face ids are keys ``code * 8 + length``.  A face of length at most 4
+is keyed by the least code ``tail * N + head`` of its darts, so every
+corner on it shares the key; a longer face has length 5 in the key and
+the code of the corner's own dart, unique per corner.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DegreeOverflow, EmbeddingBroken
+from .plane_graph import PlaneGraph
+
+__all__ = ["WorkingGraph"]
+
+_CAP = 5  # face lengths are kept up to this value
+
+
+class _CappedLengths:
+    """``face_lens[key]``: the capped length a face key carries."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: int) -> int:
+        return key & 7
+
+
+def _targets_in_order(ring, u: int, targets) -> list[int]:
+    """Order chord targets for u's rotation slot.
+
+    The slot where the deleted vertex sat in rot(u) is replaced by the
+    chord partners sorted by how far they sit past u in the deleted
+    vertex's rotation ``ring``; that is the order in which the new edges
+    fan across the hole, so the patched rotation stays a plane embedding.
+    """
+    d = len(ring)
+    pu = ring.index(u)
+    return sorted(targets, key=lambda t: (ring.index(t) - pu) % d)
+
+
+def _crossing(chords, pos: dict[int, int]) -> bool:
+    """Do two chords interleave around the hole?"""
+    spans = [tuple(sorted((pos[a], pos[b]))) for a, b in chords]
+    for i, (a, b) in enumerate(spans):
+        for c, e in spans[i + 1 :]:
+            if len({a, b, c, e}) == 4 and (a < c < b) != (a < e < b):
+                return True
+    return False
+
+
+def _cycles(succ) -> int:
+    """Number of cycles of the permutation given as a dict."""
+    seen: set = set()
+    count = 0
+    for s in succ:
+        if s not in seen:
+            count += 1
+            while s not in seen:
+                seen.add(s)
+                s = succ[s]
+    return count
+
+
+class WorkingGraph:
+    """A plane graph with stable vertex ids, reduced one vertex at a time."""
+
+    __slots__ = (
+        "rotations",
+        "deg",
+        "n",
+        "m",
+        "num_faces",
+        "_size",
+        "_alive",
+        "_dead_tree",
+        "_d2",
+        "_cface",
+    )
+
+    face_lens = _CappedLengths()
+
+    def __init__(self, g: PlaneGraph) -> None:
+        size = g.n
+        self._size = size
+        self.rotations = [list(row) for row in g.rotations]
+        self.deg = [len(row) for row in self.rotations]
+        self.n, self.m, self.num_faces = g.n, g.m, g.num_faces
+        self._alive = bytearray(b"\x01") * size
+        self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
+        self._d2 = np.diff(g.n2_csr()[0]).tolist()
+        self._cface = self._initial_corner_keys(g)
+
+    @staticmethod
+    def _initial_corner_keys(g: PlaneGraph) -> list[list[int]]:
+        if g.m == 0:
+            return [[] for _ in range(g.n)]
+        tail = g.dart_tail.astype(np.int64)
+        code = tail * g.n + g.rot_flat.astype(np.int64)
+        face = g.face_of_dart
+        least = np.full(g.num_faces, code.max() + 1, np.int64)
+        np.minimum.at(least, face, code)
+        # corner i of v is traced by the dart v -> rot[v][i + 1]
+        base = g.rot_start[g.dart_tail]
+        nxt = base + (np.arange(2 * g.m) - base + 1) % g.deg[g.dart_tail]
+        f = face[nxt]
+        length = g.face_lens[f].astype(np.int64)
+        keys = np.where(
+            length < _CAP, least[f] * 8 + length, code[nxt] * 8 + _CAP
+        ).tolist()
+        starts = g.rot_start.tolist()
+        return [keys[starts[v] : starts[v + 1]] for v in range(g.n)]
+
+    # ==================================================================
+    # queries made by detection
+    # ==================================================================
+
+    def d2(self, v: int) -> int:
+        return self._d2[v]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.rotations[u]
+
+    def corner_faces(self, v: int) -> tuple[int, ...]:
+        return tuple(self._cface[v])
+
+    def edge_in_two_triangles(self, u: int, v: int) -> bool:
+        # the dart u -> rot[u][i] traces the face of corner i - 1
+        f1 = self._cface[u][self.rotations[u].index(v) - 1]
+        f2 = self._cface[v][self.rotations[v].index(u) - 1]
+        return f1 != f2 and f1 & 7 == 3 and f2 & 7 == 3
+
+    # ==================================================================
+    # other queries
+    # ==================================================================
+
+    def n2(self, v: int) -> set[int]:
+        """Vertices within distance two of v, v excluded."""
+        rot = self.rotations
+        out = set(rot[v])
+        for u in rot[v]:
+            out.update(rot[u])
+        out.discard(v)
+        return out
+
+    def alive(self) -> list[int]:
+        """Live vertices in ascending id order."""
+        return [v for v in range(self._size) if self._alive[v]]
+
+    def label(self, v: int) -> int:
+        """v's id in the dense relabelling of the live vertices."""
+        tree = self._dead_tree
+        i, below = v, 0
+        while i > 0:
+            below += tree[i]
+            i -= i & -i
+        return v - below
+
+    def to_plane_graph(self) -> PlaneGraph:
+        """The live part as a freshly built ``PlaneGraph``, densely relabelled."""
+        live = self.alive()
+        dense = {v: i for i, v in enumerate(live)}
+        return PlaneGraph([[dense[u] for u in self.rotations[v]] for v in live])
+
+    # ==================================================================
+    # the reduction step
+    # ==================================================================
+
+    def delete(self, dv: int, chords, rule: str = "") -> tuple[set, set, set]:
+        """Delete dv and add ``chords`` (pairs of dv's neighbours) in its hole.
+
+        Refuses the step exactly when rebuilding the reduced graph from
+        scratch would fail its Euler or connectivity check, lose a
+        distance-two pair, fail to shrink, or pass degree 5 at a patched
+        vertex.  A refused step leaves the graph unchanged.
+
+        Returns dv's distance-two ball before the step, the vertices
+        whose rotation, degree or corner data changed, and the vertices
+        within reach of any change for detection (distance two of a
+        patched rotation, one of a changed corner or d2).
+
+        Raises:
+            EmbeddingBroken: a pair of dv's neighbours ends up more
+                than two apart, the chords leave the plane, or the size
+                does not drop.
+            DegreeOverflow: a patched vertex passes degree 5.
+        """
+        rot = self.rotations
+        ring = rot[dv]
+        d = len(ring)
+        chords_at: dict[int, list[int]] = {}
+        for a, b in chords:
+            chords_at.setdefault(a, []).append(b)
+            chords_at.setdefault(b, []).append(a)
+        if not chords_at.keys() <= set(ring):
+            raise ValueError(f"rule {rule}: a chord end is not a neighbour of {dv}")
+        order = {w: _targets_in_order(ring, w, chords_at.get(w, ())) for w in ring}
+        new: dict[int, list[int]] = {}
+        for w in ring:
+            row = list(rot[w])
+            i = row.index(dv)
+            row[i : i + 1] = order[w]
+            new[w] = row
+
+        # paths of length <= 2 that avoid dv survive and chords only add
+        # paths, so only pairs of dv's neighbours can fall apart; once
+        # they all stay within two, the reduced graph is also connected
+        for i, a in enumerate(ring):
+            near = new[a]
+            for b in ring[i + 1 :]:
+                if b not in near and set(near).isdisjoint(new[b]):
+                    raise EmbeddingBroken(
+                        f"rule {rule}: a distance-two pair fell apart"
+                    )
+        pos = {w: i for i, w in enumerate(ring)}
+        crossing = _crossing(chords, pos)
+        if crossing and not self._euler_holds(dv, pos, order, len(chords)):
+            raise EmbeddingBroken(f"rule {rule} at {dv}: the chords leave the plane")
+        if len(chords) > d:
+            raise EmbeddingBroken(f"rule {rule}: size did not drop")
+        for w in ring:
+            if len(new[w]) > 5:
+                raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
+
+        ball = self.n2(dv)
+        was_short = []  # corners, away from dv, of the short faces at dv
+        for i in range(d):
+            _, corners = self._walk(dv, i)
+            if corners:
+                was_short.extend(c for c in corners if c[0] != dv)
+
+        for w, row in new.items():
+            rot[w] = row
+            self.deg[w] = len(row)
+        rot[dv] = []
+        self.deg[dv] = 0
+        self._alive[dv] = 0
+        i = dv + 1
+        while i <= self._size:
+            self._dead_tree[i] += 1
+            i += i & -i
+        self.n -= 1
+        self.m += len(chords) - d
+        self.num_faces += 1 - d + len(chords)
+
+        cface = self._cface
+        cface[dv] = []
+        changed = set(ring)
+        for y, j in was_short:
+            if y not in new:
+                cface[y][j] = self._long_key(y, j)
+                changed.add(y)
+        for w in ring:
+            cface[w] = [None] * len(rot[w])
+        for w in ring:
+            keys = cface[w]
+            for i, key in enumerate(keys):
+                if key is None:
+                    key, corners = self._walk(w, i)
+                    if corners is None:
+                        keys[i] = key
+                    else:
+                        for y, j in corners:
+                            cface[y][j] = key
+                            changed.add(y)
+        for x in ball:
+            self._d2[x] = len(self.n2(x))
+        reach = self._grow(self._grow(set(ring))) | self._grow(changed)
+        changed.add(dv)
+        return ball, changed, reach
+
+    def _grow(self, seeds: set[int]) -> set[int]:
+        out = set(seeds)
+        for v in seeds:
+            out.update(self.rotations[v])
+        return out
+
+    def _walk(self, v: int, i: int):
+        """Walk the face of corner i at v for at most 4 corners.
+
+        Returns (key, corners) for a face of length at most 4, with its
+        corners as (vertex, index) pairs, and (key, None) for a longer one.
+        """
+        rot, size = self.rotations, self._size
+        r = rot[v]
+        x, y = v, r[(i + 1) % len(r)]
+        best = x * size + y
+        corners = [(v, i)]
+        while True:
+            r = rot[y]
+            j = r.index(x)
+            if (y, j) == corners[0]:
+                return best * 8 + len(corners), corners
+            if len(corners) == _CAP - 1:
+                return self._long_key(v, i), None
+            corners.append((y, j))
+            x, y = y, r[(j + 1) % len(r)]
+            best = min(best, x * size + y)
+
+    def _long_key(self, v: int, i: int) -> int:
+        r = self.rotations[v]
+        return (v * self._size + r[(i + 1) % len(r)]) * 8 + _CAP
+
+    def _euler_holds(self, dv: int, pos, order, added: int) -> bool:
+        """Euler's formula for the patched graph, from the hole alone.
+
+        Reached only when chords cross.  The faces through dv are cut at
+        dv into segments; segment j leaves dv's neighbour w_(j+1) and
+        runs along the old face until it next enters dv, at the corner
+        sigma(j).  Faces away from dv keep their darts, so the reduced
+        graph has F - cycles(sigma) + cycles(mu) faces, where mu chains
+        segments and chord darts the way the patched rotations walk.
+        Euler needs that to be F + 1 - d + added.
+        """
+        rot = self.rotations
+        ring = rot[dv]
+        d = len(ring)
+        sigma: dict[int, int] = {}
+        open_ = []
+        for j in range(d):
+            k = self._next_visit(dv, j, _CAP - 1)
+            if k is None:
+                open_.append(j)
+            else:
+                sigma[j] = k
+        if len(open_) == 1:
+            sigma[open_[0]] = (set(range(d)) - set(sigma.values())).pop()
+        else:
+            # the crossing rules of the table fix every corner but one at
+            # length 3 or 4, so only hand-built chord sets walk this far
+            for j in open_:
+                sigma[j] = self._next_visit(dv, j, None)
+
+        def leave(w: int, came: int | None):
+            # at w, arrived from `came` (None: along a segment into the slot)
+            targets = order[w]
+            k = 0 if came is None else targets.index(came) + 1
+            return (w, targets[k]) if k < len(targets) else (pos[w] - 1) % d
+
+        mu: dict = {}
+        for j in range(d):
+            mu[j] = leave(ring[sigma[j]], None)
+        for w, targets in order.items():
+            for t in targets:
+                mu[(w, t)] = leave(t, w)
+        return _cycles(mu) - _cycles(sigma) == 1 - d + added
+
+    def _next_visit(self, dv: int, j: int, limit: int | None) -> int | None:
+        """Corner of dv where the face leaving corner j next enters dv."""
+        rot = self.rotations
+        ring = rot[dv]
+        x, y = dv, ring[(j + 1) % len(ring)]
+        steps = 0
+        while y != dv:
+            if limit is not None and steps == limit:
+                return None
+            r = rot[y]
+            x, y = y, r[(r.index(x) + 1) % len(r)]
+            steps += 1
+        return ring.index(x)

@@ -20,6 +20,7 @@ from planecolor.reducer import (
     is_proper_wrt,
 )
 from tests.test_configurations import CROSSING_CHORD_RULES
+from tests.test_working_graph import rebuild_apply
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -170,3 +171,21 @@ class TestReducerProperties:
                 apply(g, m)
             except (EmbeddingBroken, DegreeOverflow):
                 assert m.rule_id in CROSSING_CHORD_RULES
+
+    @PROPERTY_SETTINGS
+    @given(seeded_graph())
+    def test_apply_decisions_match_rebuild(self, g):
+        # every accept or refuse, and every accepted result, equals a
+        # from-scratch build plus is_proper_wrt
+        for m in iter_matches(g):
+            try:
+                want = rebuild_apply(g, m)
+            except (EmbeddingBroken, DegreeOverflow):
+                want = None
+            try:
+                got = apply(g, m)
+            except (EmbeddingBroken, DegreeOverflow):
+                got = None
+            assert (got is None) == (want is None), m.to_json()
+            if got is not None:
+                assert got == want

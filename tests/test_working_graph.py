@@ -1,0 +1,504 @@
+"""In-place reduction against the rebuild-everything reference.
+
+``rebuild_apply`` below is the reduction step as it was before the
+working graph: patch the rotations, build a fresh ``PlaneGraph`` (which
+checks Euler's formula and connectivity) and compare the full two-hop
+tables with ``is_proper_wrt``.  ``stepwise_color16`` is the reduction
+loop as it was: ``iter_matches`` + ``apply`` + ``extend`` on a fresh
+graph per step.  Both are kept here only as oracles.
+"""
+
+import copy
+import dataclasses
+import json
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from planecolor import reducer
+from planecolor.configurations import (
+    _PRIORITY,
+    MatchQueue,
+    _center_degree,
+    _center_matches,
+    _Ctx,
+    iter_matches,
+)
+from planecolor.conflict import Coloring, validate
+from planecolor.errors import (
+    AnomalyNoConfiguration,
+    DegreeOverflow,
+    Disconnected,
+    EmbeddingBroken,
+    NotPlanarEmbedding,
+)
+from planecolor.exact_solver import UNKNOWN
+from planecolor.generators import NAMED_GRAPHS, _grow_triangulation, named, random_plane
+from planecolor.plane_graph import PlaneGraph
+from planecolor.reducer import (
+    PALETTE,
+    ReductionTrace,
+    apply,
+    color16,
+    extend,
+    is_proper_wrt,
+)
+from planecolor.working_graph import WorkingGraph, _crossing, _targets_in_order
+
+CROSSING_MATCH_RULES = {"R-good-c", "R-good-d1", "R-good-d2", "R-5t4n-b1"}
+
+
+# ======================================================================
+# oracles
+# ======================================================================
+
+
+def rebuild_delete(g: PlaneGraph, dv: int, chords) -> PlaneGraph:
+    """Delete dv, add chords, rebuild and check everything globally."""
+    chords_at: dict[int, list[int]] = {}
+    for a, b in chords:
+        chords_at.setdefault(a, []).append(b)
+        chords_at.setdefault(b, []).append(a)
+    rows = []
+    for v in range(g.n):
+        if v == dv:
+            continue
+        row = list(g.rotations[v])
+        if dv in row:
+            i = row.index(dv)
+            row[i : i + 1] = _targets_in_order(
+                g.rotations[dv], v, chords_at.get(v, [])
+            )
+        rows.append([u - 1 if u > dv else u for u in row])
+    try:
+        h = PlaneGraph(rows)
+    except (NotPlanarEmbedding, Disconnected) as exc:
+        raise EmbeddingBroken(str(exc)) from exc
+    if h.n + h.m >= g.n + g.m:
+        raise EmbeddingBroken("size did not drop")
+    if h.n > 1 and int(h.deg.max()) > 5:
+        raise DegreeOverflow("reduced graph has degree > 5")
+    if not is_proper_wrt(g, h, dv):
+        raise EmbeddingBroken("a distance-two pair fell apart")
+    return h
+
+
+def rebuild_apply(g: PlaneGraph, match) -> tuple[PlaneGraph, ReductionTrace]:
+    dv = match.deleted
+    adds = [e for e in match.added_edges() if not g.has_edge(*e)]
+    gain: dict[int, int] = {}
+    for a, b in adds:
+        gain[a] = gain.get(a, 0) + 1
+        gain[b] = gain.get(b, 0) + 1
+    for x, extra in gain.items():
+        if g.degree(x) - (1 if g.has_edge(x, dv) else 0) + extra > 5:
+            raise DegreeOverflow(f"vertex {x}")
+    h = rebuild_delete(g, dv, adds)
+    trace = ReductionTrace(
+        step=-1,
+        rule=match.rule_id,
+        deleted=dv,
+        added_edges=tuple(adds),
+        v_plus_e_before=g.n + g.m,
+        v_plus_e_after=h.n + h.m,
+        observed_d2=match.observed_d2,
+    )
+    return h, trace
+
+
+def stepwise_color16(g: PlaneGraph):
+    stack = []
+    cur = g
+    while cur.n > PALETTE:
+        for match in iter_matches(cur):
+            try:
+                nxt, trace = apply(cur, match)
+            except (EmbeddingBroken, DegreeOverflow):
+                continue
+            stack.append((cur, dataclasses.replace(trace, step=len(stack))))
+            cur = nxt
+            break
+        else:
+            raise AssertionError(f"no configuration applies at n={cur.n}")
+    colors = {v: v + 1 for v in range(cur.n)}
+    for frame, trace in reversed(stack):
+        colors = extend(frame, trace, colors)
+    return Coloring(palette=PALETTE, colors=colors), [t for _, t in stack]
+
+
+def _as_json(coloring, traces) -> str:
+    return json.dumps(
+        {"coloring": coloring.to_json(), "trace": [t.to_json() for t in traces]},
+        sort_keys=True,
+    )
+
+
+def color_large_input() -> PlaneGraph:
+    # the default-seed input of the color-large benchmark workload
+    draws = [random_plane(690, seed=j) for j in range(12)]
+    return min(draws, key=lambda g: abs(g.n + g.m - 1700))
+
+
+# ======================================================================
+# working-graph state against a rebuild
+# ======================================================================
+
+
+def assert_matches_rebuild(wg: WorkingGraph) -> None:
+    """The working graph agrees with a PlaneGraph built from scratch on
+    its rotations: d2, capped corner lengths, short-face identity, the
+    face count and Euler's identity."""
+    h = wg.to_plane_graph()
+    live = wg.alive()
+    assert [[live[u] for u in row] for row in h.rotations] == [
+        wg.rotations[v] for v in live
+    ]
+    assert all(not wg.rotations[v] for v in set(range(len(wg.rotations))) - set(live))
+    assert (wg.n, wg.m, wg.num_faces) == (h.n, h.m, h.num_faces)
+    assert wg.n - wg.m + wg.num_faces == 2
+    short: dict[int, int] = {}
+    for i, v in enumerate(live):
+        assert wg.label(v) == i
+        assert wg.d2(v) == h.d2(i)
+        assert wg.deg[v] == h.degree(i)
+        keys, fids = wg.corner_faces(v), h.corner_faces(i)
+        assert [wg.face_lens[k] for k in keys] == [
+            min(int(h.face_lens[f]), 5) for f in fids
+        ]
+        for k, f in zip(keys, fids):
+            if wg.face_lens[k] < 5:
+                assert short.setdefault(k, f) == f
+    assert len(set(short.values())) == len(short)
+
+
+def snapshot(wg: WorkingGraph):
+    size = len(wg.rotations)
+    buckets: dict[int, list[int]] = {}
+    for v in range(size):
+        buckets.setdefault(wg.deg[v], []).append(v)
+    return (
+        copy.deepcopy(wg.rotations),
+        [wg.corner_faces(v) for v in range(size)],
+        [wg.d2(v) for v in range(size)],
+        buckets,
+        (wg.n, wg.m, wg.num_faces),
+        [wg.label(v) for v in range(size)],
+    )
+
+
+class TestWorkingGraph:
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_fresh_graph_matches_rebuild(self, name):
+        assert_matches_rebuild(WorkingGraph(named(name)))
+
+    @pytest.mark.parametrize("n,seed", [(60, 1), (150, 2), (300, 3), (200, 11)])
+    def test_every_color16_step_matches_rebuild(self, n, seed, monkeypatch):
+        original = reducer._step
+        steps = []
+
+        def checked(wg, match):
+            out = original(wg, match)
+            assert_matches_rebuild(wg)
+            steps.append(dataclasses.replace(out[0], step=len(steps)))
+            return out
+
+        monkeypatch.setattr(reducer, "_step", checked)
+        g = random_plane(n, seed=seed)
+        _, traces = color16(g)
+        assert steps == traces and len(traces) == g.n - PALETTE
+
+    @pytest.mark.parametrize("name", ["fig2b", "fig2c"])
+    def test_refused_step_rolls_back(self, name):
+        g = named(name)
+        matches = list(iter_matches(g))
+        crossing = [
+            i for i, m in enumerate(matches) if m.rule_id in CROSSING_MATCH_RULES
+        ]
+        assert crossing
+        for i in crossing:
+            wg = WorkingGraph(g)
+            before = snapshot(wg)
+            with pytest.raises(EmbeddingBroken):
+                reducer._step(wg, matches[i])
+            assert snapshot(wg) == before
+            # the search moves on past refused matches; in fig2b the
+            # crossing matches come last, so it wraps to the first ones
+            for nxt in matches[i + 1 :] + matches[:i]:
+                try:
+                    want_h, want_trace = rebuild_apply(g, nxt)
+                except (EmbeddingBroken, DegreeOverflow):
+                    with pytest.raises((EmbeddingBroken, DegreeOverflow)):
+                        reducer._step(wg, nxt)
+                    assert snapshot(wg) == before
+                    continue
+                trace = reducer._step(wg, nxt)[0]
+                assert trace == want_trace
+                assert wg.to_plane_graph() == want_h
+                assert_matches_rebuild(wg)
+                break
+            else:
+                raise AssertionError("no match after the refused one applies")
+
+    def test_certificate_matches_rebuild_on_random_chord_sets(self):
+        """Arbitrary chord sets, crossing or not, at cut vertices or not."""
+        rng = random.Random(7)
+        graphs = [random_plane(rng.randrange(12, 30), seed=s) for s in range(12)]
+        graphs += [random_tree(rng.randrange(6, 20), rng) for _ in range(12)]
+        graphs += [glued(rng) for _ in range(12)]
+        seen = Counter()
+        for g in graphs:
+            for dv in range(g.n):
+                ring = g.rotations[dv]
+                missing = [
+                    (a, b)
+                    for a, b in combinations(sorted(ring), 2)
+                    if not g.has_edge(a, b)
+                ]
+                for _ in range(6):
+                    k = rng.randrange(len(missing) // 2, len(missing) + 1)
+                    chords = rng.sample(missing, k)
+                    crossing = _crossing(chords, {w: i for i, w in enumerate(ring)})
+                    try:
+                        want = rebuild_delete(g, dv, chords)
+                    except (EmbeddingBroken, DegreeOverflow):
+                        want = None
+                    wg = WorkingGraph(g)
+                    before = snapshot(wg)
+                    try:
+                        wg.delete(dv, chords)
+                    except (EmbeddingBroken, DegreeOverflow):
+                        assert want is None, (g.rotations, dv, chords)
+                        assert snapshot(wg) == before
+                        seen[crossing, "refused"] += 1
+                        continue
+                    assert want is not None, (g.rotations, dv, chords)
+                    assert wg.to_plane_graph() == want
+                    assert_matches_rebuild(wg)
+                    seen[crossing, "accepted"] += 1
+        # crossing chords can be accepted only at a cut vertex
+        assert len(seen) == 4, seen
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]],  # star: five components
+            [[1, 2, 3, 4], [2, 0], [0, 1], [4, 0], [0, 3]],  # bowtie: two
+            [[1, 2, 3, 4], [0, 5], [0], [0, 6], [0], [1], [3]],  # spider
+        ],
+    )
+    def test_certificate_matches_rebuild_on_every_chord_set_at_a_cut_vertex(self, rows):
+        g = PlaneGraph(rows)
+        missing = [
+            (a, b) for a, b in combinations(sorted(rows[0]), 2) if not g.has_edge(a, b)
+        ]
+        accepted = 0
+        for mask in range(1 << len(missing)):
+            chords = [e for i, e in enumerate(missing) if mask >> i & 1]
+            try:
+                want = rebuild_delete(g, 0, chords)
+            except (EmbeddingBroken, DegreeOverflow):
+                want = None
+            wg = WorkingGraph(g)
+            try:
+                wg.delete(0, chords)
+            except (EmbeddingBroken, DegreeOverflow):
+                assert want is None, chords
+                continue
+            assert wg.to_plane_graph() == want, chords
+            accepted += 1
+        assert accepted > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_steps_on_degree_five_graphs(self, seed):
+        """Apply random matches, not just the first, so the degree-5
+        rules run too.  Each step must equal the rebuild; every centre
+        whose matches change must be reported within reach; every memo
+        left after ``forget`` must still be right."""
+        rng = random.Random(seed)
+        g = medial_plus(40, seed, extra=30)
+        wg = WorkingGraph(g)
+        ctx = _Ctx(wg)
+        applied = Counter()
+        while len(applied) < 8 or sum(applied.values()) < 40:
+            if wg.n <= PALETTE:
+                break
+            before = all_matches(ctx, wg)
+            cur = wg.to_plane_graph()
+            live = wg.alive()
+            pool = [m for ms in before.values() for m in ms]
+            rng.shuffle(pool)
+            for m in pool:
+                dense = dataclasses.replace(
+                    m, binding={r: live.index(u) for r, u in m.binding.items()}
+                )
+                try:
+                    want = rebuild_apply(cur, dense)
+                except (EmbeddingBroken, DegreeOverflow):
+                    with pytest.raises((EmbeddingBroken, DegreeOverflow)):
+                        reducer._step(wg, m)
+                    continue
+                trace, _, changed, reach = reducer._step(wg, m)
+                assert (wg.to_plane_graph(), trace) == want
+                applied[m.rule_id] += 1
+                break
+            else:
+                break
+            assert_matches_rebuild(wg)
+            ctx.forget(changed)
+            fresh = _Ctx(wg)
+            for v, got in ctx._corners.items():
+                assert got == fresh.corners(v)
+            for v, got in ctx._frames.items():
+                assert [(f.w, f.cfl, f.cfid) for f in got] == [
+                    (f.w, f.cfl, f.cfid) for f in fresh.frames(v)
+                ]
+            for v, got in ctx._badmemo.items():
+                assert got == fresh.bad_kind(v)
+            after = all_matches(ctx, wg)
+            for key in before.keys() | after.keys():
+                if before.get(key) != after.get(key) and wg.deg[key[1]]:
+                    assert key[1] in reach, key
+        assert len(applied) >= 5, applied
+
+
+def all_matches(ctx: _Ctx, wg: WorkingGraph) -> dict:
+    """(rule, centre) -> the matches there, for every rule and live centre."""
+    out = {}
+    for rule in _PRIORITY:
+        for v in wg.alive():
+            if wg.deg[v] == _center_degree(rule):
+                got = list(_center_matches(ctx, rule, v))
+                if got:
+                    out[rule.id, v] = got
+    return out
+
+
+def medial_plus(n: int, seed: int, extra: int) -> PlaneGraph:
+    """The medial graph of a random triangulation (4-regular), with
+    ``extra`` diagonals drawn inside faces to bring vertices to degree 5."""
+    rng = random.Random(seed)
+    tri = _grow_triangulation(n, rng)
+    ids: dict[frozenset, int] = {}
+    for u, row in enumerate(tri):
+        for v in row:
+            ids.setdefault(frozenset((u, v)), len(ids))
+
+    def e(a, b):
+        return ids[frozenset((a, b))]
+
+    rows: list[list[int]] = [[] for _ in ids]
+    for u, row in enumerate(tri):
+        for k, v in enumerate(row):
+            if u < v:
+                rv = tri[v]
+                j = rv.index(u)
+                rows[e(u, v)] = [
+                    e(u, row[(k + 1) % len(row)]),
+                    e(u, row[k - 1]),
+                    e(v, rv[(j + 1) % len(rv)]),
+                    e(v, rv[j - 1]),
+                ]
+    g = PlaneGraph(rows)
+    for _ in range(extra):
+        darts = rng.choice([f for f in g.faces() if f.length >= 4]).darts
+        pairs = [
+            (p, q)
+            for i, p in enumerate(darts)
+            for q in darts[i + 2 :]
+            if p[0] != q[0]
+            and g.degree(p[0]) < 5
+            and g.degree(q[0]) < 5
+            and not g.has_edge(p[0], q[0])
+        ]
+        if pairs:
+            (x, hx), (y, hy) = rng.choice(pairs)
+            rows = [list(r) for r in g.rotations]
+            rows[x].insert(rows[x].index(hx), y)
+            rows[y].insert(rows[y].index(hy), x)
+            g = PlaneGraph(rows)
+    return g
+
+
+def random_tree(n: int, rng: random.Random) -> PlaneGraph:
+    """Every vertex is a cut vertex or a leaf; any rotation is plane."""
+    rows: list[list[int]] = [[]]
+    for v in range(1, n):
+        u = rng.choice([x for x in range(v) if len(rows[x]) < 5])
+        rows[u].insert(rng.randrange(len(rows[u]) + 1), v)
+        rows.append([u])
+    return PlaneGraph(rows)
+
+
+def glued(rng: random.Random) -> PlaneGraph:
+    """Two random plane graphs sharing one vertex, which becomes a cut
+    vertex: the second graph's rotation there fills one corner."""
+    g1 = random_plane(rng.randrange(6, 16), seed=rng.randrange(10**6))
+    g2 = random_plane(rng.randrange(4, 12), seed=rng.randrange(10**6))
+    x = min(range(g1.n), key=g1.degree)
+    y = min(range(g2.n), key=g2.degree)
+    if g1.degree(x) + g2.degree(y) > 5:  # keep the degree bound
+        g2 = random_tree(rng.randrange(4, 12), rng)
+        y = g2.n - 1  # a leaf
+    shift = {u: (x if u == y else g1.n + u - (u > y)) for u in range(g2.n)}
+    rows = [list(r) for r in g1.rotations]
+    rows += [[shift[u] for u in g2.rotations[v]] for v in range(g2.n) if v != y]
+    i = rng.randrange(len(rows[x]) + 1)
+    rows[x][i:i] = [shift[u] for u in g2.rotations[y]]
+    return PlaneGraph(rows)
+
+
+# ======================================================================
+# color16 against the stepwise oracle
+# ======================================================================
+
+
+class TestOracle:
+    def test_criterion_1_sweep_first_200_seeds(self):
+        for i in range(200):
+            g = random_plane(20 + i % 181, seed=i)
+            assert _as_json(*color16(g)) == _as_json(*stepwise_color16(g)), i
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_named_graphs(self, name):
+        g = named(name)
+        assert _as_json(*color16(g)) == _as_json(*stepwise_color16(g))
+
+    def test_color_large_input(self):
+        g = color_large_input()
+        assert _as_json(*color16(g)) == _as_json(*stepwise_color16(g))
+
+
+# ======================================================================
+# the anomaly fallback
+# ======================================================================
+
+
+class TestAnomalyFallback:
+    def test_exact_fallback_colors_when_detection_finds_nothing(self, monkeypatch):
+        g = random_plane(30, seed=4)
+        assert 20 <= g.n <= 30
+        budgets = []
+        color_with_k = reducer.color_with_k
+
+        def spy(h, k, budget):
+            budgets.append(budget)
+            return color_with_k(h, k, budget=budget)
+
+        monkeypatch.setattr(MatchQueue, "matches", lambda self: iter(()))
+        monkeypatch.setattr(reducer, "color_with_k", spy)
+        coloring, traces = color16(g, budget=12345)
+        assert budgets == [12345]
+        assert [t.rule for t in traces] == ["anomaly-exact-fallback"]
+        assert traces[0].deleted == -1
+        assert traces[0].v_plus_e_before == traces[0].v_plus_e_after == g.n + g.m
+        assert validate(g, coloring).valid
+        assert max(coloring.colors.values()) <= PALETTE
+
+    def test_unknown_from_the_exact_solver_raises(self, monkeypatch):
+        g = random_plane(30, seed=4)
+        monkeypatch.setattr(MatchQueue, "matches", lambda self: iter(()))
+        monkeypatch.setattr(reducer, "color_with_k", lambda h, k, budget: UNKNOWN)
+        with pytest.raises(AnomalyNoConfiguration):
+            color16(g)
