@@ -1,32 +1,17 @@
-"""Hot loops for the plane-graph engine.
+"""The exact k-coloring search over a conflict CSR.
 
-Every kernel has two implementations: a numba ``@njit`` version and a
-plain numpy/python fallback.  Which one runs is decided at call time
-by :func:`use_numba`, so setting the ``PLANECOLOR_NO_NUMBA`` environment
-variable (to any non-empty value) switches the whole package to the
-fallback path without reimporting anything.
+``indptr`` and ``indices`` are the CSR of the conflict graph: the
+neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``.  For the
+distance-two problem that is ``PlaneGraph.n2_csr()``.
 
-The graph encoding shared by all kernels is the flat rotation system:
-
-* ``rot_start``: int32 array of length n+1, CSR offsets per vertex
-* ``rot_flat``:  int32 array of length 2m, neighbour ids in clockwise
-  rotation order; dart p is the arc tail(p) -> rot_flat[p]
-* ``dart_tail``: int32 array of length 2m, tail vertex of each dart
+Static variable order, ascending colors, first vertex pinned to the
+first color, forward checking with bitmask domains.  The budget counts
+assignments; hitting it yields SOLVE_UNKNOWN.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 __all__ = [
-    "use_numba",
-    "build_mirror",
-    "face_successors",
-    "trace_orbits",
-    "two_hop_csr",
-    "csr_has",
     "solve_k_coloring",
     "SOLVE_FOUND",
     "SOLVE_INFEASIBLE",
@@ -37,227 +22,23 @@ SOLVE_FOUND = 1
 SOLVE_INFEASIBLE = 0
 SOLVE_UNKNOWN = -1
 
-# ======================================================================
-# numba availability
-# ======================================================================
 
-try:  # pragma: no cover - import guard
-    from numba import njit
+def solve_k_coloring(indptr, indices, order, n: int, k: int, budget: int):
+    """Backtracking k-coloring over a conflict CSR.
 
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def use_numba() -> bool:
-    """True when the jitted kernels should run.
-
-    Checked on every call, so tests can flip ``PLANECOLOR_NO_NUMBA``
-    in ``os.environ`` and exercise the fallback path directly.
+    Returns (status, colors, nodes); colors are 0-based and only
+    meaningful when status == SOLVE_FOUND.
     """
-    return _NUMBA_OK and not os.environ.get("PLANECOLOR_NO_NUMBA")
-
-
-# ======================================================================
-# mirror darts and face tracing
-# ======================================================================
-
-
-def build_mirror(dart_tail: np.ndarray, dart_head: np.ndarray) -> np.ndarray:
-    """Pair every dart u->v with its reverse v->u.
-
-    Works for simple graphs only: each unordered pair occurs exactly
-    twice, so after a stable sort by (min, max) endpoint the two darts
-    of an edge sit next to each other.
-    """
-    lo = np.minimum(dart_tail, dart_head)
-    hi = np.maximum(dart_tail, dart_head)
-    idx = np.lexsort((hi, lo))
-    mirror = np.empty_like(idx)
-    mirror[idx[0::2]] = idx[1::2]
-    mirror[idx[1::2]] = idx[0::2]
-    return mirror.astype(np.int32)
-
-
-def face_successors(
-    rot_start: np.ndarray,
-    dart_head: np.ndarray,
-    mirror: np.ndarray,
-    deg: np.ndarray,
-) -> np.ndarray:
-    """Next dart along the face boundary, for every dart at once.
-
-    The face walk leaves v along the dart that follows the arrival
-    dart's reverse in the clockwise rotation at v.
-    """
-    v = dart_head
-    base = rot_start[v]
-    return (base + (mirror - base + 1) % deg[v]).astype(np.int32)
-
-
-@njit(cache=True)
-def _trace_orbits_jit(succ):  # pragma: no cover - numba path
-    nd = succ.shape[0]
-    face_of = np.full(nd, -1, np.int32)
-    lens = np.zeros(nd, np.int32)
-    nf = 0
-    for p0 in range(nd):
-        if face_of[p0] >= 0:
-            continue
-        p = p0
-        ln = 0
-        while face_of[p] < 0:
-            face_of[p] = nf
-            p = succ[p]
-            ln += 1
-        lens[nf] = ln
-        nf += 1
-    return face_of, lens[:nf]
-
-
-def _trace_orbits_py(succ: np.ndarray):
-    nd = succ.shape[0]
-    face_of = np.full(nd, -1, np.int32)
-    lens: list[int] = []
-    nf = 0
-    for p0 in range(nd):
-        if face_of[p0] >= 0:
-            continue
-        p = p0
-        ln = 0
-        while face_of[p] < 0:
-            face_of[p] = nf
-            p = int(succ[p])
-            ln += 1
-        lens.append(ln)
-        nf += 1
-    return face_of, np.asarray(lens, np.int32)
-
-
-def trace_orbits(succ: np.ndarray):
-    """Decompose the successor permutation into face orbits.
-
-    Returns (face_of_dart, face_lengths).
-    """
-    if use_numba():
-        return _trace_orbits_jit(succ)
-    return _trace_orbits_py(succ)
-
-
-# ======================================================================
-# two-hop neighbourhoods
-# ======================================================================
-
-
-@njit(cache=True)
-def _two_hop_jit(rot_start, rot_flat, n):  # pragma: no cover - numba path
-    stamp = np.full(n, -1, np.int32)
-    counts = np.zeros(n, np.int32)
-    # first pass: sizes
-    for v in range(n):
-        stamp[v] = v
-        c = 0
-        for i in range(rot_start[v], rot_start[v + 1]):
-            u = rot_flat[i]
-            if stamp[u] != v:
-                stamp[u] = v
-                c += 1
-            for j in range(rot_start[u], rot_start[u + 1]):
-                w = rot_flat[j]
-                if stamp[w] != v:
-                    stamp[w] = v
-                    c += 1
-        counts[v] = c
-    indptr = np.zeros(n + 1, np.int32)
-    for v in range(n):
-        indptr[v + 1] = indptr[v] + counts[v]
-    out = np.empty(indptr[n], np.int32)
-    stamp[:] = -1
-    for v in range(n):
-        stamp[v] = v
-        k = indptr[v]
-        for i in range(rot_start[v], rot_start[v + 1]):
-            u = rot_flat[i]
-            if stamp[u] != v:
-                stamp[u] = v
-                out[k] = u
-                k += 1
-            for j in range(rot_start[u], rot_start[u + 1]):
-                w = rot_flat[j]
-                if stamp[w] != v:
-                    stamp[w] = v
-                    out[k] = w
-                    k += 1
-        out[indptr[v] : k].sort()
-    return indptr, out
-
-
-def _two_hop_py(rot_start: np.ndarray, rot_flat: np.ndarray, n: int):
-    adj = [rot_flat[rot_start[v] : rot_start[v + 1]].tolist() for v in range(n)]
-    lists = []
-    for v in range(n):
-        seen = set(adj[v])
-        for u in adj[v]:
-            seen.update(adj[u])
-        seen.discard(v)
-        lists.append(sorted(seen))
-    indptr = np.zeros(n + 1, np.int32)
-    for v in range(n):
-        indptr[v + 1] = indptr[v] + len(lists[v])
-    out = np.fromiter(
-        (w for lst in lists for w in lst), np.int32, count=int(indptr[n])
-    )
-    return indptr, out
-
-
-def two_hop_csr(rot_start: np.ndarray, rot_flat: np.ndarray, n: int):
-    """CSR of N2(v): vertices at distance 1 or 2, sorted, v excluded."""
     if n == 0:
-        return np.zeros(1, np.int32), np.empty(0, np.int32)
-    if use_numba():
-        return _two_hop_jit(rot_start, rot_flat, n)
-    return _two_hop_py(rot_start, rot_flat, n)
-
-
-def csr_has(indptr: np.ndarray, indices: np.ndarray, a: int, b: int) -> bool:
-    """Membership test b in row a of a sorted CSR."""
-    lo, hi = int(indptr[a]), int(indptr[a + 1])
-    pos = int(np.searchsorted(indices[lo:hi], b))
-    return pos < hi - lo and int(indices[lo + pos]) == b
-
-
-# ======================================================================
-# exact k-coloring of the square graph
-# ======================================================================
-#
-# Static variable order, ascending colors, first vertex pinned to the
-# first color, forward checking with bitmask domains.  The budget counts
-# assignments; hitting it yields SOLVE_UNKNOWN.
-
-
-@njit(cache=True)
-def _solve_jit(indptr, indices, order, n, k, budget):  # pragma: no cover
-    full = (np.int64(1) << k) - 1
-    domain = np.full(n, full, np.int64)
-    color = np.full(n, -1, np.int32)
-    pos_of = np.empty(n, np.int32)
-    for d in range(n):
-        pos_of[order[d]] = d
-    cap = indices.shape[0] + 16
-    trail_v = np.empty(cap, np.int32)
-    trail_bit = np.empty(cap, np.int32)
-    trail_top = 0
-    frame_start = np.zeros(n + 1, np.int64)
-    tried = np.full(n, -1, np.int32)
+        return SOLVE_FOUND, [], 0
+    if k <= 0:
+        return SOLVE_INFEASIBLE, [-1] * n, 0
+    rows = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
+    domain = [(1 << k) - 1] * n
+    color = [-1] * n
+    trail: list[tuple[int, int]] = []
+    frame_start = [0] * (n + 1)
+    tried = [-1] * n
     nodes = 0
     depth = 0
     while True:
@@ -274,72 +55,8 @@ def _solve_jit(indptr, indices, order, n, k, budget):  # pragma: no cover
                     return SOLVE_UNKNOWN, color, nodes
                 # forward-check neighbours still unassigned
                 ok = True
-                frame_start[depth] = trail_top
-                for i in range(indptr[v], indptr[v + 1]):
-                    u = indices[i]
-                    if color[u] >= 0:
-                        continue
-                    if (domain[u] >> c) & 1:
-                        domain[u] &= ~(np.int64(1) << c)
-                        trail_v[trail_top] = u
-                        trail_bit[trail_top] = c
-                        trail_top += 1
-                        if domain[u] == 0:
-                            ok = False
-                            break
-                if ok:
-                    color[v] = c
-                    tried[depth] = c
-                    placed = True
-                    break
-                # wipeout: undo this attempt, try next color
-                while trail_top > frame_start[depth]:
-                    trail_top -= 1
-                    domain[trail_v[trail_top]] |= np.int64(1) << trail_bit[trail_top]
-            c += 1
-        if placed:
-            depth += 1
-            if depth < n:
-                tried[depth] = -1
-            continue
-        # no color fits at this depth: backtrack
-        tried[depth] = -1
-        depth -= 1
-        if depth < 0:
-            return SOLVE_INFEASIBLE, color, nodes
-        v = order[depth]
-        color[v] = -1
-        while trail_top > frame_start[depth]:
-            trail_top -= 1
-            domain[trail_v[trail_top]] |= np.int64(1) << trail_bit[trail_top]
-    # unreachable
-
-
-def _solve_py(indptr, indices, order, n, k, budget):
-    full = (1 << k) - 1
-    domain = [full] * n
-    color = np.full(n, -1, np.int32)
-    trail: list[tuple[int, int]] = []
-    frame_start = [0] * (n + 1)
-    tried = [-1] * n
-    nodes = 0
-    depth = 0
-    while True:
-        if depth == n:
-            return SOLVE_FOUND, color, nodes
-        v = int(order[depth])
-        limit = 0 if depth == 0 else k - 1
-        c = tried[depth] + 1
-        placed = False
-        while c <= limit:
-            if (domain[v] >> c) & 1:
-                nodes += 1
-                if nodes > budget:
-                    return SOLVE_UNKNOWN, color, nodes
-                ok = True
                 frame_start[depth] = len(trail)
-                for i in range(indptr[v], indptr[v + 1]):
-                    u = int(indices[i])
+                for u in rows[v]:
                     if color[u] >= 0:
                         continue
                     if (domain[u] >> c) & 1:
@@ -353,6 +70,7 @@ def _solve_py(indptr, indices, order, n, k, budget):
                     tried[depth] = c
                     placed = True
                     break
+                # wipeout: undo this attempt, try next color
                 while len(trail) > frame_start[depth]:
                     u, b = trail.pop()
                     domain[u] |= 1 << b
@@ -362,42 +80,13 @@ def _solve_py(indptr, indices, order, n, k, budget):
             if depth < n:
                 tried[depth] = -1
             continue
+        # no color fits at this depth: backtrack
         tried[depth] = -1
         depth -= 1
         if depth < 0:
             return SOLVE_INFEASIBLE, color, nodes
-        v = int(order[depth])
+        v = order[depth]
         color[v] = -1
         while len(trail) > frame_start[depth]:
             u, b = trail.pop()
             domain[u] |= 1 << b
-    # unreachable
-
-
-def solve_k_coloring(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    order: np.ndarray,
-    n: int,
-    k: int,
-    budget: int,
-):
-    """Backtracking k-coloring over a conflict CSR.
-
-    Returns (status, colors, nodes); colors are 0-based and only
-    meaningful when status == SOLVE_FOUND.
-    """
-    if n == 0:
-        return SOLVE_FOUND, np.empty(0, np.int32), 0
-    if k <= 0:
-        return SOLVE_INFEASIBLE, np.full(n, -1, np.int32), 0
-    if use_numba() and k <= 62:
-        return _solve_jit(
-            indptr.astype(np.int32),
-            indices.astype(np.int32),
-            order.astype(np.int32),
-            n,
-            k,
-            budget,
-        )
-    return _solve_py(indptr, indices, order, n, k, budget)

@@ -69,7 +69,7 @@ def _cmd_validate(args) -> int:
         "n": g.n,
         "m": g.m,
         "faces": g.num_faces,
-        "max_degree": int(g.deg.max()) if g.n else 0,
+        "max_degree": max(g.deg),
         "plane": True,
     }
     if args.colors is not None:

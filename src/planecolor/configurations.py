@@ -167,7 +167,7 @@ class _Ctx:
             g = self.g
             fids = g.corner_faces(v) if g.deg[v] > 0 else ()
             fl = g.face_lens
-            got = (tuple(int(fl[f]) for f in fids), fids)
+            got = (tuple(fl[f] for f in fids), fids)
             self._corners[v] = got
         return got
 
@@ -327,7 +327,7 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
 
 
 def _d(ctx, fr, i):
-    return int(ctx.deg[fr.w[i]])
+    return ctx.deg[fr.w[i]]
 
 
 def _n3(ctx, fr):
@@ -1068,7 +1068,7 @@ def degree_overflow(g, deleted: int, edges) -> Optional[tuple[int, int]]:
             gain[a] = gain.get(a, 0) + 1
             gain[b] = gain.get(b, 0) + 1
     for x, extra in gain.items():
-        newd = int(g.deg[x]) - (1 if g.has_edge(x, deleted) else 0) + extra
+        newd = g.deg[x] - (1 if g.has_edge(x, deleted) else 0) + extra
         if newd > 5:
             return x, newd
     return None
@@ -1175,11 +1175,11 @@ def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
     Raises:
         DegreeTooHigh: some vertex has degree above 5.
     """
-    if g.n > 1 and int(g.deg.max()) > 5:
-        raise DegreeTooHigh(f"max degree {int(g.deg.max())} > 5")
+    if g.n > 1 and max(g.deg) > 5:
+        raise DegreeTooHigh(f"max degree {max(g.deg)} > 5")
     ctx = _Ctx(g)
     by_deg: dict[int, list[int]] = {}
-    for v, d in enumerate(g.deg.tolist()):
+    for v, d in enumerate(g.deg):
         by_deg.setdefault(d, []).append(v)
     for rule in _PRIORITY:
         for v in by_deg.get(_center_degree(rule), ()):

@@ -97,8 +97,8 @@ def initial_charges(g: PlaneGraph) -> ChargeLedger:
         EulerIdentityViolated: the grand total is not exactly -8, which
             a plane graph cannot produce.
     """
-    verts = tuple(DENOM * (int(d) - 4) for d in g.deg)
-    faces = tuple(DENOM * (int(l) - 4) for l in g.face_lens)
+    verts = tuple(DENOM * (d - 4) for d in g.deg)
+    faces = tuple(DENOM * (ln - 4) for ln in g.face_lens)
     led = ChargeLedger(vertices=verts, faces=faces)
     if led.total() != TOTAL:
         raise EulerIdentityViolated(

@@ -9,8 +9,6 @@ than a wrong answer.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _kernels
 from .conflict import Coloring, validate
 from .plane_graph import PlaneGraph
@@ -40,11 +38,9 @@ INFEASIBLE = _Sentinel("INFEASIBLE")
 UNKNOWN = _Sentinel("UNKNOWN")
 
 
-def _static_order(g: PlaneGraph) -> np.ndarray:
+def _static_order(g: PlaneGraph) -> list[int]:
     # most constrained first: descending d2, ties by ascending id
-    d2 = np.array([g.d2(v) for v in range(g.n)], np.int64)
-    ids = np.arange(g.n, dtype=np.int64)
-    return np.lexsort((ids, -d2)).astype(np.int32)
+    return sorted(range(g.n), key=lambda v: (-g.d2(v), v))
 
 
 def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
@@ -63,7 +59,7 @@ def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
         return INFEASIBLE
     if status == _kernels.SOLVE_UNKNOWN:
         return UNKNOWN
-    out = Coloring(palette=k, colors={v: int(colors[v]) + 1 for v in range(g.n)})
+    out = Coloring(palette=k, colors={v: colors[v] + 1 for v in range(g.n)})
     report = validate(g, out)
     if not report.valid:  # kernel bug tripwire, not a normal outcome
         raise AssertionError(f"solver produced an invalid coloring: {report}")
@@ -79,7 +75,7 @@ def chi2_exact(g: PlaneGraph, budget: int = DEFAULT_BUDGET):
     """
     if g.n == 1:
         return 1
-    lo = int(g.deg.max()) + 1
+    lo = max(g.deg) + 1
     for k in range(lo, g.n + 1):
         res = color_with_k(g, k, budget)
         if res is UNKNOWN:

@@ -22,11 +22,9 @@ one line per vertex, neighbours in clockwise order.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import (
     AsymmetricRotation,
     Disconnected,
@@ -40,8 +38,6 @@ __all__ = [
     "VertexMetrics",
     "PlaneGraph",
     "from_rotation_text",
-    "metrics",
-    "distance",
 ]
 
 
@@ -91,7 +87,15 @@ class VertexMetrics:
 
 
 class PlaneGraph:
-    """Immutable plane graph defined by clockwise rotations."""
+    """Immutable plane graph defined by clockwise rotations.
+
+    The tables are tuples of ints.  Dart p is the arc
+    ``dart_tail[p] -> rot_flat[p]``; the darts leaving v are
+    ``rot_start[v]`` to ``rot_start[v + 1]`` in rotation order.
+    ``mirror[p]`` is the reverse dart and ``face_of_dart[p]`` the face
+    whose boundary walk contains p; faces are numbered in the order of
+    their least dart.
+    """
 
     __slots__ = (
         "n",
@@ -105,160 +109,105 @@ class PlaneGraph:
         "face_of_dart",
         "face_lens",
         "num_faces",
-        "_face_start_dart",
-        "_edge_set",
-        "_dart_of",
         "_n2_indptr",
         "_n2_flat",
-        "_d2",
-        "_corner_fid",
-        "_n3",
-        "_n4",
-        "_n5",
-        "_m3",
-        "_m4",
-        "_m5p",
         "_faces_cache",
     )
 
     def __init__(self, rotations) -> None:
-        rots = [tuple(int(u) for u in row) for row in rotations]
+        rots = tuple(tuple(int(u) for u in row) for row in rotations)
         n = len(rots)
         if n == 0:
             raise ParseError("empty vertex set")
+        pos = []  # per vertex: neighbour -> its place in the rotation
         for v, row in enumerate(rots):
             for u in row:
                 if not 0 <= u < n:
                     raise ParseError(f"vertex {v} lists out-of-range neighbour {u}")
                 if u == v:
                     raise ParseError(f"self-loop at vertex {v}")
-            if len(set(row)) != len(row):
+            at = {u: i for i, u in enumerate(row)}
+            if len(at) != len(row):
                 raise ParseError(f"repeated neighbour in rotation of vertex {v}")
+            pos.append(at)
+
+        deg = tuple(map(len, rots))
+        rot_start = [0]
+        for d in deg:
+            rot_start.append(rot_start[-1] + d)
+        mirror: list[int] = []
         for v, row in enumerate(rots):
             for u in row:
-                if v not in rots[u]:
+                i = pos[u].get(v)
+                if i is None:
                     raise AsymmetricRotation(
                         f"{v} lists {u} but {u} does not list {v}"
                     )
+                mirror.append(rot_start[u] + i)
 
         self.n = n
-        self.rotations = tuple(rots)
-        deg = np.array([len(row) for row in rots], np.int32)
+        self.m = len(mirror) // 2
+        self.rotations = rots
         self.deg = deg
-        total = int(deg.sum())
-        if total % 2:  # cannot happen once symmetric, kept as a guard
-            raise AsymmetricRotation("odd dart count")
-        self.m = total // 2
-
-        rot_start = np.zeros(n + 1, np.int32)
-        np.cumsum(deg, out=rot_start[1:])
-        rot_flat = np.fromiter(
-            (u for row in rots for u in row), np.int32, count=total
-        )
-        dart_tail = np.repeat(np.arange(n, dtype=np.int32), deg)
-        self.rot_start = rot_start
-        self.rot_flat = rot_flat
-        self.dart_tail = dart_tail
-
-        self._edge_set = frozenset(
-            (v, u) if v < u else (u, v)
-            for v, row in enumerate(rots)
-            for u in row
-        )
-        self._dart_of = {
-            (int(dart_tail[p]), int(rot_flat[p])): p for p in range(total)
-        }
-
+        self.rot_start = tuple(rot_start)
+        self.rot_flat = tuple(u for row in rots for u in row)
+        self.dart_tail = tuple(v for v, d in enumerate(deg) for _ in range(d))
+        self.mirror = tuple(mirror)
         self._check_connected()
 
-        if total == 0:
+        if self.m == 0:
             # single vertex: one face of length 0 keeps Euler at 2
-            self.mirror = np.empty(0, np.int32)
-            self.face_of_dart = np.empty(0, np.int32)
-            self.face_lens = np.zeros(1, np.int32)
-            self.num_faces = 1
-            self._face_start_dart = np.zeros(1, np.int32)
+            self.face_of_dart = ()
+            self.face_lens = (0,)
         else:
-            self.mirror = _kernels.build_mirror(dart_tail, rot_flat)
-            succ = _kernels.face_successors(rot_start, rot_flat, self.mirror, deg)
-            face_of, lens = _kernels.trace_orbits(succ)
-            self.face_of_dart = face_of
-            self.face_lens = lens
-            self.num_faces = int(lens.shape[0])
-            first = np.full(self.num_faces, -1, np.int32)
-            for p in range(total - 1, -1, -1):
-                first[face_of[p]] = p
-            self._face_start_dart = first
-
+            face_of = [0] * len(mirror)
+            orbits = _orbits(self._successors())
+            for f, orbit in enumerate(orbits):
+                for p in orbit:
+                    face_of[p] = f
+            self.face_of_dart = tuple(face_of)
+            self.face_lens = tuple(map(len, orbits))
+        self.num_faces = len(self.face_lens)
         if self.n - self.m + self.num_faces != 2:
             raise NotPlanarEmbedding(
                 f"Euler check failed: {self.n} - {self.m} + {self.num_faces} != 2"
             )
 
-        self._build_tables()
+        indptr = [0]
+        flat: list[int] = []
+        for v, row in enumerate(rots):
+            near = set(row)
+            for u in row:
+                near.update(rots[u])
+            near.discard(v)
+            flat.extend(sorted(near))
+            indptr.append(len(flat))
+        self._n2_indptr = tuple(indptr)
+        self._n2_flat = tuple(flat)
         self._faces_cache = None
 
     def _check_connected(self) -> None:
-        if self.n == 1:
-            return
-        seen = np.zeros(self.n, bool)
+        seen = [False] * self.n
         seen[0] = True
         stack = [0]
         rots = self.rotations
         while stack:
-            v = stack.pop()
-            for u in rots[v]:
+            for u in rots[stack.pop()]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)
-        if not seen.all():
-            raise Disconnected(f"{int((~seen).sum())} vertices unreachable from 0")
+        if not all(seen):
+            raise Disconnected(f"{seen.count(False)} vertices unreachable from 0")
 
-    def _build_tables(self) -> None:
-        n = self.n
-        if self.m == 0:
-            self._n2_indptr = np.zeros(2, np.int32)
-            self._n2_flat = np.empty(0, np.int32)
-            self._d2 = np.zeros(1, np.int32)
-            self._corner_fid = np.empty(0, np.int32)
-            for name in ("_n3", "_n4", "_n5", "_m3", "_m4", "_m5p"):
-                setattr(self, name, np.zeros(1, np.int32))
-            return
-        indptr, flat = _kernels.two_hop_csr(self.rot_start, self.rot_flat, n)
-        self._n2_indptr = indptr
-        self._n2_flat = flat
-        self._d2 = (indptr[1:] - indptr[:-1]).astype(np.int32)
-
-        # corner i of v sits between rotation neighbours i and i+1; its
-        # face is the one traced by the dart v -> rot[v][i+1]
-        base = self.rot_start[self.dart_tail]
-        pos = np.arange(2 * self.m, dtype=np.int32) - base
-        nxt = base + (pos + 1) % self.deg[self.dart_tail]
-        self._corner_fid = self.face_of_dart[nxt]
-
-        ndeg = self.deg[self.rot_flat]
-        starts = self.rot_start[:-1]
-        self._n3 = np.add.reduceat((ndeg == 3).astype(np.int32), starts)
-        self._n4 = np.add.reduceat((ndeg == 4).astype(np.int32), starts)
-        self._n5 = np.add.reduceat((ndeg == 5).astype(np.int32), starts)
-
-        m3 = np.zeros(n, np.int32)
-        m4 = np.zeros(n, np.int32)
-        m5p = np.zeros(n, np.int32)
-        fl = self.face_lens
-        fo = self.face_of_dart
-        rs = self.rot_start
-        for v in range(n):
-            fids = set(fo[rs[v] : rs[v + 1]].tolist())
-            for f in fids:
-                ln = fl[f]
-                if ln == 3:
-                    m3[v] += 1
-                elif ln == 4:
-                    m4[v] += 1
-                elif ln >= 5:
-                    m5p[v] += 1
-        self._m3, self._m4, self._m5p = m3, m4, m5p
+    def _successors(self) -> list[int]:
+        """Next dart along the face boundary, for every dart: the walk
+        arrives at u along v -> u and leaves along the dart after
+        u -> v in u's rotation."""
+        rs, deg = self.rot_start, self.deg
+        return [
+            rs[u] + (q - rs[u] + 1) % deg[u]
+            for u, q in zip(self.rot_flat, self.mirror)
+        ]
 
     # ==================================================================
     # basic queries
@@ -270,52 +219,40 @@ class PlaneGraph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return int(self.deg[v])
+        return self.deg[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return self.rotations[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set
+        return 0 <= u < self.n and v in self.rotations[u]
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edge_set)
+        return sorted(
+            (v, u) for v, row in enumerate(self.rotations) for u in row if v < u
+        )
 
     def dart(self, u: int, v: int) -> int:
         """Flat index of the arc u -> v."""
-        try:
-            return self._dart_of[(u, v)]
-        except KeyError:
-            raise UnknownVertex(f"no edge {u}-{v}") from None
+        if 0 <= u < self.n and v in self.rotations[u]:
+            return self.rot_start[u] + self.rotations[u].index(v)
+        raise UnknownVertex(f"no edge {u}-{v}")
 
     def faces(self) -> list[Face]:
         if self._faces_cache is None:
             if self.m == 0:
                 self._faces_cache = [Face(0, (), 0)]
             else:
-                out = []
-                tail = self.dart_tail
-                flat = self.rot_flat
-                succ = _kernels.face_successors(
-                    self.rot_start, flat, self.mirror, self.deg
-                )
-                for f in range(self.num_faces):
-                    p0 = int(self._face_start_dart[f])
-                    darts = []
-                    p = p0
-                    while True:
-                        darts.append((int(tail[p]), int(flat[p])))
-                        p = int(succ[p])
-                        if p == p0:
-                            break
-                    out.append(Face(f, tuple(darts), len(darts)))
-                self._faces_cache = out
+                tail, head = self.dart_tail, self.rot_flat
+                self._faces_cache = [
+                    Face(f, tuple((tail[p], head[p]) for p in orbit), len(orbit))
+                    for f, orbit in enumerate(_orbits(self._successors()))
+                ]
         return self._faces_cache
 
     def face_length(self, fid: int) -> int:
-        return int(self.face_lens[fid])
+        return self.face_lens[fid]
 
     @property
     def face_anomalies(self) -> list[int]:
@@ -325,27 +262,31 @@ class PlaneGraph:
     def corner_face(self, v: int, i: int) -> int:
         """Face id in corner i of v (between rotation neighbours i and i+1)."""
         self._check_vertex(v)
-        d = int(self.deg[v])
-        return int(self._corner_fid[self.rot_start[v] + (i % d)])
+        d = self.deg[v]
+        if d == 0:
+            raise UnknownVertex(f"vertex {v} has no corners")
+        return self.face_of_dart[self.rot_start[v] + (i + 1) % d]
 
     def corner_faces(self, v: int) -> tuple[int, ...]:
+        # corner i of v is traced by the dart v -> rot[v][i + 1]
         self._check_vertex(v)
-        lo, hi = int(self.rot_start[v]), int(self.rot_start[v + 1])
-        return tuple(int(f) for f in self._corner_fid[lo:hi])
+        lo, hi = self.rot_start[v], self.rot_start[v + 1]
+        fo = self.face_of_dart
+        return fo[lo + 1 : hi] + fo[lo : min(lo + 1, hi)]
 
     def incident_faces(self, v: int) -> tuple[int, ...]:
         """Distinct faces around v, ascending."""
         self._check_vertex(v)
         if self.deg[v] == 0:
             return (0,)
-        lo, hi = int(self.rot_start[v]), int(self.rot_start[v + 1])
-        return tuple(sorted(set(self.face_of_dart[lo:hi].tolist())))
+        lo, hi = self.rot_start[v], self.rot_start[v + 1]
+        return tuple(sorted(set(self.face_of_dart[lo:hi])))
 
     def edge_faces(self, u: int, v: int) -> tuple[int, int]:
         """The two faces at edge uv (equal for a bridge)."""
         return (
-            int(self.face_of_dart[self.dart(u, v)]),
-            int(self.face_of_dart[self.dart(v, u)]),
+            self.face_of_dart[self.dart(u, v)],
+            self.face_of_dart[self.dart(v, u)],
         )
 
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
@@ -365,20 +306,24 @@ class PlaneGraph:
 
     def n2(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        lo, hi = int(self._n2_indptr[v]), int(self._n2_indptr[v + 1])
-        return tuple(int(u) for u in self._n2_flat[lo:hi])
+        return self._n2_flat[self._n2_indptr[v] : self._n2_indptr[v + 1]]
 
     def d2(self, v: int) -> int:
         self._check_vertex(v)
-        return int(self._d2[v])
+        return self._n2_indptr[v + 1] - self._n2_indptr[v]
 
-    def n2_csr(self) -> tuple[np.ndarray, np.ndarray]:
+    def n2_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The rows of ``n2`` as CSR offsets and sorted column ids."""
         return self._n2_indptr, self._n2_flat
 
     def within_two(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         if u == v:
             return True
-        return _kernels.csr_has(self._n2_indptr, self._n2_flat, u, v)
+        hi = self._n2_indptr[u + 1]
+        i = bisect_left(self._n2_flat, v, self._n2_indptr[u], hi)
+        return i < hi and self._n2_flat[i] == v
 
     def distance(self, u: int, v: int) -> int | None:
         """BFS distance, None when unreachable (cannot happen: connected)."""
@@ -426,16 +371,18 @@ class PlaneGraph:
 
     def metrics(self, v: int) -> VertexMetrics:
         self._check_vertex(v)
+        near = [self.deg[u] for u in self.rotations[v]]
+        lens = [self.face_lens[f] for f in self.incident_faces(v)]
         return VertexMetrics(
-            d=int(self.deg[v]),
-            n3=int(self._n3[v]),
-            n4=int(self._n4[v]),
-            n5=int(self._n5[v]),
-            m3=int(self._m3[v]),
-            m4=int(self._m4[v]),
-            m5plus=int(self._m5p[v]),
+            d=self.deg[v],
+            n3=near.count(3),
+            n4=near.count(4),
+            n5=near.count(5),
+            m3=lens.count(3),
+            m4=lens.count(4),
+            m5plus=sum(1 for ln in lens if ln >= 5),
             n2=self.n2(v),
-            d2=int(self._d2[v]),
+            d2=self.d2(v),
         )
 
     # ==================================================================
@@ -447,21 +394,10 @@ class PlaneGraph:
         two faces sharing more than one edge)."""
         if self.m == 0:
             raise NotPlanarEmbedding("dual of a single vertex is not simple")
-        succ = _kernels.face_successors(
-            self.rot_start, self.rot_flat, self.mirror, self.deg
+        fo, mirror = self.face_of_dart, self.mirror
+        return PlaneGraph(
+            [[fo[mirror[p]] for p in orbit] for orbit in _orbits(self._successors())]
         )
-        rots = []
-        for f in range(self.num_faces):
-            p0 = int(self._face_start_dart[f])
-            row = []
-            p = p0
-            while True:
-                row.append(int(self.face_of_dart[self.mirror[p]]))
-                p = int(succ[p])
-                if p == p0:
-                    break
-            rots.append(row)
-        return PlaneGraph(rots)
 
     # ==================================================================
     # serialization
@@ -515,6 +451,23 @@ class PlaneGraph:
 # ======================================================================
 
 
+def _orbits(succ: list[int]) -> list[list[int]]:
+    """The cycles of the dart successor permutation, each from its least
+    dart, in the order of those darts: the faces by id."""
+    seen = [False] * len(succ)
+    out = []
+    for p0 in range(len(succ)):
+        if not seen[p0]:
+            orbit = []
+            p = p0
+            while not seen[p]:
+                seen[p] = True
+                orbit.append(p)
+                p = succ[p]
+            out.append(orbit)
+    return out
+
+
 def from_rotation_text(text: str) -> PlaneGraph:
     """Parse the rotation text format.
 
@@ -561,11 +514,3 @@ def from_rotation_text(text: str) -> PlaneGraph:
     if g.m != m:
         raise ParseError(f"declared m={m} but rotations give m={g.m}")
     return g
-
-
-def metrics(g: PlaneGraph, v: int) -> VertexMetrics:
-    return g.metrics(v)
-
-
-def distance(g: PlaneGraph, u: int, v: int) -> int | None:
-    return g.distance(u, v)

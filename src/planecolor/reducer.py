@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .configurations import ConfigMatch, MatchQueue, degree_overflow
 from .conflict import Coloring, validate
 from .errors import (
@@ -70,26 +68,19 @@ def is_proper_wrt(g: PlaneGraph, h: PlaneGraph, deleted: int) -> bool:
     """Do all distance-two pairs of g (minus the deleted vertex) stay
     within distance two in h?
 
-    Vertices above ``deleted`` shift down by one in h.  Both sides are
-    compared as sorted pair codes so the whole check is vectorized.
+    Vertices above ``deleted`` shift down by one in h.
     """
     gp, gi = g.n2_csr()
     hp, hi = h.n2_csr()
-    rows = np.repeat(np.arange(g.n), np.diff(gp))
-    cols = gi
-    keep = (rows != deleted) & (cols != deleted) & (cols > rows)
-    ru = rows[keep].astype(np.int64)
-    cv = cols[keep].astype(np.int64)
-    ru[ru > deleted] -= 1
-    cv[cv > deleted] -= 1
-    need = ru * h.n + cv
-    hrows = np.repeat(np.arange(h.n), np.diff(hp)).astype(np.int64)
-    have = hrows * h.n + hi.astype(np.int64)  # sorted: CSR rows ascend
-    if need.size == 0:
-        return True
-    pos = np.searchsorted(have, need)
-    inside = pos < have.size
-    return bool(np.all(inside & (have[np.minimum(pos, have.size - 1)] == need)))
+    for u in range(g.n):
+        if u == deleted:
+            continue
+        a = u - (u > deleted)
+        have = set(hi[hp[a] : hp[a + 1]])
+        for v in gi[gp[u] : gp[u + 1]]:
+            if v > u and v != deleted and v - (v > deleted) not in have:
+                return False
+    return True
 
 
 def _step(wg: WorkingGraph, match: ConfigMatch):
@@ -140,7 +131,7 @@ def apply(g: PlaneGraph, match: ConfigMatch) -> tuple[PlaneGraph, ReductionTrace
     wg = WorkingGraph(g)
     trace = _step(wg, match)[0]
     h = wg.to_plane_graph()
-    if h.n > 1 and int(h.deg.max()) > 5:
+    if h.n > 1 and max(h.deg) > 5:
         raise DegreeOverflow(f"rule {match.rule_id}: reduced graph has degree > 5")
     return h, trace
 

@@ -24,8 +24,6 @@ the code of the corner's own dart, unique per corner.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DegreeOverflow, EmbeddingBroken
 from .plane_graph import PlaneGraph
 
@@ -105,28 +103,29 @@ class WorkingGraph:
         self.n, self.m, self.num_faces = g.n, g.m, g.num_faces
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
-        self._d2 = np.diff(g.n2_csr()[0]).tolist()
+        self._d2 = [g.d2(v) for v in range(size)]
         self._cface = self._initial_corner_keys(g)
 
     @staticmethod
     def _initial_corner_keys(g: PlaneGraph) -> list[list[int]]:
-        if g.m == 0:
-            return [[] for _ in range(g.n)]
-        tail = g.dart_tail.astype(np.int64)
-        code = tail * g.n + g.rot_flat.astype(np.int64)
-        face = g.face_of_dart
-        least = np.full(g.num_faces, code.max() + 1, np.int64)
-        np.minimum.at(least, face, code)
-        # corner i of v is traced by the dart v -> rot[v][i + 1]
-        base = g.rot_start[g.dart_tail]
-        nxt = base + (np.arange(2 * g.m) - base + 1) % g.deg[g.dart_tail]
-        f = face[nxt]
-        length = g.face_lens[f].astype(np.int64)
-        keys = np.where(
-            length < _CAP, least[f] * 8 + length, code[nxt] * 8 + _CAP
-        ).tolist()
-        starts = g.rot_start.tolist()
-        return [keys[starts[v] : starts[v + 1]] for v in range(g.n)]
+        n, face, flen = g.n, g.face_of_dart, g.face_lens
+        codes = [t * n + h for t, h in zip(g.dart_tail, g.rot_flat)]
+        least = [n * n] * g.num_faces  # above every code
+        for c, f in zip(codes, face):
+            if c < least[f]:
+                least[f] = c
+        out = []
+        for v in range(n):
+            lo, hi = g.rot_start[v], g.rot_start[v + 1]
+            keys = []
+            # corner i of v is traced by the dart v -> rot[v][i + 1]
+            for p in range(lo + 1, hi + 1):
+                nxt = p if p < hi else lo
+                f = face[nxt]
+                ln = flen[f]
+                keys.append(least[f] * 8 + ln if ln < _CAP else codes[nxt] * 8 + _CAP)
+            out.append(keys)
+        return out
 
     # ==================================================================
     # queries made by detection

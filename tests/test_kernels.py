@@ -1,97 +1,111 @@
-"""The jit kernels and their pure-python fallbacks must agree exactly."""
+"""The graph core's loops against references that share no code with them.
 
-import numpy as np
+Face orbits and two-hop rows are checked against walks written out
+here.  The k-coloring search is checked against what the numpy build of
+the package returned on the same inputs: status, node count and the
+coloring found, so the search itself is pinned, not only its answers.
+"""
+
+import hashlib
+import json
+
 import pytest
 
-from planecolor import _kernels
-from planecolor._kernels import (
-    SOLVE_FOUND,
-    csr_has,
-    solve_k_coloring,
-    trace_orbits,
-    two_hop_csr,
-    use_numba,
-)
+from planecolor._kernels import SOLVE_FOUND, SOLVE_INFEASIBLE, solve_k_coloring
+from planecolor.exact_solver import _static_order
 from planecolor.generators import named, random_plane
 
 SAMPLE_GRAPHS = [named("cube"), named("icosahedron")] + [
     random_plane(n, seed=s) for n, s in [(30, 1), (77, 2), (120, 3)]
 ]
 
+# per graph: k -> (status, nodes, sha256 of the JSON of the colors found)
+SOLVER_PINS = {
+    "n8m12": {
+        3: (SOLVE_INFEASIBLE, 5, None),
+        16: (SOLVE_FOUND, 8, "651b57388c519349046a03c68f4b900bb941653b912e8c5bea9f6f4a3ae02c15"),
+    },
+    "n12m30": {
+        3: (SOLVE_INFEASIBLE, 5, None),
+        16: (SOLVE_FOUND, 12, "8e67b4bad8d6b903ebe23a761be10ffa30ae39922ebcab5141a64cac12a252dd"),
+    },
+    "n30m53": {
+        3: (SOLVE_INFEASIBLE, 26, None),
+        16: (SOLVE_FOUND, 30, "5ac9aaca352c1245560ba1d12e5eaecfee9f52ed3a93517d9aa9d104aeb109c8"),
+    },
+    "n77m129": {
+        3: (SOLVE_INFEASIBLE, 79, None),
+        16: (SOLVE_FOUND, 77, "8d67e92180d21e52569578cd88396bcac828686b3104b7de826d99df7594b5c5"),
+    },
+    "n120m208": {
+        3: (SOLVE_INFEASIBLE, 16, None),
+        16: (SOLVE_FOUND, 120, "e29d2ff171ccff7bf54bc5f3a29b9f76499317df98dc626ac0a3946a504165ae"),
+    },
+}
 
-@pytest.fixture
-def no_numba(monkeypatch):
-    monkeypatch.setenv("PLANECOLOR_NO_NUMBA", "1")
+
+def graph_id(g) -> str:
+    return f"n{g.n}m{g.m}"
 
 
-def test_env_flag_disables_numba(no_numba):
-    assert use_numba() is False
+def reference_faces(g):
+    """Faces as dart-index orbits, walked through (tail, head) pairs."""
+    darts = [(v, u) for v, row in enumerate(g.rotations) for u in row]
+    index = {d: p for p, d in enumerate(darts)}
+    face_of = [None] * len(darts)
+    lens = []
+    for p0, _ in enumerate(darts):
+        if face_of[p0] is not None:
+            continue
+        p = p0
+        while face_of[p] is None:
+            face_of[p] = len(lens)
+            v, u = darts[p]
+            row = g.rotations[u]
+            p = index[(u, row[(row.index(v) + 1) % len(row)])]
+        lens.append(face_of.count(len(lens)))
+    return face_of, lens
 
 
-def test_flag_is_rechecked(monkeypatch):
-    monkeypatch.delenv("PLANECOLOR_NO_NUMBA", raising=False)
-    jit_on = use_numba()
-    monkeypatch.setenv("PLANECOLOR_NO_NUMBA", "1")
-    assert use_numba() is False
-    monkeypatch.delenv("PLANECOLOR_NO_NUMBA", raising=False)
-    assert use_numba() == jit_on
-
-
-@pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=graph_id)
 class TestParity:
-    def test_trace_orbits(self, g, monkeypatch):
-        succ = _kernels.face_successors(g.rot_start, g.rot_flat, g.mirror, g.deg)
-        monkeypatch.delenv("PLANECOLOR_NO_NUMBA", raising=False)
-        fa, la = trace_orbits(succ)
-        monkeypatch.setenv("PLANECOLOR_NO_NUMBA", "1")
-        fb, lb = trace_orbits(succ)
-        assert np.array_equal(fa, fb)
-        assert np.array_equal(la, lb)
+    def test_trace_orbits(self, g):
+        face_of, lens = reference_faces(g)
+        assert list(g.face_of_dart) == face_of
+        assert list(g.face_lens) == lens
 
-    def test_two_hop(self, g, monkeypatch):
-        monkeypatch.delenv("PLANECOLOR_NO_NUMBA", raising=False)
-        pa, ia = two_hop_csr(g.rot_start, g.rot_flat, g.n)
-        monkeypatch.setenv("PLANECOLOR_NO_NUMBA", "1")
-        pb, ib = two_hop_csr(g.rot_start, g.rot_flat, g.n)
-        assert np.array_equal(pa, pb)
-        assert np.array_equal(ia, ib)
+    def test_two_hop(self, g):
+        indptr, flat = [0], []
+        for v, row in enumerate(g.rotations):
+            ball = set(row).union(*(g.rotations[u] for u in row)) - {v}
+            flat += sorted(ball)
+            indptr.append(len(flat))
+        assert g.n2_csr() == (tuple(indptr), tuple(flat))
 
-    def test_solver(self, g, monkeypatch):
+    def test_solver(self, g):
         indptr, indices = g.n2_csr()
-        order = np.argsort(-np.diff(indptr)).astype(np.int32)
-        for k in (3, 16):
-            monkeypatch.delenv("PLANECOLOR_NO_NUMBA", raising=False)
-            sa, ca, _ = solve_k_coloring(indptr, indices, order, g.n, k, 10**7)
-            monkeypatch.setenv("PLANECOLOR_NO_NUMBA", "1")
-            sb, cb, _ = solve_k_coloring(indptr, indices, order, g.n, k, 10**7)
-            # identical status and, given the static search order,
-            # identical colorings
-            assert sa == sb
-            if sa == SOLVE_FOUND:
-                assert np.array_equal(ca, cb)
+        order = _static_order(g)
+        for k, (status, nodes, colors) in SOLVER_PINS[graph_id(g)].items():
+            got = solve_k_coloring(indptr, indices, order, g.n, k, 10**7)
+            assert got[0] == status and got[2] == nodes
+            if status == SOLVE_FOUND:
+                assert hashlib.sha256(json.dumps(got[1]).encode()).hexdigest() == colors
 
 
-class TestCsrHas:
-    def test_against_sets(self):
-        g = random_plane(60, seed=4)
-        indptr, indices = g.n2_csr()
-        rows = [set(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(g.n)]
-        for a in range(g.n):
-            for b in range(g.n):
-                assert csr_has(indptr, indices, a, b) == (b in rows[a])
-
-
-class TestHighLevelUnderFallback:
-    def test_color16_matches(self, no_numba):
-        from planecolor import color16, validate
-
-        g = random_plane(90, seed=13)
-        coloring, traces = color16(g)
-        assert validate(g, coloring).valid
-        assert traces
-
-    def test_chi2_matches(self, no_numba):
-        from planecolor import chi2_exact
-
-        assert chi2_exact(named("c5")) == 5
-        assert chi2_exact(named("icosahedron")) == 6
+@pytest.mark.parametrize(
+    "n,seed,chi,nodes",
+    [(12, 1, 7, 878), (12, 3, 7, 1778), (14, 0, 7, 4420), (14, 1, 8, 29407),
+     (14, 2, 7, 8915), (14, 3, 7, 6445)],
+)
+def test_search_node_counts(n, seed, chi, nodes):
+    """Every palette from max degree + 1 up to chi2, as chi2_exact tries
+    them, costs the same number of assignments as before."""
+    g = random_plane(n, seed=seed)
+    indptr, indices = g.n2_csr()
+    order = _static_order(g)
+    total = 0
+    for k in range(max(g.deg) + 1, chi + 1):
+        status, _, spent = solve_k_coloring(indptr, indices, order, g.n, k, 10**6)
+        total += spent
+        assert (status == SOLVE_FOUND) == (k == chi)
+    assert total == nodes

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,12 +29,12 @@ class TestConstruction:
         g = PlaneGraph([[]])
         assert g.n == 1 and g.m == 0
         assert g.num_faces == 1
-        assert g.face_lens.tolist() == [0]
+        assert g.face_lens == (0,)
 
     def test_single_edge(self):
         g = PlaneGraph([[1], [0]])
         assert g.num_faces == 1
-        assert g.face_lens.tolist() == [2]
+        assert g.face_lens == (2,)
 
     def test_euler_holds_on_corpus(self, corpus_graph):
         g = corpus_graph
@@ -89,6 +88,22 @@ class TestAccessors:
         with pytest.raises(UnknownVertex):
             cube.degree(99)
 
+    @pytest.mark.parametrize("u,v", [(5, 0), (-1, 0), (0, 5), (0, -1)])
+    def test_within_two_rejects_unknown_vertex(self, u, v):
+        with pytest.raises(UnknownVertex):
+            named("k2").within_two(u, v)
+
+    def test_corner_face_of_isolated_vertex_raises(self):
+        with pytest.raises(UnknownVertex):
+            named("k1").corner_face(0, 0)
+
+    def test_within_two_against_n2_rows(self):
+        g = random_plane(60, seed=4)
+        rows = [set(g.n2(v)) for v in range(g.n)]
+        for a in range(g.n):
+            for b in range(g.n):
+                assert g.within_two(a, b) == (a == b or b in rows[a])
+
     def test_distance_agrees_with_within_two(self, corpus_graph):
         g = corpus_graph
         for u in range(g.n):
@@ -113,6 +128,8 @@ class TestAccessors:
             if g.degree(v) == 0:
                 continue
             assert set(g.corner_faces(v)) == set(g.incident_faces(v))
+            corners = tuple(g.corner_face(v, i) for i in range(g.degree(v)))
+            assert corners == g.corner_faces(v)
 
     def test_edge_faces_on_cube(self, cube):
         for u, v in cube.edges():
@@ -172,12 +189,12 @@ class TestPlaneGraphProperties:
     @PROPERTY_SETTINGS
     @given(seeded_graph())
     def test_degree_sum_is_twice_edges(self, g):
-        assert int(g.deg.sum()) == 2 * g.m
+        assert sum(g.deg) == 2 * g.m
 
     @PROPERTY_SETTINGS
     @given(seeded_graph())
     def test_face_lengths_sum_to_dart_count(self, g):
-        assert int(g.face_lens.sum()) == 2 * g.m
+        assert sum(g.face_lens) == 2 * g.m
 
     @PROPERTY_SETTINGS
     @given(seeded_graph())
@@ -187,9 +204,7 @@ class TestPlaneGraphProperties:
     @PROPERTY_SETTINGS
     @given(seeded_graph())
     def test_n2_symmetric(self, g):
-        gp, gi = g.n2_csr()
-        rows = np.repeat(np.arange(g.n), np.diff(gp))
-        pairs = set(zip(rows.tolist(), gi.tolist()))
+        pairs = {(a, b) for a in range(g.n) for b in g.n2(a)}
         assert all((b, a) in pairs for a, b in pairs)
 
     @PROPERTY_SETTINGS

@@ -66,7 +66,7 @@ class TestApply:
                     assert m.rule_id in CROSSING_CHORD_RULES
                     continue
                 assert h.n - h.m + h.num_faces == 2
-                assert h.n == 1 or int(h.deg.max()) <= 5
+                assert h.n == 1 or max(h.deg) <= 5
                 assert h.n + h.m < g.n + g.m
                 assert trace.observed_d2 <= 15
 
@@ -114,6 +114,12 @@ class TestColor16:
         assert coloring.palette == PALETTE
         assert max(coloring.colors.values()) <= PALETTE
         assert all(t.rule != "anomaly-exact-fallback" for t in traces)
+
+    def test_random_plane_90_validates(self):
+        g = random_plane(90, seed=13)
+        coloring, traces = color16(g)
+        assert validate(g, coloring).valid
+        assert traces
 
     def test_sizes_strictly_decrease_along_trace(self):
         g = random_plane(150, seed=42)

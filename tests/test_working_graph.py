@@ -78,7 +78,7 @@ def rebuild_delete(g: PlaneGraph, dv: int, chords) -> PlaneGraph:
         raise EmbeddingBroken(str(exc)) from exc
     if h.n + h.m >= g.n + g.m:
         raise EmbeddingBroken("size did not drop")
-    if h.n > 1 and int(h.deg.max()) > 5:
+    if h.n > 1 and max(h.deg) > 5:
         raise DegreeOverflow("reduced graph has degree > 5")
     if not is_proper_wrt(g, h, dv):
         raise EmbeddingBroken("a distance-two pair fell apart")
@@ -165,7 +165,7 @@ def assert_matches_rebuild(wg: WorkingGraph) -> None:
         assert wg.deg[v] == h.degree(i)
         keys, fids = wg.corner_faces(v), h.corner_faces(i)
         assert [wg.face_lens[k] for k in keys] == [
-            min(int(h.face_lens[f]), 5) for f in fids
+            min(h.face_lens[f], 5) for f in fids
         ]
         for k, f in zip(keys, fids):
             if wg.face_lens[k] < 5:
