@@ -182,23 +182,17 @@ class _Ctx:
         if d == 1:
             out.append(_Frame((rot[0],), (), ()))
         else:
+            # every labeling is a slice of a doubled tuple: forward ones
+            # start at o, reversed ones run w_i = rot[o - i] with corner
+            # i = cl[o - i - 1]
+            rr, ll, ii = tuple(rot) * 2, cl * 2, ci * 2
             for o in range(d):
-                out.append(
-                    _Frame(
-                        tuple(rot[(o + i) % d] for i in range(d)),
-                        tuple(cl[(o + i) % d] for i in range(d)),
-                        tuple(ci[(o + i) % d] for i in range(d)),
-                    )
-                )
+                out.append(_Frame(rr[o : o + d], ll[o : o + d], ii[o : o + d]))
             if d > 2:  # reversed labelings coincide with forward ones below 3
+                rw, rl, ri = rr[::-1], ll[::-1], ii[::-1]
                 for o in range(d):
-                    out.append(
-                        _Frame(
-                            tuple(rot[(o - i) % d] for i in range(d)),
-                            tuple(cl[(o - i - 1) % d] for i in range(d)),
-                            tuple(ci[(o - i - 1) % d] for i in range(d)),
-                        )
-                    )
+                    a, b = d - 1 - o, d - o
+                    out.append(_Frame(rw[a : a + d], rl[b : b + d], ri[b : b + d]))
         self._frames[v] = out
         return out
 

@@ -156,14 +156,14 @@ def _grow_triangulation(n: int, rng: random.Random):
     rots: list[list[int]] = [[1, 2], [2, 0], [0, 1]]
     faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
     while len(rots) < n:
-        a, b, c = faces[rng.randrange(len(faces))]
+        fi = rng.randrange(len(faces))
+        a, b, c = faces[fi]
         w = len(rots)
         # w sits inside (a,b,c); splitting keeps everything triangular
         rots[a].insert(rots[a].index(c) + 1, w)
         rots[b].insert(rots[b].index(a) + 1, w)
         rots[c].insert(rots[c].index(b) + 1, w)
         rots.append([a, c, b])
-        fi = faces.index((a, b, c))
         faces[fi] = (a, b, w)
         faces.append((b, c, w))
         faces.append((c, a, w))
@@ -171,19 +171,14 @@ def _grow_triangulation(n: int, rng: random.Random):
 
 
 def _trim_to_degree_five(rots: list[list[int]]) -> None:
-    n = len(rots)
-    while True:
-        v = -1
-        for i in range(n):
-            if len(rots[i]) >= 6:
-                v = i
-                break
-        if v < 0:
-            return
-        # drop the edge toward the heaviest neighbour, smallest id on ties
-        u = max(rots[v], key=lambda t: (len(rots[t]), -t))
-        rots[v].remove(u)
-        rots[u].remove(v)
+    # degrees only fall, so once the pass is past a vertex no vertex
+    # before it reaches degree 6 again: edges go in least-id-first order
+    for v in range(len(rots)):
+        while len(rots[v]) >= 6:
+            # drop the edge toward the heaviest neighbour, smallest id on ties
+            u = max(rots[v], key=lambda t: (len(rots[t]), -t))
+            rots[v].remove(u)
+            rots[u].remove(v)
 
 
 def _largest_component(rots: list[list[int]]):

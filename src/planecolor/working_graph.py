@@ -7,9 +7,13 @@ with an empty rotation.  A step touches only the hole:
 
 * the rotations of the deleted vertex's neighbours are patched;
 * degrees and d2 are updated within distance two of the hole;
-* corner data is re-walked on the faces that changed.  Detection reads
-  a corner's face length capped at 5, and face identity only for faces
-  of length at most 4, so no walk goes further than 5 darts.
+* corner data is re-walked only around the hole: the corners next to
+  the deleted vertex's slot in each patched rotation, and the corners
+  of the 4-faces the deleted vertex was on.  Every other corner key of
+  a patched vertex is spliced along with its rotation, because a face
+  the step did not touch keeps its key.  Detection reads a corner's
+  face length capped at 5, and face identity only for faces of length
+  at most 4, so no walk goes further than 5 darts.
 
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 ``rotations``, ``corner_faces``, ``face_lens``, ``has_edge``,
@@ -222,9 +226,9 @@ class WorkingGraph:
         # paths, so only pairs of dv's neighbours can fall apart; once
         # they all stay within two, the reduced graph is also connected
         for i, a in enumerate(ring):
-            near = new[a]
+            near = set(new[a])
             for b in ring[i + 1 :]:
-                if b not in near and set(near).isdisjoint(new[b]):
+                if b not in near and near.isdisjoint(new[b]):
                     raise EmbeddingBroken(
                         f"rule {rule}: a distance-two pair fell apart"
                     )
@@ -239,16 +243,35 @@ class WorkingGraph:
                 raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
 
         ball = self.n2(dv)
-        was_short = []  # corners, away from dv, of the short faces at dv
-        for i in range(d):
-            _, corners = self._walk(dv, i)
-            if corners:
-                was_short.extend(c for c in corners if c[0] != dv)
+        cface = self._cface
+        slot = {w: rot[w].index(dv) for w in ring}
+        changed = set(ring)
+        # a triangle at dv has its other corners next to dv's slots, and
+        # a longer face has no short key, so only the 4-faces at dv leave
+        # short keys elsewhere: on the ring they are walked again, and off
+        # it they take a long key unless a walk below finds a short face
+        for i, key in enumerate(cface[dv]):
+            if key & 7 == 4:
+                for y, j in self._walk(dv, i)[1]:
+                    if y in slot:
+                        cface[y][j] = None
+                    elif y != dv:
+                        cface[y][j] = self._long_key(y, j)
+                        changed.add(y)
 
         for w, row in new.items():
+            # splice w's corner keys as its rotation was spliced: corners
+            # away from the slot keep their keys, the k + 1 around it are
+            # walked again
+            s = slot[w]
+            keys = cface[w]
+            keys[s : s + 1] = [None] * len(order[w])
+            if keys:
+                keys[s - 1] = None
             rot[w] = row
             self.deg[w] = len(row)
         rot[dv] = []
+        cface[dv] = []
         self.deg[dv] = 0
         self._alive[dv] = 0
         i = dv + 1
@@ -259,15 +282,8 @@ class WorkingGraph:
         self.m += len(chords) - d
         self.num_faces += 1 - d + len(chords)
 
-        cface = self._cface
-        cface[dv] = []
-        changed = set(ring)
-        for y, j in was_short:
-            if y not in new:
-                cface[y][j] = self._long_key(y, j)
-                changed.add(y)
-        for w in ring:
-            cface[w] = [None] * len(rot[w])
+        # unchanged short faces keep their least dart, and a long key
+        # depends only on the corner's own dart
         for w in ring:
             keys = cface[w]
             for i, key in enumerate(keys):
@@ -280,7 +296,11 @@ class WorkingGraph:
                             cface[y][j] = key
                             changed.add(y)
         for x in ball:
-            self._d2[x] = len(self.n2(x))
+            near = rot[x]
+            seen = set(near)
+            for u in near:
+                seen.update(rot[u])
+            self._d2[x] = len(seen) - 1 if seen else 0
         reach = self._grow(self._grow(set(ring))) | self._grow(changed)
         changed.add(dv)
         return ball, changed, reach

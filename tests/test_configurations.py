@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planecolor import reducer
 from planecolor.configurations import (
     SPECIAL_KINDS,
+    MatchQueue,
+    _Ctx,
     classify_special,
     detect,
     iter_matches,
     rule_table,
     verify_claimed_bound,
 )
-from planecolor.errors import DegreeTooHigh
-from planecolor.generators import DESIGNATED_VERTEX, named, random_plane
+from planecolor.errors import DegreeOverflow, DegreeTooHigh, EmbeddingBroken
+from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph
+from planecolor.working_graph import WorkingGraph
+from test_working_graph import medial_plus
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -221,3 +226,87 @@ class TestMatchProperties:
                 assert g.degree(v) == 5
                 assert sc.kind in SPECIAL_KINDS
                 assert set(sc.ring) == set(g.neighbors(v))
+
+
+# ======================================================================
+# frames against the index formula
+# ======================================================================
+
+
+def frames_by_formula(g, v: int) -> list[tuple]:
+    """Every labeling of v written out index by index: forward from each
+    offset o, then, for d > 2, reversed from each offset."""
+    rot = list(g.rotations[v])
+    d = len(rot)
+    fids = g.corner_faces(v)
+    cl = [g.face_lens[f] for f in fids]
+    if d == 1:
+        return [((rot[0],), (), ())]
+    out = []
+    for o in range(d):
+        idx = [(o + i) % d for i in range(d)]
+        out.append(
+            (
+                tuple(rot[j] for j in idx),
+                tuple(cl[j] for j in idx),
+                tuple(fids[j] for j in idx),
+            )
+        )
+    if d > 2:
+        for o in range(d):
+            out.append(
+                (
+                    tuple(rot[(o - i) % d] for i in range(d)),
+                    tuple(cl[(o - i - 1) % d] for i in range(d)),
+                    tuple(fids[(o - i - 1) % d] for i in range(d)),
+                )
+            )
+    return out
+
+
+def assert_frames_match_formula(g, live) -> None:
+    ctx = _Ctx(g)
+    checked = 0
+    for v in live:
+        if 1 <= g.deg[v] <= 5:
+            got = [(f.w, f.cfl, f.cfid) for f in ctx.frames(v)]
+            assert got == frames_by_formula(g, v), v
+            checked += 1
+    assert checked or not any(g.deg)
+
+
+def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
+    """A working graph after the first ``steps`` steps of ``color16``."""
+    wg = WorkingGraph(g)
+    queue = MatchQueue(wg)
+    for _ in range(steps):
+        matches = queue.matches()
+        for m in matches:
+            try:
+                _, _, changed, reach = reducer._step(wg, m)
+            except (EmbeddingBroken, DegreeOverflow):
+                continue
+            break
+        matches.close()
+        queue.touch(changed, reach)
+    return wg
+
+
+FRAME_GRAPHS = {
+    **{name: lambda name=name: named(name) for name in NAMED_GRAPHS},
+    "random_plane(120, 3)": lambda: random_plane(120, seed=3),
+    "medial_plus(40, 0)": lambda: medial_plus(40, 0, extra=30),
+}
+
+
+class TestFrames:
+    @pytest.mark.parametrize("name", FRAME_GRAPHS)
+    def test_plane_graph_frames_match_formula(self, name):
+        g = FRAME_GRAPHS[name]()
+        assert_frames_match_formula(g, range(g.n))
+
+    @pytest.mark.parametrize("name", ["random_plane(120, 3)", "medial_plus(40, 0)"])
+    def test_working_graph_frames_match_formula(self, name):
+        wg = reduced(FRAME_GRAPHS[name](), 12)
+        assert len(wg.alive()) < len(wg.rotations)
+        assert_frames_match_formula(wg, wg.alive())

@@ -363,6 +363,75 @@ class TestWorkingGraph:
         assert len(applied) >= 5, applied
 
 
+def split_face(rows: list[list[int]], cycle: list[int]) -> list[list[int]]:
+    """Put a new vertex inside the face that walks ``cycle`` and join it
+    to every corner of that face."""
+    w = len(rows)
+    for x, y in zip(cycle[-1:] + cycle[:-1], cycle):
+        rows[y].insert(rows[y].index(x) + 1, w)
+    rows.append(cycle[::-1])
+    return rows
+
+
+def bipyramid(shift: int) -> PlaneGraph:
+    """Hubs 5 and 6 over the rim 0..4, each rim rotation turned so that
+    hub 5 sits in slot ``shift``."""
+    rows = split_face(split_face([[(i + 1) % 5, (i - 1) % 5] for i in range(5)],
+                                 [0, 1, 2, 3, 4]), [4, 3, 2, 1, 0])
+    for w in range(5):
+        i = rows[w].index(5) - shift
+        rows[w] = rows[w][i:] + rows[w][:i]
+    return PlaneGraph(rows)
+
+
+def delete_and_check(wg: WorkingGraph, dv: int, chords) -> None:
+    want = rebuild_delete(wg.to_plane_graph(), wg.label(dv), chords_in_labels(wg, chords))
+    wg.delete(dv, chords)
+    assert wg.to_plane_graph() == want
+    assert_matches_rebuild(wg)
+
+
+def chords_in_labels(wg: WorkingGraph, chords):
+    return [(wg.label(a), wg.label(b)) for a, b in chords]
+
+
+class TestSplice:
+    """Hand-built steps at the places where corner keys are spliced."""
+
+    @pytest.mark.parametrize("chords", [[], [(1, 2)], [(1, 2), (4, 5)]])
+    def test_four_face_whose_far_corner_is_on_the_ring(self, chords):
+        # the kite 0-1-3-2 with the diagonal 0-3 drawn outside it, so the
+        # 4-face 0,1,3,2 has its far corner at 3, a neighbour of 0
+        rows = [[1, 3, 2], [3, 0], [0, 3], [2, 0, 1]]
+        g = PlaneGraph(split_face(split_face(rows, [0, 3, 1]), [0, 2, 3]))
+        assert [(0, 1), (1, 3), (3, 2), (2, 0)] in [list(f.darts) for f in g.faces()]
+        wg = WorkingGraph(g)
+        delete_and_check(wg, 0, chords)
+
+    @pytest.mark.parametrize("shift", range(4))
+    @pytest.mark.parametrize("chords", [[], [(0, 2)], [(0, 2), (0, 3)]])
+    def test_every_slot_and_two_targets(self, shift, chords):
+        # shift 0 and 3 put the deleted hub in the first and the last
+        # slot of every rim rotation; the fan gives vertex 0 two targets
+        g = bipyramid(shift)
+        assert all(g.rotations[w].index(5) == shift for w in range(5))
+        wg = WorkingGraph(g)
+        delete_and_check(wg, 5, chords)
+
+    @pytest.mark.parametrize("shift", [0, 3])
+    def test_refused_step_on_spliced_keys(self, shift):
+        wg = WorkingGraph(bipyramid(shift))
+        delete_and_check(wg, 5, [(0, 2), (0, 3)])
+        before = snapshot(wg)
+        crossing = [(1, 3), (2, 4)]
+        with pytest.raises(EmbeddingBroken):
+            rebuild_delete(wg.to_plane_graph(), wg.label(6), chords_in_labels(wg, crossing))
+        with pytest.raises(EmbeddingBroken):
+            wg.delete(6, crossing)
+        assert snapshot(wg) == before
+        delete_and_check(wg, 6, [(1, 3)])
+
+
 def all_matches(ctx: _Ctx, wg: WorkingGraph) -> dict:
     """(rule, centre) -> the matches there, for every rule and live centre."""
     out = {}
