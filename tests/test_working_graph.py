@@ -376,23 +376,26 @@ def split_face(rows: list[list[int]], cycle: list[int]) -> list[list[int]]:
 def bipyramid(shift: int) -> PlaneGraph:
     """Hubs 5 and 6 over the rim 0..4, each rim rotation turned so that
     hub 5 sits in slot ``shift``."""
-    rows = split_face(split_face([[(i + 1) % 5, (i - 1) % 5] for i in range(5)],
-                                 [0, 1, 2, 3, 4]), [4, 3, 2, 1, 0])
+    rim = [[(i + 1) % 5, (i - 1) % 5] for i in range(5)]
+    rows = split_face(split_face(rim, [0, 1, 2, 3, 4]), [4, 3, 2, 1, 0])
     for w in range(5):
         i = rows[w].index(5) - shift
         rows[w] = rows[w][i:] + rows[w][:i]
     return PlaneGraph(rows)
 
 
+def rebuild_live(wg: WorkingGraph, dv: int, chords) -> PlaneGraph:
+    """``rebuild_delete`` on the live part of wg, in its dense labels."""
+    label = wg.label
+    chords = [(label(a), label(b)) for a, b in chords]
+    return rebuild_delete(wg.to_plane_graph(), label(dv), chords)
+
+
 def delete_and_check(wg: WorkingGraph, dv: int, chords) -> None:
-    want = rebuild_delete(wg.to_plane_graph(), wg.label(dv), chords_in_labels(wg, chords))
+    want = rebuild_live(wg, dv, chords)
     wg.delete(dv, chords)
     assert wg.to_plane_graph() == want
     assert_matches_rebuild(wg)
-
-
-def chords_in_labels(wg: WorkingGraph, chords):
-    return [(wg.label(a), wg.label(b)) for a, b in chords]
 
 
 class TestSplice:
@@ -404,9 +407,8 @@ class TestSplice:
         # 4-face 0,1,3,2 has its far corner at 3, a neighbour of 0
         rows = [[1, 3, 2], [3, 0], [0, 3], [2, 0, 1]]
         g = PlaneGraph(split_face(split_face(rows, [0, 3, 1]), [0, 2, 3]))
-        assert [(0, 1), (1, 3), (3, 2), (2, 0)] in [list(f.darts) for f in g.faces()]
-        wg = WorkingGraph(g)
-        delete_and_check(wg, 0, chords)
+        assert ((0, 1), (1, 3), (3, 2), (2, 0)) in [f.darts for f in g.faces()]
+        delete_and_check(WorkingGraph(g), 0, chords)
 
     @pytest.mark.parametrize("shift", range(4))
     @pytest.mark.parametrize("chords", [[], [(0, 2)], [(0, 2), (0, 3)]])
@@ -415,8 +417,7 @@ class TestSplice:
         # slot of every rim rotation; the fan gives vertex 0 two targets
         g = bipyramid(shift)
         assert all(g.rotations[w].index(5) == shift for w in range(5))
-        wg = WorkingGraph(g)
-        delete_and_check(wg, 5, chords)
+        delete_and_check(WorkingGraph(g), 5, chords)
 
     @pytest.mark.parametrize("shift", [0, 3])
     def test_refused_step_on_spliced_keys(self, shift):
@@ -425,7 +426,7 @@ class TestSplice:
         before = snapshot(wg)
         crossing = [(1, 3), (2, 4)]
         with pytest.raises(EmbeddingBroken):
-            rebuild_delete(wg.to_plane_graph(), wg.label(6), chords_in_labels(wg, crossing))
+            rebuild_live(wg, 6, crossing)
         with pytest.raises(EmbeddingBroken):
             wg.delete(6, crossing)
         assert snapshot(wg) == before
