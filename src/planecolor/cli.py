@@ -223,44 +223,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, infile=True):
-        if infile:
-            sp.add_argument(
-                "--in", dest="infile", default="-",
-                help="rotation or JSON graph file, - for stdin",
-            )
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--dump", default="falsifications",
-                        help="directory for offending-graph dumps")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="node budget for the exact oracle")
+    shared = {
+        "--in": dict(dest="infile", default="-",
+                     help="rotation or JSON graph file, - for stdin"),
+        "--format": dict(choices=("json", "text"), default="json"),
+        "--dump": dict(default="falsifications",
+                       help="directory for offending-graph dumps"),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                         help="node budget for the exact oracle"),
+    }
+
+    def common(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("validate", help="check a graph (and optional coloring)")
-    common(sp)
+    common(sp, "--in", "--format", "--dump")
     sp.add_argument("--colors", default=None, help="coloring JSON file")
     sp.set_defaults(fn=_cmd_validate)
 
     sp = sub.add_parser("color", help="construct a 16-coloring")
-    common(sp)
+    common(sp, "--in", "--format", "--dump", "--budget")
     sp.add_argument("--trace", action="store_true", help="include reduction trace")
     sp.set_defaults(fn=_cmd_color)
 
     sp = sub.add_parser("chi2", help="exact distance-two chromatic number")
-    common(sp)
+    common(sp, "--in", "--format", "--budget")
     sp.set_defaults(fn=_cmd_chi2)
 
     sp = sub.add_parser("detect", help="find the first reducible configuration")
-    common(sp)
+    common(sp, "--in", "--format")
     sp.set_defaults(fn=_cmd_detect)
 
     sp = sub.add_parser("discharge", help="run the charge audit")
-    common(sp)
+    common(sp, "--in", "--format", "--dump")
     sp.add_argument("--transfers", action="store_true",
                     help="include the full transfer list")
     sp.set_defaults(fn=_cmd_discharge)
 
     sp = sub.add_parser("gen", help="write a graph in rotation format")
-    common(sp, infile=False)
     sp.add_argument("--name", choices=NAMED_GRAPHS, default=None)
     sp.add_argument("--n", type=int, default=50, help="target size for random graphs")
     sp.add_argument("--seed", type=int, default=0)
@@ -268,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_gen)
 
     sp = sub.add_parser("batch", help="color and audit a stream of graphs")
-    common(sp, infile=False)
+    common(sp, "--format", "--dump", "--budget")
     sp.add_argument("--count", type=int, default=100, help="random graphs to run")
     sp.add_argument("--n", type=int, default=100, help="target size per graph")
     sp.add_argument("--seed", type=int, default=0, help="seed of the first graph")

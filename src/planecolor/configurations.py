@@ -62,7 +62,7 @@ class ReductionRule:
     add_edges: tuple[tuple[str, str], ...]
     claimed_d2_bound: int
     kind: str  # matcher family: degree | quad | strong | good | support | deg4 | degmid
-    degree: int = 0  # center degree for kind == "degree"
+    degree: int = 0  # degree of the centre vertex
     pred: Optional[Callable] = None
 
 
@@ -130,12 +130,11 @@ class _Frame:
 
 
 class _Ctx:
-    """Per-graph scratch: corner tables and memos."""
+    """Per-graph scratch: memoized frames, bad kinds and ``in2``."""
 
     __slots__ = (
         "g",
         "deg",
-        "_corners",
         "_frames",
         "_badmemo",
         "_in2memo",
@@ -147,7 +146,6 @@ class _Ctx:
         # has_edge, edge_in_two_triangles, d2)
         self.g = g
         self.deg = g.deg
-        self._corners: dict[int, tuple[tuple, tuple]] = {}
         self._frames: dict[int, list[_Frame]] = {}
         self._badmemo: dict[int, Optional[str]] = {}
         self._in2memo: dict[tuple[int, int], bool] = {}
@@ -155,29 +153,21 @@ class _Ctx:
     def forget(self, vertices) -> None:
         """Drop the memos of vertices whose rotation, degree or corners changed."""
         for v in vertices:
-            self._corners.pop(v, None)
             self._frames.pop(v, None)
             self._badmemo.pop(v, None)
         self._in2memo.clear()
 
-    def corners(self, v: int) -> tuple[tuple, tuple]:
-        """(corner lengths, corner face ids) around v, rotation order."""
-        got = self._corners.get(v)
-        if got is None:
-            g = self.g
-            fids = g.corner_faces(v) if g.deg[v] > 0 else ()
-            fl = g.face_lens
-            got = (tuple(fl[f] for f in fids), fids)
-            self._corners[v] = got
-        return got
-
     def frames(self, v: int) -> list[_Frame]:
+        """Every labeling of v; the first is the rotation itself."""
         got = self._frames.get(v)
         if got is not None:
             return got
-        rot = self.g.rotations[v]
+        g = self.g
+        rot = g.rotations[v]
         d = len(rot)
-        cl, ci = self.corners(v)
+        ci = g.corner_faces(v) if d > 0 else ()
+        fl = g.face_lens
+        cl = tuple(fl[f] for f in ci)
         out: list[_Frame] = []
         if d == 1:
             out.append(_Frame((rot[0],), (), ()))
@@ -206,17 +196,15 @@ class _Ctx:
         return got
 
     def bad_kind(self, v: int) -> Optional[str]:
-        """"bad", "semi-bad", or None; purely local."""
+        """"bad", "semi-bad", or None, from v's first quad frame."""
         got = self._badmemo.get(v, "?")
         if got != "?":
             return got
         kind: Optional[str] = None
         if self.deg[v] == 5:
-            for fr in self.frames(v):
-                c = fr.cfl
-                if c[0] == 3 and c[1] == 3 and c[2] == 3 and c[3] == 3 and c[4] >= 4:
-                    kind = "bad" if c[4] == 4 else "semi-bad"
-                    break
+            for fr in _quad_frames(self, v):
+                kind = "bad" if fr.cfl[4] == 4 else "semi-bad"
+                break
         self._badmemo[v] = kind
         return kind
 
@@ -300,8 +288,7 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
     if ctx.deg[v] != 5:
         return None
     for fr in _quad_frames(ctx, v):
-        kind = "bad" if fr.cfl[4] == 4 else "semi-bad"
-        return SpecialClass(kind, v, fr.w)
+        return SpecialClass(ctx.bad_kind(v), v, fr.w)
     for fr in _strong_frames(ctx, v):
         return SpecialClass("strong", v, fr.w)
     for fr in _good_frames(ctx, v):
@@ -967,6 +954,7 @@ _TABLE: tuple[ReductionRule, ...] = (
         add_edges=(("v1", "x"), ("x", "v3")),
         claimed_d2_bound=15,
         kind="deg4",
+        degree=5,
     ),
     ReductionRule(
         id="R-degmid",
@@ -975,6 +963,7 @@ _TABLE: tuple[ReductionRule, ...] = (
         add_edges=(("v2", "x"), ("y", "v4")),
         claimed_d2_bound=15,
         kind="degmid",
+        degree=5,
     ),
     _family_rule(
         "R-strong-a", "strong", (("v3", "v4"), ("v1", "v5")),
@@ -1053,9 +1042,10 @@ def rule_table() -> tuple[ReductionRule, ...]:
 
 
 def degree_overflow(g, deleted: int, edges) -> Optional[tuple[int, int]]:
-    """The degree-5 guard: a vertex that would pass degree 5 once
-    ``deleted`` goes and the missing ``edges`` are added, with the degree
-    it would reach, or None."""
+    """The degree-5 guard at detection: a vertex that would pass degree
+    5 once ``deleted`` goes and the missing ``edges`` are added, with the
+    degree it would reach, or None.  ``WorkingGraph.delete`` refuses the
+    same steps when they are applied."""
     gain: dict[int, int] = {}
     for a, b in edges:
         if not g.has_edge(a, b):
@@ -1111,14 +1101,13 @@ def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
     # saturated frame at v; the middle neighbour u = w2 has degree 5
     # with rotation (.., b, v, a, c, d ..) and {a, b} = {w1, w3}; the
     # corner between c and d must be a triangle, its flanks at most 4
-    g = ctx.g
     for fr in _quad_frames(ctx, v):
         w = fr.w
         u = w[2]
         if ctx.deg[u] != 5:
             continue
-        rot = g.rotations[u]
-        cl, _ = ctx.corners(u)
+        fu = ctx.frames(u)[0]  # u's rotation and its corner lengths
+        rot, cl = fu.w, fu.cfl
         p = rot.index(v)
         a, c, d, b = (
             rot[(p + 1) % 5],
@@ -1136,10 +1125,6 @@ def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
         else:
             x, y = d, c
         yield {"v": v, "v2": w[1], "v3": u, "v4": w[3], "x": x, "y": y}
-
-
-def _center_degree(rule) -> int:
-    return rule.degree if rule.kind == "degree" else 5
 
 
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
@@ -1164,24 +1149,21 @@ def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
 
 def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
     """All verified matches, in detection priority order: rule rank,
-    then centre vertex id, then frame.
+    then centre vertex id, then frame.  This is a fresh ``MatchQueue``
+    read to the end.
 
     Raises:
         DegreeTooHigh: some vertex has degree above 5.
     """
     if g.n > 1 and max(g.deg) > 5:
         raise DegreeTooHigh(f"max degree {max(g.deg)} > 5")
-    ctx = _Ctx(g)
-    by_deg: dict[int, list[int]] = {}
-    for v, d in enumerate(g.deg):
-        by_deg.setdefault(d, []).append(v)
-    for rule in _PRIORITY:
-        for v in by_deg.get(_center_degree(rule), ()):
-            yield from _center_matches(ctx, rule, v)
+    yield from MatchQueue(g).matches()
 
 
 class MatchQueue:
-    """``iter_matches`` order on a graph that changes in place.
+    """Matches in detection priority order (rule rank, then centre id,
+    then frame) on a graph that changes in place.  ``iter_matches`` is a
+    fresh queue read to the end.
 
     Each rule rank keeps a heap of centres still to examine.  A centre
     examined without a match leaves the heap until ``touch`` reports it
@@ -1197,7 +1179,7 @@ class MatchQueue:
         by_deg: dict[int, list[int]] = {}
         for v, d in enumerate(g.deg):
             by_deg.setdefault(d, []).append(v)
-        self._heaps = [list(by_deg.get(_center_degree(r), ())) for r in _PRIORITY]
+        self._heaps = [list(by_deg.get(r.degree, ())) for r in _PRIORITY]
         self._queued = [set(h) for h in self._heaps]
         self._log: list[int] = []
         self._read = [0] * len(_PRIORITY)
@@ -1213,7 +1195,7 @@ class MatchQueue:
         graph changes."""
         ctx, deg, log = self._ctx, self._ctx.deg, self._log
         for r, rule in enumerate(_PRIORITY):
-            k = _center_degree(rule)
+            k = rule.degree
             heap, queued = self._heaps[r], self._queued[r]
             for i in range(self._read[r], len(log)):
                 v = log[i]
@@ -1245,9 +1227,7 @@ def detect(g: PlaneGraph) -> Optional[ConfigMatch]:
     Every returned match already passed the degree guard and the
     claimed d2 bound on the vertex to be deleted.
     """
-    for m in iter_matches(g):
-        return m
-    return None
+    return next(iter_matches(g), None)
 
 
 def verify_claimed_bound(g: PlaneGraph, match: ConfigMatch) -> bool:

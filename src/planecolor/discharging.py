@@ -107,10 +107,6 @@ def initial_charges(g: PlaneGraph) -> ChargeLedger:
     return led
 
 
-def _distinct_incident_faces(g: PlaneGraph, v: int) -> list[int]:
-    return sorted(set(g.corner_faces(v)))
-
-
 def apply_rules(
     g: PlaneGraph,
 ) -> tuple[ChargeLedger, list[TransferRecord]]:
@@ -156,11 +152,11 @@ def apply_rules(
     # R3 / R4: big faces pay their small incident vertices
     for v in range(g.n):
         if deg[v] == 3:
-            for fid in _distinct_incident_faces(g, v):
+            for fid in g.incident_faces(v):
                 if flen[fid] >= 5:
                     move("R3", ("face", fid), ("vertex", v), THIRD)
         elif deg[v] == 4:
-            for fid in _distinct_incident_faces(g, v):
+            for fid in g.incident_faces(v):
                 if flen[fid] >= 5:
                     move("R4", ("face", fid), ("vertex", v), FIFTH)
 
@@ -170,7 +166,7 @@ def apply_rules(
         if deg[v] != 5:
             continue
         small_nbrs = {u for u in g.rotations[v] if deg[u] == 3}
-        for fid in _distinct_incident_faces(g, v):
+        for fid in g.incident_faces(v):
             if flen[fid] < 5:
                 continue
             on_face = set(faces[fid].vertices)
@@ -182,7 +178,7 @@ def apply_rules(
     # R7: a 5-vertex with at most three incident 3-faces pays each
     # 4-neighbour per big face along their shared edge
     for v in range(g.n):
-        if deg[v] != 5 or g.metrics(v).m3 > 3:
+        if deg[v] != 5 or sum(flen[f] == 3 for f in g.incident_faces(v)) > 3:
             continue
         for u in sorted(g.rotations[v]):
             if deg[u] != 4:
@@ -215,7 +211,7 @@ def apply_rules(
                 move("R9", ("vertex", v), ("vertex", w[2]), FIFTH)
         elif sc.kind == "support":
             for u in sorted(g.rotations[v]):
-                if ctx.bad_kind(u) is not None and g.edge_in_two_triangles(v, u):
+                if ctx.bad_kind(u) is not None and ctx.in2(v, u):
                     move("R10", ("vertex", v), ("vertex", u), THIRD)
 
     after = ChargeLedger(vertices=tuple(vc), faces=tuple(fc))
@@ -234,7 +230,6 @@ def audit(g: PlaneGraph) -> dict:
     such graph would disprove the engine's claim, so callers should
     treat it as a hard failure.
     """
-    initial = initial_charges(g)
     after, transfers = apply_rules(g)
     match = detect(g)
     negatives = [
@@ -245,7 +240,7 @@ def audit(g: PlaneGraph) -> dict:
         "n": g.n,
         "m": g.m,
         "faces": g.num_faces,
-        "initial_total": _fmt(initial.total()),
+        "initial_total": _fmt(TOTAL),
         "final_total": _fmt(after.total()),
         "conservation": "-8" if after.total() == TOTAL else _fmt(after.total()),
         "transfers": len(transfers),

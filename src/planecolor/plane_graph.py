@@ -251,14 +251,6 @@ class PlaneGraph:
                 ]
         return self._faces_cache
 
-    def face_length(self, fid: int) -> int:
-        return self.face_lens[fid]
-
-    @property
-    def face_anomalies(self) -> list[int]:
-        """Faces of length < 3 (single vertex, bridges, K2); informational."""
-        return [f for f in range(self.num_faces) if self.face_lens[f] < 3]
-
     def corner_face(self, v: int, i: int) -> int:
         """Face id in corner i of v (between rotation neighbours i and i+1)."""
         self._check_vertex(v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .configurations import ConfigMatch, MatchQueue, degree_overflow
+from .configurations import ConfigMatch, MatchQueue
 from .conflict import Coloring, validate
 from .errors import (
     AnomalyNoConfiguration,
@@ -91,17 +91,12 @@ def _step(wg: WorkingGraph, match: ConfigMatch):
     the changed vertices and the vertices within reach of a change.
 
     Raises:
-        DegreeOverflow: a chord endpoint would pass degree 5.
         EmbeddingBroken: the patched graph would come out non-planar,
             disconnected, not smaller, or lose a distance-two pair.
+        DegreeOverflow: a chord endpoint would pass degree 5.
     """
     dv = match.deleted
     adds = [e for e in match.added_edges() if not wg.has_edge(*e)]
-    over = degree_overflow(wg, dv, adds)
-    if over is not None:
-        raise DegreeOverflow(
-            f"rule {match.rule_id}: vertex {over[0]} would reach degree {over[1]}"
-        )
     label = wg.label
     before = wg.n + wg.m
     deleted = label(dv)

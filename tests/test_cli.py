@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from planecolor.cli import EXIT_FALSIFIED, EXIT_INPUT, EXIT_OK, run
+from planecolor.cli import EXIT_FALSIFIED, EXIT_INPUT, EXIT_OK, _build_parser, run
 from planecolor.generators import named
 
 
@@ -205,6 +205,49 @@ class TestTextFormat:
         assert code == EXIT_OK
         assert "n=8" in out
         assert "m=12" in out
+
+
+# every flag each subcommand takes, with a value to parse (None for a switch)
+FLAGS = {
+    "validate": {"--in": "g.rot", "--format": "text", "--dump": "d",
+                 "--colors": "c.json"},
+    "color": {"--in": "g.rot", "--format": "text", "--dump": "d",
+              "--budget": "5", "--trace": None},
+    "chi2": {"--in": "g.rot", "--format": "text", "--budget": "5"},
+    "detect": {"--in": "g.rot", "--format": "text"},
+    "discharge": {"--in": "g.rot", "--format": "text", "--dump": "d",
+                  "--transfers": None},
+    "gen": {"--name": "k4", "--n": "10", "--seed": "3", "--out": "g.rot"},
+    "batch": {"--format": "text", "--dump": "d", "--budget": "5",
+              "--count": "2", "--n": "10", "--seed": "3", "--corpus": None},
+}
+# flags a subcommand used to accept without reading them
+UNREAD = [
+    ("validate", "--budget", "5"),
+    ("chi2", "--dump", "d"),
+    ("detect", "--dump", "d"),
+    ("detect", "--budget", "5"),
+    ("discharge", "--budget", "5"),
+    ("gen", "--format", "text"),
+    ("gen", "--dump", "d"),
+    ("gen", "--budget", "5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [(c, f, v) for c, flags in FLAGS.items() for f, v in flags.items()]
+    + [pytest.param(*case, id="unread-" + "-".join(case[:2])) for case in UNREAD],
+)
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag, value):
+    argv = [command, flag] + ([value] if value is not None else [])
+    if (command, flag, value) in UNREAD:
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
+    else:
+        _build_parser().parse_args(argv)
 
 
 def test_console_script_runs():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from planecolor import reducer
 from planecolor.configurations import (
+    _PRIORITY,
     SPECIAL_KINDS,
     MatchQueue,
+    _center_matches,
     _Ctx,
     classify_special,
     detect,
@@ -136,6 +138,34 @@ class TestDetection:
         for b in bounds:
             seen_min = min(seen_min, b)
         assert bounds[0] == seen_min
+
+
+def brute_force_matches(g) -> list:
+    """Every match, rule by rule in priority order, centres by id."""
+    ctx = _Ctx(g)
+    return [
+        m
+        for rule in _PRIORITY
+        for v in range(g.n)
+        if g.deg[v] == rule.degree
+        for m in _center_matches(ctx, rule, v)
+    ]
+
+
+DETECTION_ORDER_GRAPHS = (
+    [pytest.param(lambda n=n: named(n), id=n) for n in NAMED_GRAPHS]
+    + [pytest.param(lambda i=i: random_plane(20 + i % 181, seed=i), id=f"sweep{i}")
+       for i in range(50)]
+    + [pytest.param(lambda: medial_plus(40, 0, extra=30), id="medial0")]
+)
+
+
+@pytest.mark.parametrize("make", DETECTION_ORDER_GRAPHS)
+def test_iter_matches_is_the_brute_force_scan(make):
+    # iter_matches reads a fresh MatchQueue; this scan shares none of
+    # its heaps, so it checks the queue's order from outside
+    g = make()
+    assert list(iter_matches(g)) == brute_force_matches(g)
 
 
 class TestClassifier:

@@ -19,8 +19,8 @@ from planecolor.reducer import (
     extend,
     is_proper_wrt,
 )
-from tests.test_configurations import CROSSING_CHORD_RULES
-from tests.test_working_graph import rebuild_apply
+from test_configurations import CROSSING_CHORD_RULES
+from test_working_graph import rebuild_apply
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
