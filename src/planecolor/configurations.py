@@ -1172,17 +1172,26 @@ class MatchQueue:
     search reaches it, so ranks past the first applicable match cost
     nothing.  A step touches a bounded ball, so the log stays within a
     constant times the number of vertices.
+
+    A rank's heap is built when a search first reaches it, from the
+    vertices of the rank's degree at that time, with the log read up to
+    then.  A vertex whose degree changed since the queue was made is in
+    the log, so this is the heap the queue would hold had it started
+    with every rank filled.
     """
 
     def __init__(self, g) -> None:
         self._ctx = _Ctx(g)
-        by_deg: dict[int, list[int]] = {}
-        for v, d in enumerate(g.deg):
-            by_deg.setdefault(d, []).append(v)
-        self._heaps = [list(by_deg.get(r.degree, ())) for r in _PRIORITY]
-        self._queued = [set(h) for h in self._heaps]
+        self._heaps: list[Optional[list[int]]] = [None] * len(_PRIORITY)
+        self._queued: list[Optional[set[int]]] = [None] * len(_PRIORITY)
         self._log: list[int] = []
         self._read = [0] * len(_PRIORITY)
+
+    def _first_visit(self, r: int) -> None:
+        k = _PRIORITY[r].degree
+        heap = [v for v, d in enumerate(self._ctx.deg) if d == k]  # sorted: a heap
+        self._heaps[r], self._queued[r] = heap, set(heap)
+        self._read[r] = len(self._log)
 
     def touch(self, changed, reach) -> None:
         """Report a step: ``changed`` vertices lose their memos, and
@@ -1196,6 +1205,8 @@ class MatchQueue:
         ctx, deg, log = self._ctx, self._ctx.deg, self._log
         for r, rule in enumerate(_PRIORITY):
             k = rule.degree
+            if self._heaps[r] is None:
+                self._first_visit(r)
             heap, queued = self._heaps[r], self._queued[r]
             for i in range(self._read[r], len(log)):
                 v = log[i]

@@ -132,14 +132,23 @@ def apply_rules(
         arr[dst[1]] += amt
         rec.append(TransferRecord(rule, src, dst, amt))
 
-    faces = g.faces()
+    tail, head, fod = g.dart_tail, g.rot_flat, g.face_of_dart
+    rs, mirror = g.rot_start, g.mirror
 
-    # R1: every vertex pays 1/3 to each incident 3-face
-    for f in faces:
-        if f.length != 3:
+    # R1: every vertex pays 1/3 to each incident 3-face.  Faces are
+    # numbered by their least dart, so in dart order each face first
+    # shows up in id order, at the dart p its walk starts from; the
+    # walk goes on along the dart after p's reverse at p's head.
+    nxt_face = 0
+    for p, f in enumerate(fod):
+        if f != nxt_face:
             continue
-        for v in sorted(f.vertices):
-            move("R1", ("vertex", v), ("face", f.index), THIRD)
+        nxt_face += 1
+        if flen[f] == 3:
+            u = head[p]
+            w = head[rs[u] + (mirror[p] - rs[u] + 1) % deg[u]]
+            for v in sorted((tail[p], u, w)):
+                move("R1", ("vertex", v), ("face", f), THIRD)
 
     # R2: every 5-vertex pays 1/9 to each 3-neighbour
     for v in range(g.n):
@@ -165,12 +174,12 @@ def apply_rules(
     for v in range(g.n):
         if deg[v] != 5:
             continue
-        small_nbrs = {u for u in g.rotations[v] if deg[u] == 3}
+        small_nbrs = [u for u in g.rotations[v] if deg[u] == 3]
         for fid in g.incident_faces(v):
             if flen[fid] < 5:
                 continue
-            on_face = set(faces[fid].vertices)
-            if on_face & small_nbrs:
+            # u is on the face when one of u's darts traces it
+            if any(fid in fod[rs[u] : rs[u + 1]] for u in small_nbrs):
                 move("R6", ("face", fid), ("vertex", v), NINTH)
             else:
                 move("R5", ("face", fid), ("vertex", v), FIFTH)

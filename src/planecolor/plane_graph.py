@@ -111,7 +111,6 @@ class PlaneGraph:
         "num_faces",
         "_n2_indptr",
         "_n2_flat",
-        "_faces_cache",
     )
 
     def __init__(self, rotations) -> None:
@@ -184,7 +183,6 @@ class PlaneGraph:
             indptr.append(len(flat))
         self._n2_indptr = tuple(indptr)
         self._n2_flat = tuple(flat)
-        self._faces_cache = None
 
     def _check_connected(self) -> None:
         seen = [False] * self.n
@@ -240,16 +238,14 @@ class PlaneGraph:
         raise UnknownVertex(f"no edge {u}-{v}")
 
     def faces(self) -> list[Face]:
-        if self._faces_cache is None:
-            if self.m == 0:
-                self._faces_cache = [Face(0, (), 0)]
-            else:
-                tail, head = self.dart_tail, self.rot_flat
-                self._faces_cache = [
-                    Face(f, tuple((tail[p], head[p]) for p in orbit), len(orbit))
-                    for f, orbit in enumerate(_orbits(self._successors()))
-                ]
-        return self._faces_cache
+        """Every face by id, traced afresh on each call."""
+        if self.m == 0:
+            return [Face(0, (), 0)]
+        tail, head = self.dart_tail, self.rot_flat
+        return [
+            Face(f, tuple((tail[p], head[p]) for p in orbit), len(orbit))
+            for f, orbit in enumerate(_orbits(self._successors()))
+        ]
 
     def corner_face(self, v: int, i: int) -> int:
         """Face id in corner i of v (between rotation neighbours i and i+1)."""

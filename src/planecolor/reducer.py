@@ -13,7 +13,7 @@ the reduced graph rebuilt from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .configurations import ConfigMatch, MatchQueue
 from .conflict import Coloring, validate
@@ -83,12 +83,13 @@ def is_proper_wrt(g: PlaneGraph, h: PlaneGraph, deleted: int) -> bool:
     return True
 
 
-def _step(wg: WorkingGraph, match: ConfigMatch):
+def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     """Apply one match to the working graph in place.
 
-    Returns the trace, in the dense labels of the graph before the step,
-    with what ``WorkingGraph.delete`` reports: dv's distance-two ball,
-    the changed vertices and the vertices within reach of a change.
+    Returns the trace, numbered ``step`` and in the dense labels of the
+    graph before the step, with what ``WorkingGraph.delete`` reports:
+    dv's distance-two ball, the changed vertices and the vertices within
+    reach of a change.
 
     Raises:
         EmbeddingBroken: the patched graph would come out non-planar,
@@ -103,7 +104,7 @@ def _step(wg: WorkingGraph, match: ConfigMatch):
     added = tuple((label(a), label(b)) for a, b in adds)
     ball, changed, reach = wg.delete(dv, adds, match.rule_id)
     trace = ReductionTrace(
-        step=-1,
+        step=step,
         rule=match.rule_id,
         deleted=deleted,
         added_edges=added,
@@ -183,7 +184,7 @@ def color16(
         matches = queue.matches()
         for match in matches:
             try:
-                trace, ball, changed, reach = _step(wg, match)
+                trace, ball, changed, reach = _step(wg, match, len(traces))
             except (EmbeddingBroken, DegreeOverflow):
                 continue
             break
@@ -208,7 +209,7 @@ def color16(
             return _unwind(g, traces + [sentinel], balls, colors)
         matches.close()
         queue.touch(changed, reach)
-        traces.append(replace(trace, step=len(traces)))
+        traces.append(trace)
         balls.append((match.deleted, tuple(ball)))
     # at most 16 vertices left: give everyone a distinct color
     colors = {v: i + 1 for i, v in enumerate(wg.alive())}

@@ -6,7 +6,8 @@ vertex ids of the input; a deleted vertex stays behind as a tombstone
 with an empty rotation.  A step touches only the hole:
 
 * the rotations of the deleted vertex's neighbours are patched;
-* degrees and d2 are updated within distance two of the hole;
+* degrees are updated on the ring of the hole; d2 is not stored but
+  counted from the rotations when detection asks for it;
 * corner data is re-walked only around the hole: the corners next to
   the deleted vertex's slot in each patched rotation, and the corners
   of the 4-faces the deleted vertex was on.  Every other corner key of
@@ -93,7 +94,6 @@ class WorkingGraph:
         "_size",
         "_alive",
         "_dead_tree",
-        "_d2",
         "_cface",
     )
 
@@ -107,7 +107,6 @@ class WorkingGraph:
         self.n, self.m, self.num_faces = g.n, g.m, g.num_faces
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
-        self._d2 = [g.d2(v) for v in range(size)]
         self._cface = self._initial_corner_keys(g)
 
     @staticmethod
@@ -136,7 +135,7 @@ class WorkingGraph:
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        return self._d2[v]
+        return len(self.n2(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
@@ -196,8 +195,9 @@ class WorkingGraph:
 
         Returns dv's distance-two ball before the step, the vertices
         whose rotation, degree or corner data changed, and the vertices
-        within reach of any change for detection (distance two of a
-        patched rotation, one of a changed corner or d2).
+        within reach of any change for detection: distance two of a
+        patched rotation, which covers every vertex whose d2 changed,
+        and distance one of a changed corner.
 
         Raises:
             EmbeddingBroken: a pair of dv's neighbours ends up more
@@ -214,11 +214,14 @@ class WorkingGraph:
             chords_at.setdefault(b, []).append(a)
         if not chords_at.keys() <= set(ring):
             raise ValueError(f"rule {rule}: a chord end is not a neighbour of {dv}")
-        order = {w: _targets_in_order(ring, w, chords_at.get(w, ())) for w in ring}
+        order: dict[int, list[int]] = {}
         new: dict[int, list[int]] = {}
+        slot: dict[int, int] = {}
         for w in ring:
+            targets = chords_at.get(w)
+            order[w] = _targets_in_order(ring, w, targets) if targets else []
             row = list(rot[w])
-            i = row.index(dv)
+            i = slot[w] = row.index(dv)
             row[i : i + 1] = order[w]
             new[w] = row
 
@@ -232,10 +235,14 @@ class WorkingGraph:
                     raise EmbeddingBroken(
                         f"rule {rule}: a distance-two pair fell apart"
                     )
-        pos = {w: i for i, w in enumerate(ring)}
-        crossing = _crossing(chords, pos)
-        if crossing and not self._euler_holds(dv, pos, order, len(chords)):
-            raise EmbeddingBroken(f"rule {rule} at {dv}: the chords leave the plane")
+        if len(chords) > 1:
+            pos = {w: i for i, w in enumerate(ring)}
+            if _crossing(chords, pos) and not self._euler_holds(
+                dv, pos, order, len(chords)
+            ):
+                raise EmbeddingBroken(
+                    f"rule {rule} at {dv}: the chords leave the plane"
+                )
         if len(chords) > d:
             raise EmbeddingBroken(f"rule {rule}: size did not drop")
         for w in ring:
@@ -244,7 +251,6 @@ class WorkingGraph:
 
         ball = self.n2(dv)
         cface = self._cface
-        slot = {w: rot[w].index(dv) for w in ring}
         changed = set(ring)
         # a triangle at dv has its other corners next to dv's slots, and
         # a longer face has no short key, so only the 4-faces at dv leave
@@ -295,21 +301,15 @@ class WorkingGraph:
                         for y, j in corners:
                             cface[y][j] = key
                             changed.add(y)
-        for x in ball:
-            near = rot[x]
-            seen = set(near)
-            for u in near:
-                seen.update(rot[u])
-            self._d2[x] = len(seen) - 1 if seen else 0
-        reach = self._grow(self._grow(set(ring))) | self._grow(changed)
+        # N2[ring] | N1[changed]: the ring is part of changed
+        reach = set(changed)
+        for y in changed:
+            reach.update(rot[y])
+        for w in ring:
+            for u in rot[w]:
+                reach.update(rot[u])
         changed.add(dv)
         return ball, changed, reach
-
-    def _grow(self, seeds: set[int]) -> set[int]:
-        out = set(seeds)
-        for v in seeds:
-            out.update(self.rotations[v])
-        return out
 
     def _walk(self, v: int, i: int):
         """Walk the face of corner i at v for at most 4 corners.

@@ -2,13 +2,19 @@
 
 import io
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from planecolor import cli, errors
 from planecolor.cli import EXIT_FALSIFIED, EXIT_INPUT, EXIT_OK, _build_parser, run
 from planecolor.generators import named
+from planecolor.plane_graph import PlaneGraph
+from strategies import rotation_systems
 
 
 def run_lines(capsys, argv):
@@ -205,6 +211,57 @@ class TestTextFormat:
         assert code == EXIT_OK
         assert "n=8" in out
         assert "m=12" in out
+
+
+# the fixtures are reset by hand in each example
+HOSTILE_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def assert_ok_or_typed_error(code, rows, caplog) -> None:
+    """Exit 0 with valid rows, or exit 2 with one engine error logged."""
+    failed = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    if code == EXIT_OK:
+        assert rows and all(row.get("valid", True) for row in rows)
+        assert failed == []
+        return
+    assert code == EXIT_INPUT
+    assert [r.msg for r in failed] == ["%s: %s"]
+    assert issubclass(getattr(errors, failed[0].args[0]), errors.EngineError)
+
+
+class TestHostileInput:
+    """Rotation systems that are plane, not plane or malformed, fed
+    through the front door in process."""
+
+    @HOSTILE_SETTINGS
+    @given(rows=rotation_systems(), as_json=st.booleans())
+    def test_color(self, rows, as_json, tmp_path, capsys, caplog):
+        n, m = len(rows), sum(map(len, rows)) // 2
+        path = tmp_path / "g.txt"
+        if as_json:
+            path.write_text(json.dumps({"n": n, "m": m, "rotations": rows}))
+        else:
+            path.write_text(f"{n} {m}\n" + "".join(
+                f"{v}: {' '.join(map(str, row))}\n" for v, row in enumerate(rows)
+            ))
+        caplog.clear()
+        code, rows_out = run_lines(capsys, ["color", "--in", str(path)])
+        assert_ok_or_typed_error(code, rows_out, caplog)
+
+    @HOSTILE_SETTINGS
+    @given(rows=rotation_systems())
+    def test_batch(self, rows, tmp_path, capsys, caplog, monkeypatch):
+        # batch reads no file: its graphs come from the generator
+        monkeypatch.setattr(cli, "random_plane", lambda n, seed: PlaneGraph(rows))
+        caplog.clear()
+        code, rows_out = run_lines(
+            capsys, ["batch", "--count", "1", "--dump", str(tmp_path / "d")]
+        )
+        assert_ok_or_typed_error(code, rows_out, caplog)
 
 
 # every flag each subcommand takes, with a value to parse (None for a switch)

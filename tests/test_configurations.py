@@ -22,6 +22,7 @@ from planecolor.configurations import (
 from planecolor.errors import DegreeOverflow, DegreeTooHigh, EmbeddingBroken
 from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph
+from planecolor.reducer import color16
 from planecolor.working_graph import WorkingGraph
 from test_working_graph import medial_plus
 
@@ -138,6 +139,40 @@ class TestDetection:
         for b in bounds:
             seen_min = min(seen_min, b)
         assert bounds[0] == seen_min
+
+
+@pytest.mark.parametrize("g", [named("c5"), random_plane(100, seed=0)], ids=["c5", "rp100"])
+def test_detect_builds_only_the_first_rank(g):
+    queue = MatchQueue(g)
+    first = next(queue.matches())
+    assert first == detect(g) and first.rule_id == _PRIORITY[0].id == "R-2v"
+    assert queue._heaps[0] is not None
+    assert queue._heaps[1:] == [None] * (len(_PRIORITY) - 1)
+
+
+@pytest.mark.parametrize("n,seed", [(150, 2), (300, 3)])
+def test_first_heap_is_the_eager_heap_at_current_degree(n, seed, monkeypatch):
+    # a queue that filled every rank at set-up would hold, on a rank's
+    # first visit, the centres of that degree at set-up plus the logged
+    # ones; popping skips those whose degree has moved on
+    g = random_plane(n, seed=seed)
+    start = g.deg
+    original = MatchQueue._first_visit
+    built = []
+
+    def checked(queue, r):
+        original(queue, r)
+        k, deg = _PRIORITY[r].degree, queue._ctx.deg
+        eager = {v for v, d in enumerate(start) if d == k}
+        eager.update(v for v in queue._log[: queue._read[r]] if deg[v] == k)
+        want = sorted(v for v in eager if deg[v] == k)
+        assert queue._heaps[r] == want and queue._queued[r] == set(want)
+        built.append(want != [v for v, d in enumerate(start) if d == k])
+
+    monkeypatch.setattr(MatchQueue, "_first_visit", checked)
+    color16(g)
+    # some rank is first built mid-run, on degrees the steps have moved
+    assert len(built) > 1 and any(built)
 
 
 def brute_force_matches(g) -> list:

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from planecolor.discharging import (
     AMOUNTS,
     DENOM,
+    FIFTH,
+    NINTH,
+    THIRD,
+    ChargeLedger,
+    TransferRecord,
     apply_rules,
     audit,
     initial_charges,
 )
 from planecolor.errors import EulerIdentityViolated
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
+from planecolor.plane_graph import PlaneGraph
+from test_working_graph import medial_plus
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -104,6 +111,70 @@ class TestApplyRules:
         assert obj["source"][0] == "vertex"
         assert obj["sink"][0] == "face"
         assert obj["amount"] == "15/45"
+
+
+def face_rules_from_face_list(g):
+    """R1 and R5/R6 read off ``PlaneGraph.faces()``: the face walks
+    themselves, not the dart tables ``apply_rules`` reads."""
+    faces = g.faces()
+    r1 = [
+        TransferRecord("R1", ("vertex", v), ("face", f.index), THIRD)
+        for f in faces
+        if f.length == 3
+        for v in sorted(f.vertices)
+    ]
+    r56 = []
+    for v in range(g.n):
+        if g.deg[v] != 5:
+            continue
+        small = {u for u in g.rotations[v] if g.deg[u] == 3}
+        for f in sorted({f for f in faces if v in f.vertices}, key=lambda f: f.index):
+            if f.length < 5:
+                continue
+            if small & set(f.vertices):
+                r56.append(TransferRecord("R6", ("face", f.index), ("vertex", v), NINTH))
+            else:
+                r56.append(TransferRecord("R5", ("face", f.index), ("vertex", v), FIFTH))
+    return r1, r56
+
+
+def replay(g, records) -> ChargeLedger:
+    led = initial_charges(g)
+    charge = {"vertex": list(led.vertices), "face": list(led.faces)}
+    for r in records:
+        charge[r.source[0]][r.source[1]] -= r.amount
+        charge[r.sink[0]][r.sink[1]] += r.amount
+    return ChargeLedger(tuple(charge["vertex"]), tuple(charge["face"]))
+
+
+# faces of length up to 19 on the medial graphs, which have no R6
+# payment, and 394-1211 on the random ones
+LONG_FACE_GRAPHS = (
+    [pytest.param(lambda s=s: medial_plus(40, s, extra=30), {"R5"}, id=f"medial{s}")
+     for s in range(3)]
+    + [pytest.param(lambda s=s: random_plane(2000, seed=s), {"R5", "R6"},
+                    id=f"random2000-{s}")
+       for s in range(3)]
+)
+
+
+@pytest.mark.parametrize("make,big_face_rules", LONG_FACE_GRAPHS)
+def test_face_rules_agree_with_the_face_list(make, big_face_rules, monkeypatch):
+    g = make()
+    r1, r56 = face_rules_from_face_list(g)
+
+    def no_faces(self):
+        raise AssertionError("apply_rules traced the face list")
+
+    monkeypatch.setattr(PlaneGraph, "faces", no_faces)
+    ledger, records = apply_rules(g)
+    # R1 comes first, R2-R4 before R5/R6, and R7-R10 after them
+    others = [r for r in records if r.rule not in ("R1", "R5", "R6")]
+    middle = [r for r in others if r.rule in ("R2", "R3", "R4")]
+    late = others[len(middle):]
+    assert records == r1 + middle + r56 + late
+    assert ledger == replay(g, records)
+    assert r1 and {r.rule for r in r56} == big_face_rules
 
 
 class TestAudit:

@@ -6,15 +6,15 @@ code: ``check_planarity`` for the graph, and ``PlanarEmbedding`` for the
 rotation system itself.  networkx is needed only by these tests.
 """
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from planecolor.errors import EngineError, NotPlanarEmbedding
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph, from_rotation_text
+from strategies import rotation_systems
 
 nx = pytest.importorskip("networkx")
 
@@ -74,33 +74,6 @@ def test_every_rotation_system_of_a_kuratowski_graph_is_refused(adj, count):
             PlaneGraph(rows)
         seen += 1
     assert seen == count
-
-
-@st.composite
-def rotation_systems(draw):
-    """A simple graph on up to 7 vertices with random cyclic orders,
-    sometimes with one row damaged (a dropped, repeated, looped or
-    out-of-range entry)."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for (a, b), k in zip(pairs, keep):
-        if k:
-            rows[a].append(b)
-            rows[b].append(a)
-    rows = [draw(st.permutations(row)) for row in rows]
-    damage = draw(st.sampled_from(["none", "none", "drop", "repeat", "loop", "range"]))
-    v = draw(st.integers(min_value=0, max_value=n - 1))
-    if damage == "drop" and rows[v]:
-        rows[v] = rows[v][1:]
-    elif damage == "repeat" and rows[v]:
-        rows[v] = rows[v] + rows[v][:1]
-    elif damage == "loop":
-        rows[v] = rows[v] + [v]
-    elif damage == "range":
-        rows[v] = rows[v] + [n]
-    return rows
 
 
 @settings(max_examples=300, deadline=None)

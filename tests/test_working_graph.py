@@ -197,10 +197,11 @@ class TestWorkingGraph:
         original = reducer._step
         steps = []
 
-        def checked(wg, match):
-            out = original(wg, match)
+        def checked(wg, match, step):
+            out = original(wg, match, step)
             assert_matches_rebuild(wg)
-            steps.append(dataclasses.replace(out[0], step=len(steps)))
+            assert out[0].step == step == len(steps)
+            steps.append(out[0])
             return out
 
         monkeypatch.setattr(reducer, "_step", checked)
