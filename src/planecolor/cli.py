@@ -18,7 +18,8 @@ from typing import Optional
 
 from .conflict import Coloring, validate
 from .configurations import detect
-from .discharging import apply_rules, audit
+from . import discharging
+from .discharging import TransferRecord, audit
 from .errors import (
     AnomalyNoConfiguration,
     EngineError,
@@ -124,10 +125,11 @@ def _cmd_detect(args) -> int:
 
 def _cmd_discharge(args) -> int:
     g = _read_graph(args.infile)
-    report = audit(g)
+    # one transfer pass gives both the audit and the transfer list
+    after, moves = discharging._transfer_pass(g)
+    report = discharging._report(g, after, moves)
     if args.transfers:
-        _, recs = apply_rules(g)
-        report["transfer_list"] = [r.to_json() for r in recs]
+        report["transfer_list"] = [TransferRecord(*mv).to_json() for mv in moves]
     _emit(report, args.format)
     if report["falsification"]:
         _dump_graph(g, args.dump, "falsification")

@@ -42,6 +42,7 @@ __all__ = [
 SPECIAL_KINDS = ("bad", "semi-bad", "strong", "good", "support")
 
 _ROLE_ORDER = ("v", "v1", "v2", "v3", "v4", "v5", "x", "y")
+_RING_ROLES = ("v1", "v2", "v3", "v4", "v5")  # w0..w4 of a frame
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class _Ctx:
 
     def __init__(self, g):
         # g is a PlaneGraph or a WorkingGraph: only the queries both
-        # answer are used (deg, rotations, corner_faces, face_lens,
+        # answer are used (deg, rotations, corner_faces, corner_lens,
         # has_edge, edge_in_two_triangles, d2)
         self.g = g
         self.deg = g.deg
@@ -155,7 +156,8 @@ class _Ctx:
         for v in vertices:
             self._frames.pop(v, None)
             self._badmemo.pop(v, None)
-        self._in2memo.clear()
+        if self._in2memo:
+            self._in2memo.clear()
 
     def frames(self, v: int) -> list[_Frame]:
         """Every labeling of v; the first is the rotation itself."""
@@ -166,8 +168,7 @@ class _Ctx:
         rot = g.rotations[v]
         d = len(rot)
         ci = g.corner_faces(v) if d > 0 else ()
-        fl = g.face_lens
-        cl = tuple(fl[f] for f in ci)
+        cl = g.corner_lens(v) if d > 0 else ()
         out: list[_Frame] = []
         if d == 1:
             out.append(_Frame((rot[0],), (), ()))
@@ -196,15 +197,19 @@ class _Ctx:
         return got
 
     def bad_kind(self, v: int) -> Optional[str]:
-        """"bad", "semi-bad", or None, from v's first quad frame."""
+        """"bad", "semi-bad", or None: the shape of v's quad frames.
+
+        A 5-vertex has a quad frame exactly when four of its corners are
+        triangles, and every such frame ends on the fifth corner.
+        """
         got = self._badmemo.get(v, "?")
         if got != "?":
             return got
         kind: Optional[str] = None
         if self.deg[v] == 5:
-            for fr in _quad_frames(self, v):
-                kind = "bad" if fr.cfl[4] == 4 else "semi-bad"
-                break
+            cl = self.g.corner_lens(v)
+            if cl.count(3) == 4:
+                kind = "bad" if 4 in cl else "semi-bad"
         self._badmemo[v] = kind
         return kind
 
@@ -287,14 +292,28 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
     ctx = _ctx if _ctx is not None else _Ctx(g)
     if ctx.deg[v] != 5:
         return None
-    for fr in _quad_frames(ctx, v):
-        return SpecialClass(ctx.bad_kind(v), v, fr.w)
-    for fr in _strong_frames(ctx, v):
-        return SpecialClass("strong", v, fr.w)
-    for fr in _good_frames(ctx, v):
-        return SpecialClass("good", v, fr.w)
-    for fr in _support_frames(ctx, v):
-        return SpecialClass("support", v, fr.w)
+    # each class fixes how many of v's corners are triangles: quad 4,
+    # strong and good 3, support 2; those three also need a triangle
+    # pair whose middle neighbour is bad or semi-bad, and the neighbour
+    # between corners i - 1 and i is rot[i]
+    cl = ctx.g.corner_lens(v)
+    triangles = cl.count(3)
+    if triangles == 4:
+        for fr in _quad_frames(ctx, v):
+            return SpecialClass(ctx.bad_kind(v), v, fr.w)
+    if triangles not in (2, 3) or not any(
+        cl[i - 1] == 3 and cl[i] == 3 and ctx.bad_kind(u) is not None
+        for i, u in enumerate(ctx.g.rotations[v])
+    ):
+        return None
+    if triangles == 3:
+        for fr in _strong_frames(ctx, v):
+            return SpecialClass("strong", v, fr.w)
+        for fr in _good_frames(ctx, v):
+            return SpecialClass("good", v, fr.w)
+    else:
+        for fr in _support_frames(ctx, v):
+            return SpecialClass("support", v, fr.w)
     return None
 
 
@@ -1076,8 +1095,7 @@ def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
 
 def _ring_binding(v: int, fr: _Frame) -> dict[str, int]:
     b = {"v": v}
-    for i, u in enumerate(fr.w):
-        b[f"v{i + 1}"] = u
+    b.update(zip(_RING_ROLES, fr.w))
     return b
 
 
@@ -1129,18 +1147,25 @@ def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
 
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
-    if rule.kind == "deg4":
+    kind = rule.kind
+    if kind == "deg4":
         bindings = _deg4_bindings(ctx, v)
-    elif rule.kind == "degmid":
+    elif kind == "degmid":
         bindings = _degmid_bindings(ctx, v)
     else:
-        if rule.kind == "degree":
+        if kind == "degree":
             frames = ctx.frames(v)
-        elif rule.kind in _FRAME_FAMILY:
-            frames = _FRAME_FAMILY[rule.kind](ctx, v)
+        elif kind in _FRAME_FAMILY:
+            frames = _FRAME_FAMILY[kind](ctx, v)
         else:  # pragma: no cover - table construction error
-            raise AssertionError(f"unknown matcher family {rule.kind}")
-        bindings = (_ring_binding(v, fr) for fr in frames if rule.pred(ctx, fr))
+            raise AssertionError(f"unknown matcher family {kind}")
+        pred = rule.pred
+        for fr in frames:
+            if pred(ctx, fr):
+                m = _make_match(ctx, rule, _ring_binding(v, fr))
+                if m is not None:
+                    yield m
+        return
     for binding in bindings:
         m = _make_match(ctx, rule, binding)
         if m is not None:
@@ -1208,8 +1233,7 @@ class MatchQueue:
             if self._heaps[r] is None:
                 self._first_visit(r)
             heap, queued = self._heaps[r], self._queued[r]
-            for i in range(self._read[r], len(log)):
-                v = log[i]
+            for v in log[self._read[r] :]:
                 if deg[v] == k and v not in queued:
                     queued.add(v)
                     heapq.heappush(heap, v)

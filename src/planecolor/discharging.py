@@ -117,10 +117,17 @@ def apply_rules(
     record list deterministic.  Returns the final ledger and every
     transfer made.
     """
+    after, moves = _transfer_pass(g)
+    return after, [TransferRecord(*mv) for mv in moves]
+
+
+def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
+    """The pass behind ``apply_rules``, with each transfer as the tuple
+    of a ``TransferRecord``'s fields."""
     led = initial_charges(g)
     vc = list(led.vertices)
     fc = list(led.faces)
-    rec: list[TransferRecord] = []
+    moves: list[tuple] = []
     ctx = _Ctx(g)
     deg = g.deg
     flen = g.face_lens
@@ -130,7 +137,7 @@ def apply_rules(
         arr[src[1]] -= amt
         arr = vc if dst[0] == "vertex" else fc
         arr[dst[1]] += amt
-        rec.append(TransferRecord(rule, src, dst, amt))
+        moves.append((rule, src, dst, amt))
 
     tail, head, fod = g.dart_tail, g.rot_flat, g.face_of_dart
     rs, mirror = g.rot_start, g.mirror
@@ -228,7 +235,7 @@ def apply_rules(
         raise AssertionError(
             f"transfers broke conservation: {_fmt(after.total())}"
         )
-    return after, rec
+    return after, moves
 
 
 def audit(g: PlaneGraph) -> dict:
@@ -239,7 +246,11 @@ def audit(g: PlaneGraph) -> dict:
     such graph would disprove the engine's claim, so callers should
     treat it as a hard failure.
     """
-    after, transfers = apply_rules(g)
+    return _report(g, *_transfer_pass(g))
+
+
+def _report(g: PlaneGraph, after: ChargeLedger, transfers: list) -> dict:
+    """The audit of g, from its transfer pass."""
     match = detect(g)
     negatives = [
         {"kind": kind, "id": i, "charge": _fmt(c)}

@@ -262,6 +262,11 @@ class PlaneGraph:
         fo = self.face_of_dart
         return fo[lo + 1 : hi] + fo[lo : min(lo + 1, hi)]
 
+    def corner_lens(self, v: int) -> tuple[int, ...]:
+        """Face length in each corner of v, in corner order."""
+        fl = self.face_lens
+        return tuple([fl[f] for f in self.corner_faces(v)])
+
     def incident_faces(self, v: int) -> tuple[int, ...]:
         """Distinct faces around v, ascending."""
         self._check_vertex(v)

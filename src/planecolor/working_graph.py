@@ -14,20 +14,23 @@ with an empty rotation.  A step touches only the hole:
   a patched vertex is spliced along with its rotation, because a face
   the step did not touch keeps its key.  Detection reads a corner's
   face length capped at 5, and face identity only for faces of length
-  at most 4, so no walk goes further than 5 darts.
+  at most 4, so no walk goes further than 5 darts, and a walk that
+  finds a longer face keys every corner it passed.
 
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
-``rotations``, ``corner_faces``, ``face_lens``, ``has_edge``,
+``rotations``, ``corner_faces``, ``corner_lens``, ``has_edge``,
 ``edge_in_two_triangles``, ``d2``), so the predicates in
 ``configurations`` run on it unchanged.
 
 Face ids are keys ``code * 8 + length``.  A face of length at most 4
 is keyed by the least code ``tail * N + head`` of its darts, so every
-corner on it shares the key; a longer face has length 5 in the key and
-the code of the corner's own dart, unique per corner.
+corner on it shares the key.  Nothing compares longer faces by
+identity, so every corner on one has the key 5: its capped length.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import DegreeOverflow, EmbeddingBroken
 from .plane_graph import PlaneGraph
@@ -35,15 +38,6 @@ from .plane_graph import PlaneGraph
 __all__ = ["WorkingGraph"]
 
 _CAP = 5  # face lengths are kept up to this value
-
-
-class _CappedLengths:
-    """``face_lens[key]``: the capped length a face key carries."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key: int) -> int:
-        return key & 7
 
 
 def _targets_in_order(ring, u: int, targets) -> list[int]:
@@ -95,9 +89,8 @@ class WorkingGraph:
         "_alive",
         "_dead_tree",
         "_cface",
+        "_ball",
     )
-
-    face_lens = _CappedLengths()
 
     def __init__(self, g: PlaneGraph) -> None:
         size = g.n
@@ -108,40 +101,45 @@ class WorkingGraph:
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
         self._cface = self._initial_corner_keys(g)
+        self._ball: tuple[int, set[int]] = (-1, set())  # see d2
 
     @staticmethod
     def _initial_corner_keys(g: PlaneGraph) -> list[list[int]]:
         n, face, flen = g.n, g.face_of_dart, g.face_lens
-        codes = [t * n + h for t, h in zip(g.dart_tail, g.rot_flat)]
         least = [n * n] * g.num_faces  # above every code
-        for c, f in zip(codes, face):
-            if c < least[f]:
-                least[f] = c
-        out = []
-        for v in range(n):
-            lo, hi = g.rot_start[v], g.rot_start[v + 1]
-            keys = []
-            # corner i of v is traced by the dart v -> rot[v][i + 1]
-            for p in range(lo + 1, hi + 1):
-                nxt = p if p < hi else lo
-                f = face[nxt]
-                ln = flen[f]
-                keys.append(least[f] * 8 + ln if ln < _CAP else codes[nxt] * 8 + _CAP)
-            out.append(keys)
-        return out
+        for t, h, f in zip(g.dart_tail, g.rot_flat, face):
+            if flen[f] < _CAP and t * n + h < least[f]:
+                least[f] = t * n + h
+        key = [
+            least[f] * 8 + ln if ln < _CAP else _CAP for f, ln in enumerate(flen)
+        ]
+        rs = g.rot_start
+        # corner i of v is traced by the dart v -> rot[v][i + 1]
+        return [
+            [key[f] for f in face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1]]
+            for v in range(n)
+        ]
 
     # ==================================================================
     # queries made by detection
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        return len(self.n2(v))
+        # detection counts the ball of the vertex a match deletes just
+        # before the step runs; ``delete`` takes it from here
+        ball = self.n2(v)
+        self._ball = (v, ball)
+        return len(ball)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
 
     def corner_faces(self, v: int) -> tuple[int, ...]:
         return tuple(self._cface[v])
+
+    def corner_lens(self, v: int) -> tuple[int, ...]:
+        """Face length in each corner of v, capped at 5."""
+        return tuple([key & 7 for key in self._cface[v]])
 
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
         # the dart u -> rot[u][i] traces the face of corner i - 1
@@ -208,30 +206,37 @@ class WorkingGraph:
         rot = self.rotations
         ring = rot[dv]
         d = len(ring)
-        chords_at: dict[int, list[int]] = {}
+        # chord targets of each ring vertex, in the order they fan out
+        order: dict[int, list[int]] = {w: [] for w in ring}
         for a, b in chords:
-            chords_at.setdefault(a, []).append(b)
-            chords_at.setdefault(b, []).append(a)
-        if not chords_at.keys() <= set(ring):
-            raise ValueError(f"rule {rule}: a chord end is not a neighbour of {dv}")
-        order: dict[int, list[int]] = {}
+            if a not in order or b not in order:
+                raise ValueError(
+                    f"rule {rule}: a chord end is not a neighbour of {dv}"
+                )
+            order[a].append(b)
+            order[b].append(a)
         new: dict[int, list[int]] = {}
         slot: dict[int, int] = {}
-        for w in ring:
-            targets = chords_at.get(w)
-            order[w] = _targets_in_order(ring, w, targets) if targets else []
+        for w, targets in order.items():
+            if len(targets) > 1:
+                targets = order[w] = _targets_in_order(ring, w, targets)
             row = list(rot[w])
             i = slot[w] = row.index(dv)
-            row[i : i + 1] = order[w]
+            row[i : i + 1] = targets
             new[w] = row
 
         # paths of length <= 2 that avoid dv survive and chords only add
         # paths, so only pairs of dv's neighbours can fall apart; once
         # they all stay within two, the reduced graph is also connected
         for i, a in enumerate(ring):
-            near = set(new[a])
+            row = new[a]
+            near = None
             for b in ring[i + 1 :]:
-                if b not in near and near.isdisjoint(new[b]):
+                if b in row:
+                    continue
+                if near is None:
+                    near = set(row)
+                if near.isdisjoint(new[b]):
                     raise EmbeddingBroken(
                         f"rule {rule}: a distance-two pair fell apart"
                     )
@@ -249,20 +254,25 @@ class WorkingGraph:
             if len(new[w]) > 5:
                 raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
 
-        ball = self.n2(dv)
+        # the ball detection counted for dv, unless it counted another
+        # vertex last; an applied step makes it stale
+        v, ball = self._ball
+        if v != dv:
+            ball = self.n2(dv)
+        self._ball = (-1, set())
         cface = self._cface
         changed = set(ring)
         # a triangle at dv has its other corners next to dv's slots, and
         # a longer face has no short key, so only the 4-faces at dv leave
         # short keys elsewhere: on the ring they are walked again, and off
-        # it they take a long key unless a walk below finds a short face
+        # it they take the long key unless a walk below finds a short face
         for i, key in enumerate(cface[dv]):
             if key & 7 == 4:
                 for y, j in self._walk(dv, i)[1]:
                     if y in slot:
                         cface[y][j] = None
                     elif y != dv:
-                        cface[y][j] = self._long_key(y, j)
+                        cface[y][j] = _CAP
                         changed.add(y)
 
         for w, row in new.items():
@@ -288,34 +298,34 @@ class WorkingGraph:
         self.m += len(chords) - d
         self.num_faces += 1 - d + len(chords)
 
-        # unchanged short faces keep their least dart, and a long key
-        # depends only on the corner's own dart
+        # unchanged short faces keep their least dart; every corner of a
+        # long face has the same key, so only a short one changes a vertex
         for w in ring:
             keys = cface[w]
             for i, key in enumerate(keys):
                 if key is None:
                     key, corners = self._walk(w, i)
-                    if corners is None:
-                        keys[i] = key
+                    if key == _CAP:
+                        for y, j in corners:
+                            cface[y][j] = _CAP
                     else:
                         for y, j in corners:
                             cface[y][j] = key
                             changed.add(y)
-        # N2[ring] | N1[changed]: the ring is part of changed
-        reach = set(changed)
-        for y in changed:
-            reach.update(rot[y])
-        for w in ring:
-            for u in rot[w]:
-                reach.update(rot[u])
+        # N2[ring] | N1[changed], as N1[N1(ring) | changed]
+        near = set(chain.from_iterable(map(rot.__getitem__, ring)))
+        near |= changed
+        reach = set(chain.from_iterable(map(rot.__getitem__, near)))
+        reach |= near
         changed.add(dv)
         return ball, changed, reach
 
     def _walk(self, v: int, i: int):
-        """Walk the face of corner i at v for at most 4 corners.
+        """Walk the face of corner i at v for at most 5 corners.
 
-        Returns (key, corners) for a face of length at most 4, with its
-        corners as (vertex, index) pairs, and (key, None) for a longer one.
+        Returns the face's key and the corners passed, as (vertex, index)
+        pairs: every corner of a face of length at most 4, and the first
+        5 of a longer one, whose key is 5.
         """
         rot, size = self.rotations, self._size
         r = rot[v]
@@ -325,17 +335,15 @@ class WorkingGraph:
         while True:
             r = rot[y]
             j = r.index(x)
-            if (y, j) == corners[0]:
+            if y == v and j == i:
                 return best * 8 + len(corners), corners
-            if len(corners) == _CAP - 1:
-                return self._long_key(v, i), None
             corners.append((y, j))
+            if len(corners) == _CAP:
+                return _CAP, corners
             x, y = y, r[(j + 1) % len(r)]
-            best = min(best, x * size + y)
-
-    def _long_key(self, v: int, i: int) -> int:
-        r = self.rotations[v]
-        return (v * self._size + r[(i + 1) % len(r)]) * 8 + _CAP
+            code = x * size + y
+            if code < best:
+                best = code
 
     def _euler_holds(self, dv: int, pos, order, added: int) -> bool:
         """Euler's formula for the patched graph, from the hole alone.

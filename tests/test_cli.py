@@ -3,14 +3,17 @@
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planecolor import cli, errors
+import planecolor
+from planecolor import cli, discharging, errors
 from planecolor.cli import EXIT_FALSIFIED, EXIT_INPUT, EXIT_OK, _build_parser, run
 from planecolor.generators import named
 from planecolor.plane_graph import PlaneGraph
@@ -150,14 +153,28 @@ class TestDischarge:
         assert rows[0]["conservation"] == "-8"
         assert rows[0]["falsification"] is False
 
-    def test_transfer_list(self, capsys, tmp_path):
+    def test_transfer_list(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "ico.rot"
         path.write_text(named("icosahedron").to_rotation_text())
+        passes = []
+        transfer_pass = discharging._transfer_pass
+
+        def counted(g):
+            passes.append(g)
+            return transfer_pass(g)
+
+        monkeypatch.setattr(discharging, "_transfer_pass", counted)
         code, rows = run_lines(
             capsys, ["discharge", "--in", str(path), "--transfers"]
         )
         assert code == EXIT_OK
         assert len(rows[0]["transfer_list"]) == 60
+        assert len(passes) == 1
+        # the list is what apply_rules records, and the audit is unchanged
+        g = named("icosahedron")
+        want = discharging.audit(g)
+        want["transfer_list"] = [r.to_json() for r in discharging.apply_rules(g)[1]]
+        assert rows[0] == json.loads(json.dumps(want))
 
 
 class TestGen:
@@ -308,10 +325,14 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag, va
 
 
 def test_console_script_runs():
+    # the child imports the package from where this process found it
+    src = str(Path(planecolor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "planecolor.cli", "gen", "--name", "k4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == named("k4").to_rotation_text()

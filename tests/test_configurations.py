@@ -242,6 +242,90 @@ class TestClassifier:
         assert len(obj["ring"]) == 5
 
 
+def bad_kind_by_frames(g, v: int):
+    if g.deg[v] != 5:
+        return None
+    for _, c, _ in frames_by_formula(g, v):
+        if c[0] == c[1] == c[2] == c[3] == 3 and c[4] >= 4:
+            return "bad" if c[4] == 4 else "semi-bad"
+    return None
+
+
+def classify_by_every_frame(g, v: int):
+    """The degree-5 taxonomy as (kind, ring), scanning every frame of v
+    for each class in turn, with no count of v's triangles first."""
+    if g.deg[v] != 5:
+        return None
+    frames = frames_by_formula(g, v)
+    for w, c, _ in frames:
+        if c[0] == c[1] == c[2] == c[3] == 3 and c[4] >= 4:
+            return ("bad" if c[4] == 4 else "semi-bad"), w
+    for w, c, _ in frames:
+        if (
+            c[0] == c[1] == c[3] == 3
+            and c[2] >= 4
+            and c[4] >= 4
+            and max(c[2], c[4]) >= 5
+            and bad_kind_by_frames(g, w[1]) is not None
+        ):
+            return "strong", w
+    for w, c, _ in frames:
+        if (
+            c[0] == c[1] == c[2] == 3
+            and c[3] >= 4
+            and c[4] >= 4
+            and bad_kind_by_frames(g, w[1]) == "semi-bad"
+            and all(
+                g.has_edge(a, b) and g.edge_in_two_triangles(a, b)
+                for a, b in ((w[0], w[1]), (w[1], w[2]))
+            )
+        ):
+            return "good", w
+    for w, c, _ in frames:
+        if (
+            c[0] == c[1] == 3
+            and min(c[2], c[3], c[4]) >= 4
+            and bad_kind_by_frames(g, w[1]) is not None
+        ):
+            return "support", w
+    return None
+
+
+REFERENCE_GRAPHS = {
+    **{f"medial_plus(40, {s})": lambda s=s: medial_plus(40, s, extra=30) for s in range(6)},
+    **{
+        f"medial_plus(30, {s}, extra=400)": lambda s=s: medial_plus(30, s, extra=400)
+        for s in range(3)
+    },
+    **{f"random_plane(150, {s})": lambda s=s: random_plane(150, seed=s) for s in range(3)},
+    **{name: lambda name=name: named(name) for name in NAMED_GRAPHS},
+}
+
+
+class TestClassifierReference:
+    @pytest.mark.parametrize("name", REFERENCE_GRAPHS)
+    def test_classify_special_matches_every_frame_scan(self, name):
+        g = REFERENCE_GRAPHS[name]()
+        got = [classify_special(g, v) for v in range(g.n)]
+        assert [(sc.kind, sc.ring) if sc else None for sc in got] == [
+            classify_by_every_frame(g, v) for v in range(g.n)
+        ]
+
+    def test_reference_sees_every_kind(self):
+        kinds = {
+            got[0]
+            for s in range(6)
+            for g in [medial_plus(40, s, extra=30), medial_plus(30, s, extra=400)]
+            for got in map(lambda v: classify_by_every_frame(g, v), range(g.n))
+            if got
+        }
+        kinds |= {
+            classify_by_every_frame(named(name), DESIGNATED_VERTEX[name])[0]
+            for name in ("fig1a", "fig1b", "fig2a", "fig2b", "fig2c")
+        }
+        assert kinds == set(SPECIAL_KINDS)
+
+
 @st.composite
 def seeded_graph(draw):
     n = draw(st.integers(min_value=3, max_value=90))
@@ -304,7 +388,7 @@ def frames_by_formula(g, v: int) -> list[tuple]:
     rot = list(g.rotations[v])
     d = len(rot)
     fids = g.corner_faces(v)
-    cl = [g.face_lens[f] for f in fids]
+    cl = g.corner_lens(v)
     if d == 1:
         return [((rot[0],), (), ())]
     out = []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planecolor import discharging
 from planecolor.discharging import (
     AMOUNTS,
     DENOM,
@@ -200,6 +201,29 @@ class TestAudit:
         assert rep["configuration"] is None
         assert rep["negatives"]  # both the vertex and the empty face
         assert rep["falsification"] is False
+
+
+class TestAuditShortcuts:
+    """``audit`` counts the transfers of the pass ``apply_rules`` records,
+    without making a record of each."""
+
+    def test_audit_agrees_with_apply_rules_on_sweep_graphs(self, monkeypatch):
+        def no_records(*args):
+            raise AssertionError("audit built a TransferRecord")
+
+        for i in range(50):
+            g = random_plane(20 + i % 181, seed=i)  # as in test_pinned_outputs
+            ledger, records = apply_rules(g)
+            with monkeypatch.context() as m:
+                m.setattr(discharging, "TransferRecord", no_records)
+                rep = audit(g)
+                after, moves = discharging._transfer_pass(g)
+            assert rep["transfers"] == len(records) == len(moves), i
+            assert after == ledger == replay(g, records), i
+            assert rep["final_total"] == ledger.to_json()["total"]
+            assert [(n["kind"], n["id"]) for n in rep["negatives"]] == [
+                (kind, k) for kind, k, _ in ledger.negatives()
+            ]
 
 
 class TestDischargeProperties:

@@ -162,12 +162,10 @@ def assert_matches_rebuild(wg: WorkingGraph) -> None:
         assert wg.label(v) == i
         assert wg.d2(v) == h.d2(i)
         assert wg.deg[v] == h.degree(i)
-        keys, fids = wg.corner_faces(v), h.corner_faces(i)
-        assert [wg.face_lens[k] for k in keys] == [
-            min(h.face_lens[f], 5) for f in fids
-        ]
-        for k, f in zip(keys, fids):
-            if wg.face_lens[k] < 5:
+        keys, lens, fids = wg.corner_faces(v), wg.corner_lens(v), h.corner_faces(i)
+        assert list(lens) == [min(h.face_lens[f], 5) for f in fids]
+        for k, ln, f in zip(keys, lens, fids):
+            if ln < 5:
                 assert short.setdefault(k, f) == f
     assert len(set(short.values())) == len(short)
 
@@ -240,6 +238,67 @@ class TestWorkingGraph:
                 break
             else:
                 raise AssertionError("no match after the refused one applies")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_plane(300, seed=3)]
+        + [lambda s=s: medial_plus(40, s, extra=30) for s in range(3)],
+        ids=["random_plane(300, 3)"] + [f"medial_plus(40, {s})" for s in range(3)],
+    )
+    def test_ball_of_every_color16_step_is_current(self, make, monkeypatch):
+        """``delete`` reuses the ball detection counted; it must be dv's
+        distance-two ball in the graph the step starts from."""
+        balls = record_balls(monkeypatch)
+        g = make()
+        _, traces = color16(g)
+        assert len(balls) == len(traces) == g.n - PALETTE
+        assert all(got == want for got, want in balls)
+
+    @pytest.mark.parametrize("name", ["fig2b", "fig2c"])
+    def test_ball_after_refused_steps_is_current(self, name, monkeypatch):
+        """A refused step leaves the graph as it was, so the ball counted
+        before it still serves the step the search tries next."""
+        g = named(name)
+        matches = list(iter_matches(g))
+        crossing = [
+            i for i, m in enumerate(matches) if m.rule_id in CROSSING_MATCH_RULES
+        ]
+        assert crossing
+        balls = record_balls(monkeypatch)
+        for i in crossing:
+            wg = WorkingGraph(g)
+            wg.d2(matches[i].deleted)  # what detection counts last
+            with pytest.raises(EmbeddingBroken):
+                reducer._step(wg, matches[i])
+            for nxt in matches[i + 1 :] + matches[:i]:
+                try:
+                    reducer._step(wg, nxt)
+                except (EmbeddingBroken, DegreeOverflow):
+                    continue
+                break
+        assert len(balls) == len(crossing)
+        assert all(got == want for got, want in balls)
+
+    def test_ball_counted_before_an_applied_step_is_not_reused(self):
+        # count x's ball, change it with a step at x's neighbour dv, then
+        # delete x itself
+        g = random_plane(60, seed=1)
+        for dv in range(g.n):
+            for x in g.rotations[dv]:
+                wg = WorkingGraph(g)
+                wg.d2(x)
+                try:
+                    wg.delete(dv, [])
+                except (EmbeddingBroken, DegreeOverflow):
+                    continue
+                want = wg.n2(x)
+                try:
+                    ball = wg.delete(x, [])[0]
+                except (EmbeddingBroken, DegreeOverflow):
+                    continue
+                assert want != set(g.n2(x)) and ball == want
+                return
+        raise AssertionError("no two steps apply")
 
     def test_certificate_matches_rebuild_on_random_chord_sets(self):
         """Arbitrary chord sets, crossing or not, at cut vertices or not."""
@@ -359,6 +418,22 @@ class TestWorkingGraph:
                 if before.get(key) != after.get(key) and wg.deg[key[1]]:
                     assert key[1] in reach, key
         assert len(applied) >= 5, applied
+
+
+def record_balls(monkeypatch) -> list:
+    """Patch ``WorkingGraph.delete`` to record, for each step it applies,
+    the ball it returns and dv's distance-two ball taken just before."""
+    balls = []
+    delete = WorkingGraph.delete
+
+    def recorded(self, dv, chords, rule=""):
+        want = self.n2(dv)
+        out = delete(self, dv, chords, rule)
+        balls.append((out[0], want))
+        return out
+
+    monkeypatch.setattr(WorkingGraph, "delete", recorded)
+    return balls
 
 
 def split_face(rows: list[list[int]], cycle: list[int]) -> list[list[int]]:
