@@ -19,7 +19,7 @@ from typing import Optional
 from .conflict import Coloring, validate
 from .configurations import detect
 from . import discharging
-from .discharging import TransferRecord, audit
+from .discharging import apply_rules, audit
 from .errors import (
     AnomalyNoConfiguration,
     EngineError,
@@ -126,10 +126,10 @@ def _cmd_detect(args) -> int:
 def _cmd_discharge(args) -> int:
     g = _read_graph(args.infile)
     # one transfer pass gives both the audit and the transfer list
-    after, moves = discharging._transfer_pass(g)
-    report = discharging._report(g, after, moves)
+    after, records = apply_rules(g)
+    report = discharging._report(g, after, records)
     if args.transfers:
-        report["transfer_list"] = [TransferRecord(*mv).to_json() for mv in moves]
+        report["transfer_list"] = [r.to_json() for r in records]
     _emit(report, args.format)
     if report["falsification"]:
         _dump_graph(g, args.dump, "falsification")

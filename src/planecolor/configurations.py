@@ -156,8 +156,7 @@ class _Ctx:
         for v in vertices:
             self._frames.pop(v, None)
             self._badmemo.pop(v, None)
-        if self._in2memo:
-            self._in2memo.clear()
+        self._in2memo.clear()
 
     def frames(self, v: int) -> list[_Frame]:
         """Every labeling of v; the first is the rotation itself."""
@@ -1147,25 +1146,18 @@ def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
 
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
-    kind = rule.kind
-    if kind == "deg4":
+    if rule.kind == "deg4":
         bindings = _deg4_bindings(ctx, v)
-    elif kind == "degmid":
+    elif rule.kind == "degmid":
         bindings = _degmid_bindings(ctx, v)
     else:
-        if kind == "degree":
+        if rule.kind == "degree":
             frames = ctx.frames(v)
-        elif kind in _FRAME_FAMILY:
-            frames = _FRAME_FAMILY[kind](ctx, v)
+        elif rule.kind in _FRAME_FAMILY:
+            frames = _FRAME_FAMILY[rule.kind](ctx, v)
         else:  # pragma: no cover - table construction error
-            raise AssertionError(f"unknown matcher family {kind}")
-        pred = rule.pred
-        for fr in frames:
-            if pred(ctx, fr):
-                m = _make_match(ctx, rule, _ring_binding(v, fr))
-                if m is not None:
-                    yield m
-        return
+            raise AssertionError(f"unknown matcher family {rule.kind}")
+        bindings = (_ring_binding(v, fr) for fr in frames if rule.pred(ctx, fr))
     for binding in bindings:
         m = _make_match(ctx, rule, binding)
         if m is not None:

@@ -89,7 +89,6 @@ class WorkingGraph:
         "_alive",
         "_dead_tree",
         "_cface",
-        "_ball",
     )
 
     def __init__(self, g: PlaneGraph) -> None:
@@ -101,7 +100,6 @@ class WorkingGraph:
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
         self._cface = self._initial_corner_keys(g)
-        self._ball: tuple[int, set[int]] = (-1, set())  # see d2
 
     @staticmethod
     def _initial_corner_keys(g: PlaneGraph) -> list[list[int]]:
@@ -125,11 +123,7 @@ class WorkingGraph:
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        # detection counts the ball of the vertex a match deletes just
-        # before the step runs; ``delete`` takes it from here
-        ball = self.n2(v)
-        self._ball = (v, ball)
-        return len(ball)
+        return len(self.n2(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
@@ -254,12 +248,10 @@ class WorkingGraph:
             if len(new[w]) > 5:
                 raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
 
-        # the ball detection counted for dv, unless it counted another
-        # vertex last; an applied step makes it stale
-        v, ball = self._ball
-        if v != dv:
-            ball = self.n2(dv)
-        self._ball = (-1, set())
+        # each new row is w's old row with dv replaced by ring vertices,
+        # so the rows and the ring together are dv's distance-two ball
+        ball = set(chain.from_iterable(new.values()))
+        ball.update(ring)
         cface = self._cface
         changed = set(ring)
         # a triangle at dv has its other corners next to dv's slots, and
@@ -313,8 +305,7 @@ class WorkingGraph:
                             cface[y][j] = key
                             changed.add(y)
         # N2[ring] | N1[changed], as N1[N1(ring) | changed]
-        near = set(chain.from_iterable(map(rot.__getitem__, ring)))
-        near |= changed
+        near = ball | changed
         reach = set(chain.from_iterable(map(rot.__getitem__, near)))
         reach |= near
         changed.add(dv)

@@ -246,8 +246,8 @@ class TestWorkingGraph:
         ids=["random_plane(300, 3)"] + [f"medial_plus(40, {s})" for s in range(3)],
     )
     def test_ball_of_every_color16_step_is_current(self, make, monkeypatch):
-        """``delete`` reuses the ball detection counted; it must be dv's
-        distance-two ball in the graph the step starts from."""
+        """The ball ``delete`` returns is dv's distance-two ball in the
+        graph the step starts from."""
         balls = record_balls(monkeypatch)
         g = make()
         _, traces = color16(g)
@@ -256,8 +256,8 @@ class TestWorkingGraph:
 
     @pytest.mark.parametrize("name", ["fig2b", "fig2c"])
     def test_ball_after_refused_steps_is_current(self, name, monkeypatch):
-        """A refused step leaves the graph as it was, so the ball counted
-        before it still serves the step the search tries next."""
+        """A refused step leaves the graph as it was, so the step the
+        search tries next returns the ball of the unchanged graph."""
         g = named(name)
         matches = list(iter_matches(g))
         crossing = [
@@ -267,7 +267,6 @@ class TestWorkingGraph:
         balls = record_balls(monkeypatch)
         for i in crossing:
             wg = WorkingGraph(g)
-            wg.d2(matches[i].deleted)  # what detection counts last
             with pytest.raises(EmbeddingBroken):
                 reducer._step(wg, matches[i])
             for nxt in matches[i + 1 :] + matches[:i]:
@@ -278,27 +277,6 @@ class TestWorkingGraph:
                 break
         assert len(balls) == len(crossing)
         assert all(got == want for got, want in balls)
-
-    def test_ball_counted_before_an_applied_step_is_not_reused(self):
-        # count x's ball, change it with a step at x's neighbour dv, then
-        # delete x itself
-        g = random_plane(60, seed=1)
-        for dv in range(g.n):
-            for x in g.rotations[dv]:
-                wg = WorkingGraph(g)
-                wg.d2(x)
-                try:
-                    wg.delete(dv, [])
-                except (EmbeddingBroken, DegreeOverflow):
-                    continue
-                want = wg.n2(x)
-                try:
-                    ball = wg.delete(x, [])[0]
-                except (EmbeddingBroken, DegreeOverflow):
-                    continue
-                assert want != set(g.n2(x)) and ball == want
-                return
-        raise AssertionError("no two steps apply")
 
     def test_certificate_matches_rebuild_on_random_chord_sets(self):
         """Arbitrary chord sets, crossing or not, at cut vertices or not."""
