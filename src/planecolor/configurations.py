@@ -1146,18 +1146,27 @@ def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
 
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
-    if rule.kind == "deg4":
+    kind = rule.kind
+    if kind == "deg4":
         bindings = _deg4_bindings(ctx, v)
-    elif rule.kind == "degmid":
+    elif kind == "degmid":
         bindings = _degmid_bindings(ctx, v)
     else:
-        if rule.kind == "degree":
+        if kind == "degree":
             frames = ctx.frames(v)
-        elif rule.kind in _FRAME_FAMILY:
-            frames = _FRAME_FAMILY[rule.kind](ctx, v)
+        elif kind in _FRAME_FAMILY:
+            frames = _FRAME_FAMILY[kind](ctx, v)
         else:  # pragma: no cover - table construction error
-            raise AssertionError(f"unknown matcher family {rule.kind}")
-        bindings = (_ring_binding(v, fr) for fr in frames if rule.pred(ctx, fr))
+            raise AssertionError(f"unknown matcher family {kind}")
+        # the hottest loop of detection, so without a generator between
+        # the frames and _make_match
+        pred = rule.pred
+        for fr in frames:
+            if pred(ctx, fr):
+                m = _make_match(ctx, rule, _ring_binding(v, fr))
+                if m is not None:
+                    yield m
+        return
     for binding in bindings:
         m = _make_match(ctx, rule, binding)
         if m is not None:
