@@ -34,7 +34,6 @@ __all__ = [
     "rule_table",
     "detect",
     "iter_matches",
-    "verify_claimed_bound",
     "classify_special",
     "SPECIAL_KINDS",
 ]
@@ -118,16 +117,14 @@ class SpecialClass:
 
 
 class _Frame:
-    """One neighbour labeling of a vertex: w tuple, corner lengths,
-    corner face ids, all aligned so corner i sits between w_i and
-    w_(i+1)."""
+    """One neighbour labeling of a vertex: w tuple and corner lengths,
+    aligned so corner i sits between w_i and w_(i+1)."""
 
-    __slots__ = ("w", "cfl", "cfid")
+    __slots__ = ("w", "cfl")
 
-    def __init__(self, w, cfl, cfid):
+    def __init__(self, w, cfl):
         self.w = w
         self.cfl = cfl
-        self.cfid = cfid
 
 
 class _Ctx:
@@ -143,8 +140,8 @@ class _Ctx:
 
     def __init__(self, g):
         # g is a PlaneGraph or a WorkingGraph: only the queries both
-        # answer are used (deg, rotations, corner_faces, corner_lens,
-        # has_edge, edge_in_two_triangles, d2)
+        # answer are used (deg, rotations, corner_lens, has_edge,
+        # edge_in_two_triangles, d2)
         self.g = g
         self.deg = g.deg
         self._frames: dict[int, list[_Frame]] = {}
@@ -166,23 +163,22 @@ class _Ctx:
         g = self.g
         rot = g.rotations[v]
         d = len(rot)
-        ci = g.corner_faces(v) if d > 0 else ()
         cl = g.corner_lens(v) if d > 0 else ()
         out: list[_Frame] = []
         if d == 1:
-            out.append(_Frame((rot[0],), (), ()))
+            out.append(_Frame((rot[0],), ()))
         else:
             # every labeling is a slice of a doubled tuple: forward ones
             # start at o, reversed ones run w_i = rot[o - i] with corner
             # i = cl[o - i - 1]
-            rr, ll, ii = tuple(rot) * 2, cl * 2, ci * 2
+            rr, ll = tuple(rot) * 2, cl * 2
             for o in range(d):
-                out.append(_Frame(rr[o : o + d], ll[o : o + d], ii[o : o + d]))
+                out.append(_Frame(rr[o : o + d], ll[o : o + d]))
             if d > 2:  # reversed labelings coincide with forward ones below 3
-                rw, rl, ri = rr[::-1], ll[::-1], ii[::-1]
+                rw, rl = rr[::-1], ll[::-1]
                 for o in range(d):
                     a, b = d - 1 - o, d - o
-                    out.append(_Frame(rw[a : a + d], rl[b : b + d], ri[b : b + d]))
+                    out.append(_Frame(rw[a : a + d], rl[b : b + d]))
         self._frames[v] = out
         return out
 
@@ -352,7 +348,10 @@ def _p_3in3f(ctx, fr):
 
 
 def _p_3two4f(ctx, fr):
-    return fr.cfl[0] == 4 and fr.cfl[1] == 4 and fr.cfid[0] != fr.cfid[1]
+    # a face of length at most 4 that meets a vertex at two corners is
+    # the walk v-a-v-b-v of a 2-vertex, so at a 3-vertex two 4-corners
+    # lie on two distinct 4-faces
+    return fr.cfl[0] == 4 and fr.cfl[1] == 4
 
 
 def _p_3adj4(ctx, fr):
@@ -1059,11 +1058,10 @@ def rule_table() -> tuple[ReductionRule, ...]:
 # ======================================================================
 
 
-def degree_overflow(g, deleted: int, edges) -> Optional[tuple[int, int]]:
-    """The degree-5 guard at detection: a vertex that would pass degree
-    5 once ``deleted`` goes and the missing ``edges`` are added, with the
-    degree it would reach, or None.  ``WorkingGraph.delete`` refuses the
-    same steps when they are applied."""
+def degree_overflow(g, deleted: int, edges) -> bool:
+    """The degree-5 guard at detection: would some vertex pass degree 5
+    once ``deleted`` goes and the missing ``edges`` are added?
+    ``WorkingGraph.delete`` refuses the same steps when they are applied."""
     gain: dict[int, int] = {}
     for a, b in edges:
         if not g.has_edge(a, b):
@@ -1072,14 +1070,14 @@ def degree_overflow(g, deleted: int, edges) -> Optional[tuple[int, int]]:
     for x, extra in gain.items():
         newd = g.deg[x] - (1 if g.has_edge(x, deleted) else 0) + extra
         if newd > 5:
-            return x, newd
-    return None
+            return True
+    return False
 
 
 def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
     deleted = binding[rule.delete]
     edges = [(binding[a], binding[b]) for a, b in rule.add_edges]
-    if degree_overflow(ctx.g, deleted, edges) is not None:
+    if degree_overflow(ctx.g, deleted, edges):
         return None
     observed = ctx.g.d2(deleted)
     if observed > rule.claimed_d2_bound:
@@ -1265,8 +1263,3 @@ def detect(g: PlaneGraph) -> Optional[ConfigMatch]:
     """
     return next(iter_matches(g), None)
 
-
-def verify_claimed_bound(g: PlaneGraph, match: ConfigMatch) -> bool:
-    """Does d2 of the to-be-deleted vertex respect the rule's claim?"""
-    rule = _BY_ID[match.rule_id]
-    return g.d2(match.binding[rule.delete]) <= rule.claimed_d2_bound

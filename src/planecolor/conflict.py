@@ -41,11 +41,27 @@ class Coloring:
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
         try:
-            palette = int(obj["palette"])
-            colors = {int(k): int(c) for k, c in obj["colors"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            palette, colors = obj["palette"], obj["colors"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad coloring JSON: {exc}") from exc
-        return cls(palette=palette, colors=colors)
+        # ints only, nothing coerced; a bool is not an int here
+        if type(palette) is not int or not isinstance(colors, dict):
+            raise ParseError(
+                "bad coloring JSON: palette must be an integer and colors an object"
+            )
+        out = {}
+        for k, c in colors.items():
+            # a key is a vertex id written as to_json writes it
+            if not (
+                isinstance(k, str)
+                and k.isascii()
+                and k.isdigit()
+                and str(int(k)) == k
+                and type(c) is int
+            ):
+                raise ParseError(f"bad coloring JSON: entry {k!r}: {c!r}")
+            out[int(k)] = c
+        return cls(palette=palette, colors=out)
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,20 @@ class PlaneGraph:
     )
 
     def __init__(self, rotations) -> None:
-        rots = tuple(tuple(int(u) for u in row) for row in rotations)
+        # lists of ints, nothing coerced; a bool is not an int here
+        if not isinstance(rotations, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rotations
+        ):
+            raise ParseError("rotations must be a list of lists of integers")
+        rots = tuple(map(tuple, rotations))
         n = len(rots)
         if n == 0:
             raise ParseError("empty vertex set")
         pos = []  # per vertex: neighbour -> its place in the rotation
         for v, row in enumerate(rots):
             for u in row:
+                if type(u) is not int:
+                    raise ParseError(f"vertex {v} lists a non-integer {u!r}")
                 if not 0 <= u < n:
                     raise ParseError(f"vertex {v} lists out-of-range neighbour {u}")
                 if u == v:
@@ -283,8 +290,9 @@ class PlaneGraph:
         )
 
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
+        # a bridge's one face is never a triangle, so two 3-sides are two faces
         f1, f2 = self.edge_faces(u, v)
-        return f1 != f2 and self.face_lens[f1] == 3 and self.face_lens[f2] == 3
+        return self.face_lens[f1] == 3 and self.face_lens[f2] == 3
 
     def edge_large_face_count(self, u: int, v: int) -> int:
         """How many of the edge's two sides are faces of length >= 5."""
@@ -422,6 +430,8 @@ class PlaneGraph:
             rots = obj["rotations"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
+        if type(n) is not int or type(m) is not int:
+            raise ParseError(f"n and m must be integers, got {n!r} and {m!r}")
         g = cls(rots)
         if g.n != n or g.m != m:
             raise ParseError(

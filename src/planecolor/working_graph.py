@@ -10,22 +10,21 @@ with an empty rotation.  A step touches only the hole:
   counted from the rotations when detection asks for it;
 * corner data is re-walked only around the hole: the corners next to
   the deleted vertex's slot in each patched rotation, and the corners
-  of the 4-faces the deleted vertex was on.  Every other corner key of
-  a patched vertex is spliced along with its rotation, because a face
-  the step did not touch keeps its key.  Detection reads a corner's
-  face length capped at 5, and face identity only for faces of length
-  at most 4, so no walk goes further than 5 darts, and a walk that
-  finds a longer face keys every corner it passed.
+  of the 4-faces the deleted vertex was on.  Every other corner of a
+  patched vertex is spliced along with its rotation, because a face
+  the step did not touch keeps its length.
+
+A corner holds the length of its face capped at 5: detection asks for
+3-faces, 4-faces and 5+-faces, so no walk goes further than 5 darts,
+and a walk that finds a longer face gives every corner it passed the
+length 5.  Lengths also settle the two questions of face identity that
+detection asks: a vertex of degree at least 3 meets a face of length at
+most 4 at one corner only, and the one face of a bridge is never a
+triangle.
 
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
-``rotations``, ``corner_faces``, ``corner_lens``, ``has_edge``,
-``edge_in_two_triangles``, ``d2``), so the predicates in
-``configurations`` run on it unchanged.
-
-Face ids are keys ``code * 8 + length``.  A face of length at most 4
-is keyed by the least code ``tail * N + head`` of its darts, so every
-corner on it shares the key.  Nothing compares longer faces by
-identity, so every corner on one has the key 5: its capped length.
+``rotations``, ``corner_lens``, ``has_edge``, ``edge_in_two_triangles``,
+``d2``), so the predicates in ``configurations`` run on it unchanged.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class WorkingGraph:
         "_size",
         "_alive",
         "_dead_tree",
-        "_cface",
+        "_clen",
     )
 
     def __init__(self, g: PlaneGraph) -> None:
@@ -99,23 +98,16 @@ class WorkingGraph:
         self.n, self.m, self.num_faces = g.n, g.m, g.num_faces
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
-        self._cface = self._initial_corner_keys(g)
+        self._clen = self._initial_corner_lens(g)
 
     @staticmethod
-    def _initial_corner_keys(g: PlaneGraph) -> list[list[int]]:
-        n, face, flen = g.n, g.face_of_dart, g.face_lens
-        least = [n * n] * g.num_faces  # above every code
-        for t, h, f in zip(g.dart_tail, g.rot_flat, face):
-            if flen[f] < _CAP and t * n + h < least[f]:
-                least[f] = t * n + h
-        key = [
-            least[f] * 8 + ln if ln < _CAP else _CAP for f, ln in enumerate(flen)
-        ]
-        rs = g.rot_start
+    def _initial_corner_lens(g: PlaneGraph) -> list[list[int]]:
+        face, rs = g.face_of_dart, g.rot_start
+        flen = [min(ln, _CAP) for ln in g.face_lens]
         # corner i of v is traced by the dart v -> rot[v][i + 1]
         return [
-            [key[f] for f in face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1]]
-            for v in range(n)
+            [flen[f] for f in face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1]]
+            for v in range(g.n)
         ]
 
     # ==================================================================
@@ -128,18 +120,15 @@ class WorkingGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
 
-    def corner_faces(self, v: int) -> tuple[int, ...]:
-        return tuple(self._cface[v])
-
     def corner_lens(self, v: int) -> tuple[int, ...]:
         """Face length in each corner of v, capped at 5."""
-        return tuple([key & 7 for key in self._cface[v]])
+        return tuple(self._clen[v])
 
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
-        # the dart u -> rot[u][i] traces the face of corner i - 1
-        f1 = self._cface[u][self.rotations[u].index(v) - 1]
-        f2 = self._cface[v][self.rotations[v].index(u) - 1]
-        return f1 != f2 and f1 & 7 == 3 and f2 & 7 == 3
+        # the dart u -> rot[u][i] traces the face of corner i - 1; a
+        # bridge's one face is never a triangle, so two 3-sides are two faces
+        clen, rot = self._clen, self.rotations
+        return clen[u][rot[u].index(v) - 1] == 3 and clen[v][rot[v].index(u) - 1] == 3
 
     # ==================================================================
     # other queries
@@ -252,34 +241,35 @@ class WorkingGraph:
         # so the rows and the ring together are dv's distance-two ball
         ball = set(chain.from_iterable(new.values()))
         ball.update(ring)
-        cface = self._cface
+        clen = self._clen
         changed = set(ring)
         # a triangle at dv has its other corners next to dv's slots, and
-        # a longer face has no short key, so only the 4-faces at dv leave
-        # short keys elsewhere: on the ring they are walked again, and off
-        # it they take the long key unless a walk below finds a short face
-        for i, key in enumerate(cface[dv]):
-            if key & 7 == 4:
+        # a longer face has length 5 at every corner, so only the 4-faces
+        # at dv leave short lengths elsewhere: on the ring they are walked
+        # again, and off it they take length 5 unless a walk below finds
+        # a short face
+        for i, ln in enumerate(clen[dv]):
+            if ln == 4:
                 for y, j in self._walk(dv, i)[1]:
                     if y in slot:
-                        cface[y][j] = None
+                        clen[y][j] = None
                     elif y != dv:
-                        cface[y][j] = _CAP
+                        clen[y][j] = _CAP
                         changed.add(y)
 
         for w, row in new.items():
-            # splice w's corner keys as its rotation was spliced: corners
-            # away from the slot keep their keys, the k + 1 around it are
-            # walked again
+            # splice w's corner lengths as its rotation was spliced:
+            # corners away from the slot keep their lengths, the k + 1
+            # around it are walked again
             s = slot[w]
-            keys = cface[w]
-            keys[s : s + 1] = [None] * len(order[w])
-            if keys:
-                keys[s - 1] = None
+            lens = clen[w]
+            lens[s : s + 1] = [None] * len(order[w])
+            if lens:
+                lens[s - 1] = None
             rot[w] = row
             self.deg[w] = len(row)
         rot[dv] = []
-        cface[dv] = []
+        clen[dv] = []
         self.deg[dv] = 0
         self._alive[dv] = 0
         i = dv + 1
@@ -290,19 +280,19 @@ class WorkingGraph:
         self.m += len(chords) - d
         self.num_faces += 1 - d + len(chords)
 
-        # unchanged short faces keep their least dart; every corner of a
-        # long face has the same key, so only a short one changes a vertex
+        # every corner of a long face already has length 5, so only a
+        # short face changes a vertex
         for w in ring:
-            keys = cface[w]
-            for i, key in enumerate(keys):
-                if key is None:
-                    key, corners = self._walk(w, i)
-                    if key == _CAP:
+            lens = clen[w]
+            for i, ln in enumerate(lens):
+                if ln is None:
+                    ln, corners = self._walk(w, i)
+                    if ln == _CAP:
                         for y, j in corners:
-                            cface[y][j] = _CAP
+                            clen[y][j] = _CAP
                     else:
                         for y, j in corners:
-                            cface[y][j] = key
+                            clen[y][j] = ln
                             changed.add(y)
         # N2[ring] | N1[changed], as N1[N1(ring) | changed]
         near = ball | changed
@@ -314,27 +304,23 @@ class WorkingGraph:
     def _walk(self, v: int, i: int):
         """Walk the face of corner i at v for at most 5 corners.
 
-        Returns the face's key and the corners passed, as (vertex, index)
-        pairs: every corner of a face of length at most 4, and the first
-        5 of a longer one, whose key is 5.
+        Returns the face's length capped at 5 and the corners passed, as
+        (vertex, index) pairs: every corner of a face of length at most
+        4, and the first 5 of a longer one.
         """
-        rot, size = self.rotations, self._size
+        rot = self.rotations
         r = rot[v]
         x, y = v, r[(i + 1) % len(r)]
-        best = x * size + y
         corners = [(v, i)]
         while True:
             r = rot[y]
             j = r.index(x)
             if y == v and j == i:
-                return best * 8 + len(corners), corners
+                return len(corners), corners
             corners.append((y, j))
             if len(corners) == _CAP:
                 return _CAP, corners
             x, y = y, r[(j + 1) % len(r)]
-            code = x * size + y
-            if code < best:
-                best = code
 
     def _euler_holds(self, dv: int, pos, order, added: int) -> bool:
         """Euler's formula for the patched graph, from the hole alone.

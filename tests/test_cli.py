@@ -93,6 +93,33 @@ class TestValidate:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"palette": 16, "colors": [1, 2]},
+            {"palette": 16, "colors": {"0": 1.7, "1": 2}},
+            {"palette": 16, "colors": {"0": "1"}},
+            {"palette": 16, "colors": {"0": True}},
+            {"palette": 16, "colors": {"0": None}},
+            {"palette": "16", "colors": {"0": 1}},
+            {"palette": 16, "colors": {" 0": 1}},
+            {"palette": 16, "colors": {"00": 1}},
+            {"palette": 16, "colors": {"-1": 1}},
+            {"palette": 16},
+            [16],
+            5,
+        ],
+    )
+    def test_malformed_coloring_exits_2(self, capsys, caplog, tmp_path, cube_file, doc):
+        colors = tmp_path / "colors.json"
+        colors.write_text(json.dumps(doc))
+        caplog.clear()
+        code, rows = run_lines(
+            capsys, ["validate", "--in", cube_file, "--colors", str(colors)]
+        )
+        assert (code, rows) == (EXIT_INPUT, [])
+        assert [r.args[0] for r in caplog.records] == ["ParseError"]
+
 
 class TestColor:
     def test_colors_named_graph(self, capsys, cube_file):
@@ -279,6 +306,25 @@ class TestHostileInput:
             capsys, ["batch", "--count", "1", "--dump", str(tmp_path / "d")]
         )
         assert_ok_or_typed_error(code, rows_out, caplog)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "m": 3, "rotations": ["12", "20", "01"]},
+            {"n": 2, "m": 1, "rotations": [[1.9], [0.2]]},
+            {"n": 2, "m": 1, "rotations": [[True], [False]]},
+            {"n": 1, "m": 0, "rotations": [None]},
+            {"n": 1, "m": 0, "rotations": 5},
+            {"n": 2, "m": 1, "rotations": [[{}], [0]]},
+        ],
+    )
+    def test_malformed_json_graph_exits_2(self, doc, tmp_path, capsys, caplog):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        caplog.clear()
+        code, rows = run_lines(capsys, ["validate", "--in", str(path)])
+        assert (code, rows) == (EXIT_INPUT, [])
+        assert [r.args[0] for r in caplog.records] == ["ParseError"]
 
 
 # every flag each subcommand takes, with a value to parse (None for a switch)

@@ -66,6 +66,23 @@ class TestConstruction:
         with pytest.raises(ParseError):
             PlaneGraph([[5], [0]])
 
+    @pytest.mark.parametrize(
+        "rotations",
+        [
+            ["12", "20", "01"],  # strings of digits, not lists
+            [[1.9], [0.2]],
+            [[1.0], [0.0]],
+            [[True], [False]],
+            [None],
+            5,
+            [[{}], [0]],
+            [["1"], ["0"]],
+        ],
+    )
+    def test_rejects_what_is_not_lists_of_ints(self, rotations):
+        with pytest.raises(ParseError):
+            PlaneGraph(rotations)
+
 
 class TestAccessors:
     def test_cube_metrics(self, cube):
@@ -159,6 +176,23 @@ class TestSerialization:
     def test_json_round_trip(self, corpus_graph):
         g = corpus_graph
         assert PlaneGraph.from_json(json.loads(g.to_json_text())) == g
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "m": 3, "rotations": ["12", "20", "01"]},
+            {"n": 2, "m": 1, "rotations": [[1.9], [0.2]]},
+            {"n": 2, "m": 1, "rotations": [[True], [False]]},
+            {"n": 1, "m": 0, "rotations": [None]},
+            {"n": 1, "m": 0, "rotations": 5},
+            {"n": 2, "m": 1, "rotations": [[{}], [0]]},
+            {"n": 2.0, "m": 1, "rotations": [[1], [0]]},
+            {"n": 2, "m": True, "rotations": [[1], [0]]},
+        ],
+    )
+    def test_json_rejects_what_is_not_ints(self, doc):
+        with pytest.raises(ParseError):
+            PlaneGraph.from_json(json.dumps(doc))
 
     def test_parse_with_comments(self):
         text = "# a triangle\n3 3\n0: 1 2\n1: 2 0\n2: 0 1\n"

@@ -16,6 +16,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from planecolor import reducer
 from planecolor.configurations import (
@@ -31,6 +32,7 @@ from planecolor.errors import (
     DegreeOverflow,
     Disconnected,
     EmbeddingBroken,
+    EngineError,
     NotPlanarEmbedding,
 )
 from planecolor.exact_solver import UNKNOWN
@@ -45,6 +47,7 @@ from planecolor.reducer import (
     is_proper_wrt,
 )
 from planecolor.working_graph import WorkingGraph, _crossing, _targets_in_order
+from strategies import rotation_systems
 
 CROSSING_MATCH_RULES = {"R-good-c", "R-good-d1", "R-good-d2", "R-5t4n-b1"}
 
@@ -147,8 +150,8 @@ def color_large_input() -> PlaneGraph:
 
 def assert_matches_rebuild(wg: WorkingGraph) -> None:
     """The working graph agrees with a PlaneGraph built from scratch on
-    its rotations: d2, capped corner lengths, short-face identity, the
-    face count and Euler's identity."""
+    its rotations: d2, capped corner lengths, the face count and Euler's
+    identity."""
     h = wg.to_plane_graph()
     live = wg.alive()
     assert [[live[u] for u in row] for row in h.rotations] == [
@@ -157,17 +160,11 @@ def assert_matches_rebuild(wg: WorkingGraph) -> None:
     assert all(not wg.rotations[v] for v in set(range(len(wg.rotations))) - set(live))
     assert (wg.n, wg.m, wg.num_faces) == (h.n, h.m, h.num_faces)
     assert wg.n - wg.m + wg.num_faces == 2
-    short: dict[int, int] = {}
     for i, v in enumerate(live):
         assert wg.label(v) == i
         assert wg.d2(v) == h.d2(i)
         assert wg.deg[v] == h.degree(i)
-        keys, lens, fids = wg.corner_faces(v), wg.corner_lens(v), h.corner_faces(i)
-        assert list(lens) == [min(h.face_lens[f], 5) for f in fids]
-        for k, ln, f in zip(keys, lens, fids):
-            if ln < 5:
-                assert short.setdefault(k, f) == f
-    assert len(set(short.values())) == len(short)
+        assert wg.corner_lens(v) == tuple(min(ln, 5) for ln in h.corner_lens(i))
 
 
 def snapshot(wg: WorkingGraph):
@@ -177,7 +174,7 @@ def snapshot(wg: WorkingGraph):
         buckets.setdefault(wg.deg[v], []).append(v)
     return (
         copy.deepcopy(wg.rotations),
-        [wg.corner_faces(v) for v in range(size)],
+        [wg.corner_lens(v) for v in range(size)],
         [wg.d2(v) for v in range(size)],
         buckets,
         (wg.n, wg.m, wg.num_faces),
@@ -386,8 +383,8 @@ class TestWorkingGraph:
             ctx.forget(changed)
             fresh = _Ctx(wg)
             for v, got in ctx._frames.items():
-                assert [(f.w, f.cfl, f.cfid) for f in got] == [
-                    (f.w, f.cfl, f.cfid) for f in fresh.frames(v)
+                assert [(f.w, f.cfl) for f in got] == [
+                    (f.w, f.cfl) for f in fresh.frames(v)
                 ]
             for v, got in ctx._badmemo.items():
                 assert got == fresh.bad_kind(v)
@@ -568,6 +565,55 @@ def glued(rng: random.Random) -> PlaneGraph:
     i = rng.randrange(len(rows[x]) + 1)
     rows[x][i:i] = [shift[u] for u in g2.rotations[y]]
     return PlaneGraph(rows)
+
+
+# ======================================================================
+# face lengths settle face identity
+# ======================================================================
+
+
+def assert_short_faces_meet_once(g: PlaneGraph) -> None:
+    """The two facts that let corners carry lengths only: a vertex of
+    degree at least 3 meets each face of length at most 4 at one corner,
+    and an edge with a 3-face on each side has two faces."""
+    for v in range(g.n):
+        if g.deg[v] >= 3:
+            short = [f for f in g.corner_faces(v) if g.face_lens[f] <= 4]
+            assert len(set(short)) == len(short), v
+    for u, v in g.edges():
+        f1, f2 = g.edge_faces(u, v)
+        if g.face_lens[f1] == g.face_lens[f2] == 3:
+            assert f1 != f2, (u, v)
+
+
+SHORT_FACE_INPUTS = {
+    "named": lambda: map(named, NAMED_GRAPHS),
+    # the first 200 inputs of acceptance criterion 1
+    "criterion-1": lambda: (random_plane(20 + i % 181, seed=i) for i in range(200)),
+    "medial_plus": lambda: (medial_plus(40, s, extra=30) for s in range(15)),
+}
+
+
+class TestShortFacesMeetOnce:
+    @pytest.mark.parametrize("inputs", SHORT_FACE_INPUTS)
+    def test_corpus(self, inputs):
+        for g in SHORT_FACE_INPUTS[inputs]():
+            assert_short_faces_meet_once(g)
+
+    @settings(max_examples=600, deadline=None)
+    @given(rows=rotation_systems())
+    def test_rotation_systems(self, rows):
+        try:
+            g = PlaneGraph(rows)
+        except EngineError:
+            return  # only rotation systems that build are plane graphs
+        assert_short_faces_meet_once(g)
+
+    def test_two_vertex_meets_a_four_face_twice(self):
+        # the path a-v-b: why the degree must be at least 3
+        g = PlaneGraph([[1], [0, 2], [1]])
+        assert g.corner_lens(1) == (4, 4)
+        assert len(set(g.corner_faces(1))) == 1
 
 
 # ======================================================================
