@@ -42,25 +42,15 @@ class Coloring:
             obj = json.loads(obj)
         try:
             palette, colors = obj["palette"], obj["colors"]
-        except (KeyError, TypeError) as exc:
+            out = {int(k): c for k, c in colors.items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad coloring JSON: {exc}") from exc
-        # ints only, nothing coerced; a bool is not an int here
-        if type(palette) is not int or not isinstance(colors, dict):
-            raise ParseError(
-                "bad coloring JSON: palette must be an integer and colors an object"
-            )
-        out = {}
-        for k, c in colors.items():
-            # a key is a vertex id written as to_json writes it
-            if not (
-                isinstance(k, str)
-                and k.isascii()
-                and k.isdigit()
-                and str(int(k)) == k
-                and type(c) is int
-            ):
-                raise ParseError(f"bad coloring JSON: entry {k!r}: {c!r}")
-            out[int(k)] = c
+        # nothing is coerced: keys are vertex ids as to_json writes them,
+        # values are ints, and a bool is not an int here
+        if list(map(str, out)) != list(colors) or not all(
+            type(c) is int for c in (palette, *out.values())
+        ):
+            raise ParseError("bad coloring JSON: a key or value is not an integer")
         return cls(palette=palette, colors=out)
 
 

@@ -114,22 +114,19 @@ class PlaneGraph:
     )
 
     def __init__(self, rotations) -> None:
-        # lists of ints, nothing coerced; a bool is not an int here
-        if not isinstance(rotations, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rotations
-        ):
-            raise ParseError("rotations must be a list of lists of integers")
-        rots = tuple(map(tuple, rotations))
+        try:
+            rots = tuple(map(tuple, rotations))
+        except TypeError as exc:
+            raise ParseError(f"rotations are not lists: {exc}") from exc
         n = len(rots)
         if n == 0:
             raise ParseError("empty vertex set")
         pos = []  # per vertex: neighbour -> its place in the rotation
         for v, row in enumerate(rots):
             for u in row:
-                if type(u) is not int:
-                    raise ParseError(f"vertex {v} lists a non-integer {u!r}")
-                if not 0 <= u < n:
-                    raise ParseError(f"vertex {v} lists out-of-range neighbour {u}")
+                # nothing is coerced, and a bool is not an int here
+                if type(u) is not int or not 0 <= u < n:
+                    raise ParseError(f"vertex {v} lists the neighbour {u!r}")
                 if u == v:
                     raise ParseError(f"self-loop at vertex {v}")
             at = {u: i for i, u in enumerate(row)}
@@ -430,12 +427,10 @@ class PlaneGraph:
             rots = obj["rotations"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
-        if type(n) is not int or type(m) is not int:
-            raise ParseError(f"n and m must be integers, got {n!r} and {m!r}")
         g = cls(rots)
-        if g.n != n or g.m != m:
+        if type(n) is not int or type(m) is not int or (g.n, g.m) != (n, m):
             raise ParseError(
-                f"declared n={n} m={m} but rotations give n={g.n} m={g.m}"
+                f"declared n={n!r} m={m!r} but rotations give n={g.n} m={g.m}"
             )
         return g
 

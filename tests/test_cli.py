@@ -104,7 +104,6 @@ class TestValidate:
             {"palette": "16", "colors": {"0": 1}},
             {"palette": 16, "colors": {" 0": 1}},
             {"palette": 16, "colors": {"00": 1}},
-            {"palette": 16, "colors": {"-1": 1}},
             {"palette": 16},
             [16],
             5,
