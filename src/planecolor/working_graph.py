@@ -287,13 +287,10 @@ class WorkingGraph:
             for i, ln in enumerate(lens):
                 if ln is None:
                     ln, corners = self._walk(w, i)
-                    if ln == _CAP:
-                        for y, j in corners:
-                            clen[y][j] = _CAP
-                    else:
-                        for y, j in corners:
-                            clen[y][j] = ln
-                            changed.add(y)
+                    for y, j in corners:
+                        clen[y][j] = ln
+                    if ln < _CAP:
+                        changed.update(y for y, _ in corners)
         # N2[ring] | N1[changed], as N1[N1(ring) | changed]
         near = ball | changed
         reach = set(chain.from_iterable(map(rot.__getitem__, near)))
