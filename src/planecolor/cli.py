@@ -181,20 +181,24 @@ def _batch_one(g: PlaneGraph, index: int, seed: Optional[int], budget: int) -> d
     return row
 
 
+def _batch_graphs(args):
+    """The graphs of a batch with their seeds, in row order.  Each is
+    made when the loop asks for it, so memory does not grow with
+    --count."""
+    if args.corpus:
+        for name in NAMED_GRAPHS:
+            yield named(name), None
+    for seed in range(args.seed, args.seed + args.count):
+        yield random_plane(args.n, seed=seed), seed
+
+
 def _cmd_batch(args) -> int:
     failures = 0
     graphs = 0
     reductions = 0
     anomalies = 0
     max_colors = 0
-    runs: list[tuple[PlaneGraph, int, Optional[int]]] = []
-    if args.corpus:
-        for i, name in enumerate(NAMED_GRAPHS):
-            runs.append((named(name), i, None))
-    for i in range(args.count):
-        seed = args.seed + i
-        runs.append((random_plane(args.n, seed=seed), len(runs), seed))
-    for g, index, seed in runs:
+    for index, (g, seed) in enumerate(_batch_graphs(args)):
         row = _batch_one(g, index, seed, args.budget)
         _emit(row, args.format)
         graphs += 1

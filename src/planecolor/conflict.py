@@ -51,6 +51,8 @@ class Coloring:
             type(c) is int for c in (palette, *out.values())
         ):
             raise ParseError("bad coloring JSON: a key or value is not an integer")
+        if min(out, default=0) < 0:
+            raise ParseError(f"bad coloring JSON: negative vertex id {min(out)}")
         return cls(palette=palette, colors=out)
 
 
@@ -58,7 +60,8 @@ class Coloring:
 class ConflictReport:
     """Outcome of validating a coloring against a graph.
 
-    valid is True exactly when violations and uncolored are both empty.
+    valid is True exactly when violations, uncolored and not_in_graph
+    are all empty.  not_in_graph lists the colored ids outside 0..n-1.
     over_palette lists colored vertices whose color falls outside
     1..palette; it does not affect validity but callers that promised a
     palette should treat it as failure.
@@ -68,6 +71,7 @@ class ConflictReport:
     violations: tuple[tuple[int, int, int], ...]
     uncolored: tuple[int, ...]
     over_palette: tuple[tuple[int, int], ...]
+    not_in_graph: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -75,6 +79,7 @@ class ConflictReport:
             "violations": [list(t) for t in self.violations],
             "uncolored": list(self.uncolored),
             "over_palette": [list(t) for t in self.over_palette],
+            "not_in_graph": list(self.not_in_graph),
         }
 
 
@@ -97,16 +102,23 @@ def conflict_sets(g: PlaneGraph, coloring: Coloring) -> list[tuple[int, int, int
 
 def validate(g: PlaneGraph, coloring: Coloring) -> ConflictReport:
     """Full conflict report for a coloring."""
+    colors = coloring.colors
     violations = tuple(conflict_sets(g, coloring))
-    uncolored = tuple(v for v in range(g.n) if v not in coloring.colors)
+    uncolored = tuple(v for v in range(g.n) if v not in colors)
+    # every id of the graph that is not uncolored is colored, so any
+    # further key is an id the graph does not have
+    extra = ()
+    if len(colors) != g.n - len(uncolored):
+        extra = tuple(sorted(v for v in colors if not 0 <= v < g.n))
     over = tuple(
         (v, c)
-        for v, c in sorted(coloring.colors.items())
+        for v, c in sorted(colors.items())
         if not 1 <= c <= coloring.palette
     )
     return ConflictReport(
-        valid=not violations and not uncolored,
+        valid=not violations and not uncolored and not extra,
         violations=violations,
         uncolored=uncolored,
         over_palette=over,
+        not_in_graph=extra,
     )

@@ -172,37 +172,41 @@ def _grow_triangulation(n: int, rng: random.Random):
 
 def _trim_to_degree_five(rots: list[list[int]]) -> None:
     # degrees only fall, so once the pass is past a vertex no vertex
-    # before it reaches degree 6 again: edges go in least-id-first order
-    for v in range(len(rots)):
-        while len(rots[v]) >= 6:
-            # drop the edge toward the heaviest neighbour, smallest id on ties
-            u = max(rots[v], key=lambda t: (len(rots[t]), -t))
-            rots[v].remove(u)
-            rots[u].remove(v)
+    # before it reaches degree 6 again: edges go in least-id-first order.
+    # v drops edges toward its heaviest neighbour, smallest id on ties,
+    # one at a time; a drop changes only the degrees of v and of the
+    # neighbour, which then leaves the row, so one sort gives them all
+    for v, row in enumerate(rots):
+        if len(row) >= 6:
+            for u in sorted(row, key=lambda t: (-len(rots[t]), t))[: len(row) - 5]:
+                row.remove(u)
+                rots[u].remove(v)
 
 
 def _largest_component(rots: list[list[int]]):
     n = len(rots)
     comp = [-1] * n
-    nc = 0
+    sizes: list[int] = []
     for s in range(n):
         if comp[s] >= 0:
             continue
+        c = len(sizes)
+        comp[s] = c
         stack = [s]
-        comp[s] = nc
+        size = 1
         while stack:
-            x = stack.pop()
-            for y in rots[x]:
+            for y in rots[stack.pop()]:
                 if comp[y] < 0:
-                    comp[y] = nc
+                    comp[y] = c
                     stack.append(y)
-        nc += 1
-    sizes = [0] * nc
-    for c in comp:
-        sizes[c] += 1
-    best = max(range(nc), key=lambda c: (sizes[c], -c))
+                    size += 1
+        sizes.append(size)
+    # the largest component, the one found first on ties
+    best = sizes.index(max(sizes))
     keep = [v for v in range(n) if comp[v] == best]
-    remap = {old: new for new, old in enumerate(keep)}
+    remap = [0] * n
+    for new, old in enumerate(keep):
+        remap[old] = new
     return [[remap[u] for u in rots[old]] for old in keep]
 
 

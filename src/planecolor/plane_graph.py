@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .errors import (
     AsymmetricRotation,
@@ -123,21 +124,20 @@ class PlaneGraph:
             raise ParseError("empty vertex set")
         pos = []  # per vertex: neighbour -> its place in the rotation
         for v, row in enumerate(rots):
-            for u in row:
+            at = {}
+            for i, u in enumerate(row):
                 # nothing is coerced, and a bool is not an int here
                 if type(u) is not int or not 0 <= u < n:
                     raise ParseError(f"vertex {v} lists the neighbour {u!r}")
                 if u == v:
                     raise ParseError(f"self-loop at vertex {v}")
-            at = {u: i for i, u in enumerate(row)}
+                at[u] = i
             if len(at) != len(row):
                 raise ParseError(f"repeated neighbour in rotation of vertex {v}")
             pos.append(at)
 
         deg = tuple(map(len, rots))
-        rot_start = [0]
-        for d in deg:
-            rot_start.append(rot_start[-1] + d)
+        rot_start = (0, *accumulate(deg))
         mirror: list[int] = []
         for v, row in enumerate(rots):
             for u in row:
@@ -152,9 +152,9 @@ class PlaneGraph:
         self.m = len(mirror) // 2
         self.rotations = rots
         self.deg = deg
-        self.rot_start = tuple(rot_start)
-        self.rot_flat = tuple(u for row in rots for u in row)
-        self.dart_tail = tuple(v for v, d in enumerate(deg) for _ in range(d))
+        self.rot_start = rot_start
+        self.rot_flat = tuple(chain.from_iterable(rots))
+        self.dart_tail = tuple(chain.from_iterable(map(repeat, range(n), deg)))
         self.mirror = tuple(mirror)
         self._check_connected()
 
@@ -163,13 +163,9 @@ class PlaneGraph:
             self.face_of_dart = ()
             self.face_lens = (0,)
         else:
-            face_of = [0] * len(mirror)
-            orbits = _orbits(self._successors())
-            for f, orbit in enumerate(orbits):
-                for p in orbit:
-                    face_of[p] = f
+            face_of, lens, _ = _trace(self._successors())
             self.face_of_dart = tuple(face_of)
-            self.face_lens = tuple(map(len, orbits))
+            self.face_lens = tuple(lens)
         self.num_faces = len(self.face_lens)
         if self.n - self.m + self.num_faces != 2:
             raise NotPlanarEmbedding(
@@ -205,11 +201,13 @@ class PlaneGraph:
         """Next dart along the face boundary, for every dart: the walk
         arrives at u along v -> u and leaves along the dart after
         u -> v in u's rotation."""
-        rs, deg = self.rot_start, self.deg
-        return [
-            rs[u] + (q - rs[u] + 1) % deg[u]
-            for u, q in zip(self.rot_flat, self.mirror)
-        ]
+        # after[q]: the dart after q in its tail's rotation
+        after = list(range(1, len(self.mirror) + 1))
+        rs = self.rot_start
+        for lo, hi in zip(rs, rs[1:]):
+            if lo < hi:
+                after[hi - 1] = lo
+        return list(map(after.__getitem__, self.mirror))
 
     # ==================================================================
     # basic queries
@@ -449,21 +447,33 @@ class PlaneGraph:
 # ======================================================================
 
 
-def _orbits(succ: list[int]) -> list[list[int]]:
-    """The cycles of the dart successor permutation, each from its least
-    dart, in the order of those darts: the faces by id."""
-    seen = [False] * len(succ)
-    out = []
+def _trace(succ: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Walk the cycles of the dart successor permutation, each from its
+    least dart, in the order of those darts: the faces by id.
+
+    Returns the face id of every dart, the length of every face, and
+    all darts in walk order, one face after the other."""
+    face_of = [-1] * len(succ)
+    lens: list[int] = []
+    walk: list[int] = []
+    step = walk.append
     for p0 in range(len(succ)):
-        if not seen[p0]:
-            orbit = []
+        if face_of[p0] < 0:
+            f = len(lens)
+            start = len(walk)
             p = p0
-            while not seen[p]:
-                seen[p] = True
-                orbit.append(p)
+            while face_of[p] < 0:
+                face_of[p] = f
+                step(p)
                 p = succ[p]
-            out.append(orbit)
-    return out
+            lens.append(len(walk) - start)
+    return face_of, lens, walk
+
+
+def _orbits(succ: list[int]) -> list[list[int]]:
+    """The faces by id, each as its darts in walk order."""
+    _, lens, walk = _trace(succ)
+    return [walk[end - k : end] for end, k in zip(accumulate(lens), lens)]
 
 
 def from_rotation_text(text: str) -> PlaneGraph:

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, JSON output, dumps, batch summary."""
 
+import hashlib
 import io
 import json
 import logging
@@ -81,6 +82,24 @@ class TestValidate:
         assert rows[0]["coloring"]["valid"] is False
         assert list(dump.glob("*.rot"))
 
+    def test_ids_outside_graph_dump_and_exit_3(self, capsys, tmp_path, cube_file):
+        colors = tmp_path / "colors.json"
+        colors.write_text(json.dumps({
+            "palette": 16,
+            "colors": {"0": 1, "6": 1, "1": 2, "7": 2,
+                       "2": 3, "4": 3, "3": 4, "5": 4, "8": 1, "99": 1},
+        }))
+        dump = tmp_path / "dumps"
+        code, rows = run_lines(
+            capsys,
+            ["validate", "--in", cube_file, "--colors", str(colors),
+             "--dump", str(dump)],
+        )
+        assert code == EXIT_FALSIFIED
+        assert rows[0]["coloring"]["valid"] is False
+        assert rows[0]["coloring"]["not_in_graph"] == [8, 99]
+        assert list(dump.glob("*.rot"))
+
     def test_garbage_input_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.rot"
         bad.write_text("not a graph\n")
@@ -104,6 +123,7 @@ class TestValidate:
             {"palette": "16", "colors": {"0": 1}},
             {"palette": 16, "colors": {" 0": 1}},
             {"palette": 16, "colors": {"00": 1}},
+            {"palette": 16, "colors": {"0": 1, "-1": 2}},
             {"palette": 16},
             [16],
             5,
@@ -245,6 +265,34 @@ class TestBatch:
         )
         assert code == EXIT_OK
         assert rows[-1]["graphs"] == 15
+
+    def test_rows_pinned(self, capsys):
+        # sha256 of the whole output, written when batch still built
+        # every graph before coloring the first
+        code = run(["batch", "--n", "60", "--count", "20", "--corpus"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "87277db8e4bf00780c6c4d898c35c9ee58d9c53344a004425bfd1f49f8f445f7"
+        )
+
+    def test_graphs_made_one_at_a_time(self, capsys, caplog, monkeypatch):
+        made = []
+
+        def fake_random_plane(n, seed):
+            if seed == 2:
+                raise errors.GenerationFailed(f"no admissible graph for seed={seed}")
+            made.append(seed)
+            return named("cube")
+
+        monkeypatch.setattr(cli, "random_plane", fake_random_plane)
+        caplog.clear()
+        code, rows = run_lines(capsys, ["batch", "--count", "4", "--n", "8"])
+        # the rows before the failing graph are out, nothing after it
+        assert code == EXIT_INPUT
+        assert [r["seed"] for r in rows] == [0, 1]
+        assert made == [0, 1]
+        assert [r.args[0] for r in caplog.records] == ["GenerationFailed"]
 
 
 class TestTextFormat:

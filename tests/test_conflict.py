@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecolor.conflict import Coloring, conflict_sets, validate
+from planecolor.errors import ParseError
 from planecolor.generators import named, random_plane
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
@@ -55,6 +57,39 @@ def test_over_palette_flagged_but_separate():
     assert rep.violations == ()
 
 
+# a proper coloring of the cube: its distance-two pairs split into four
+# antipodal classes
+CUBE_COLORS = {"0": 1, "6": 1, "1": 2, "7": 2, "2": 3, "4": 3, "3": 4, "5": 4}
+
+
+def test_ids_outside_graph_invalidate():
+    col = Coloring.from_json({"palette": 16, "colors": {**CUBE_COLORS, "8": 1, "99": 1}})
+    rep = validate(named("cube"), col)
+    assert not rep.valid
+    assert rep.not_in_graph == (8, 99)
+    assert rep.violations == () and rep.uncolored == ()
+    assert rep.to_json()["not_in_graph"] == [8, 99]
+
+
+def test_proper_cube_coloring_has_nothing_outside():
+    rep = validate(named("cube"), Coloring.from_json({"palette": 16, "colors": CUBE_COLORS}))
+    assert rep.valid
+    assert rep.not_in_graph == ()
+
+
+def test_outside_ids_reported_beside_uncolored():
+    # as many keys as the graph has vertices, but two of them are foreign
+    rep = validate(named("k4"), Coloring(palette=16, colors={0: 1, 1: 2, 4: 3, 7: 4}))
+    assert rep.uncolored == (2, 3)
+    assert rep.not_in_graph == (4, 7)
+
+
+@pytest.mark.parametrize("key", ["-1", "-0", "-12"])
+def test_negative_key_rejected(key):
+    with pytest.raises(ParseError):
+        Coloring.from_json({"palette": 16, "colors": {"0": 1, key: 2}})
+
+
 def test_coloring_json_round_trip():
     col = Coloring(palette=16, colors={0: 3, 5: 1, 2: 16})
     again = Coloring.from_json(json.loads(json.dumps(col.to_json())))
@@ -79,6 +114,9 @@ def graph_and_coloring(draw):
     for v in range(g.n):
         if draw(st.integers(min_value=0, max_value=9)) > 0:  # mostly colored
             colors[v] = draw(st.integers(min_value=1, max_value=palette))
+    # now and then ids the graph does not have
+    for v in draw(st.lists(st.integers(min_value=g.n, max_value=g.n + 5), max_size=2)):
+        colors[v] = draw(st.integers(min_value=1, max_value=palette))
     return g, Coloring(palette=palette, colors=colors)
 
 
@@ -94,4 +132,7 @@ class TestConflictProperties:
     def test_valid_iff_no_findings(self, gc):
         g, col = gc
         rep = validate(g, col)
-        assert rep.valid == (not rep.violations and not rep.uncolored)
+        assert rep.valid == (
+            not rep.violations and not rep.uncolored and not rep.not_in_graph
+        )
+        assert rep.not_in_graph == tuple(sorted(v for v in col.colors if v >= g.n))

@@ -1,7 +1,7 @@
 """The graph core's loops against references that share no code with them.
 
-Face orbits and two-hop rows are checked against walks written out
-here.  The k-coloring search is checked against what the numpy build of
+Face orbits, the faces and duals built from them, and two-hop rows are
+checked against walks written out here.  The k-coloring search is checked against what the numpy build of
 the package returned on the same inputs: status, node count and the
 coloring found, so the search itself is pinned, not only its answers.
 """
@@ -12,12 +12,15 @@ import json
 import pytest
 
 from planecolor._kernels import SOLVE_FOUND, SOLVE_INFEASIBLE, solve_k_coloring
+from planecolor.errors import NotPlanarEmbedding, ParseError
 from planecolor.exact_solver import _static_order
-from planecolor.generators import named, random_plane
+from planecolor.generators import NAMED_GRAPHS, named, random_plane
 
 SAMPLE_GRAPHS = [named("cube"), named("icosahedron")] + [
     random_plane(n, seed=s) for n, s in [(30, 1), (77, 2), (120, 3)]
 ]
+# every named graph and one draw of the size perfbench's color-large uses
+FACE_GRAPHS = [named(name) for name in NAMED_GRAPHS] + [random_plane(690, seed=0)]
 
 # per graph: k -> (status, nodes, sha256 of the JSON of the colors found)
 SOLVER_PINS = {
@@ -48,23 +51,68 @@ def graph_id(g) -> str:
     return f"n{g.n}m{g.m}"
 
 
-def reference_faces(g):
-    """Faces as dart-index orbits, walked through (tail, head) pairs."""
+def reference_walks(g):
+    """Faces as dart-index orbits, walked through (tail, head) pairs:
+    the face of every dart and each face's (tail, head) pairs in walk
+    order from its least dart."""
     darts = [(v, u) for v, row in enumerate(g.rotations) for u in row]
     index = {d: p for p, d in enumerate(darts)}
     face_of = [None] * len(darts)
-    lens = []
+    walks = []
     for p0, _ in enumerate(darts):
         if face_of[p0] is not None:
             continue
+        walks.append([])
         p = p0
         while face_of[p] is None:
-            face_of[p] = len(lens)
+            face_of[p] = len(walks) - 1
+            walks[-1].append(darts[p])
             v, u = darts[p]
             row = g.rotations[u]
             p = index[(u, row[(row.index(v) + 1) % len(row)])]
-        lens.append(face_of.count(len(lens)))
-    return face_of, lens
+    return face_of, walks
+
+
+def reference_faces(g):
+    face_of, walks = reference_walks(g)
+    return face_of, [face_of.count(f) for f in range(len(walks))]
+
+
+@pytest.mark.parametrize("g", FACE_GRAPHS, ids=graph_id)
+class TestFaces:
+    def test_trace_orbits(self, g):
+        face_of, lens = reference_faces(g)
+        if g.m == 0:
+            # no darts: one face of length 0
+            face_of, lens = [], [0]
+        assert list(g.face_of_dart) == face_of
+        assert list(g.face_lens) == lens
+
+    def test_faces(self, g):
+        if g.m == 0:
+            walks = [[]]
+        else:
+            walks = reference_walks(g)[1]
+        assert [(f.index, list(f.darts), f.length) for f in g.faces()] == [
+            (i, walk, len(walk)) for i, walk in enumerate(walks)
+        ]
+
+    def test_dual(self, g):
+        if g.m == 0:
+            with pytest.raises(NotPlanarEmbedding):
+                g.dual()
+            return
+        face_of, walks = reference_walks(g)
+        darts = [(v, u) for v, row in enumerate(g.rotations) for u in row]
+        index = {d: p for p, d in enumerate(darts)}
+        # face f's dual row: the face across each dart of its walk
+        rows = [[face_of[index[(u, v)]] for v, u in walk] for walk in walks]
+        if all(f not in row and len(set(row)) == len(row) for f, row in enumerate(rows)):
+            assert g.dual().rotations == tuple(map(tuple, rows))
+        else:
+            # a bridge or two faces sharing two edges: no simple dual
+            with pytest.raises(ParseError):
+                g.dual()
 
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=graph_id)
