@@ -63,18 +63,15 @@ CUBE_COLORS = {"0": 1, "6": 1, "1": 2, "7": 2, "2": 3, "4": 3, "3": 4, "5": 4}
 
 
 def test_ids_outside_graph_invalidate():
-    col = Coloring.from_json({"palette": 16, "colors": {**CUBE_COLORS, "8": 1, "99": 1}})
-    rep = validate(named("cube"), col)
+    cube = named("cube")
+    rep = validate(cube, Coloring.from_json({"palette": 16, "colors": CUBE_COLORS}))
+    assert rep.valid and rep.not_in_graph == ()
+    extra = {**CUBE_COLORS, "8": 1, "99": 1}
+    rep = validate(cube, Coloring.from_json({"palette": 16, "colors": extra}))
     assert not rep.valid
     assert rep.not_in_graph == (8, 99)
     assert rep.violations == () and rep.uncolored == ()
     assert rep.to_json()["not_in_graph"] == [8, 99]
-
-
-def test_proper_cube_coloring_has_nothing_outside():
-    rep = validate(named("cube"), Coloring.from_json({"palette": 16, "colors": CUBE_COLORS}))
-    assert rep.valid
-    assert rep.not_in_graph == ()
 
 
 def test_outside_ids_reported_beside_uncolored():

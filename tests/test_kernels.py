@@ -1,9 +1,10 @@
 """The graph core's loops against references that share no code with them.
 
 Face orbits, the faces and duals built from them, and two-hop rows are
-checked against walks written out here.  The k-coloring search is checked against what the numpy build of
-the package returned on the same inputs: status, node count and the
-coloring found, so the search itself is pinned, not only its answers.
+checked against walks written out here.  The k-coloring search is
+checked against what the numpy build of the package returned on the
+same inputs: status, node count and the coloring found, so the search
+itself is pinned, not only its answers.
 """
 
 import hashlib
