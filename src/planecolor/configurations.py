@@ -12,6 +12,19 @@ rotation at every offset and in both directions, so each written
 pattern covers all rotations and mirror images of the drawn shape.
 Corner i of a frame is the face between w_i and w_(i+1).
 
+The corners a frame must show are data: ``ReductionRule.corners`` is
+the set of corner-length tuples, lengths capped at 5 so that 5 reads
+"5 or more".  The table writes each set as a pattern with one letter
+per corner: ``3``, ``4`` or ``5`` for that length, ``x`` for not a
+triangle (4 or 5), ``s`` for at most 4 (3 or 4) and ``*`` for any,
+with ``|`` between alternatives.  So ``"33xxx"`` is a 5-vertex with
+triangles in corners 0 and 1 only, and ``"3353x|33435"`` adds a third
+triangle at corner 3 and a 5+-face at corner 2 or 4.  A rule's
+predicate reads only what corners cannot say: ring degrees, ``in2``
+and ``bad_kind``.  The degree-5 classes (quad, strong, good, support)
+are each one pattern and one neighbour test, shared by their rules and
+``classify_special``.
+
 The table is a menu, not an oracle: every match is re-verified at
 application time (structure preserved, degree cap, distance-two pairs
 kept, observed d2 within the claimed bound), so a wrong table entry
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .errors import DegreeTooHigh
@@ -54,6 +68,17 @@ class ReductionRule:
         delete: role of the vertex the reduction removes.
         add_edges: role pairs to chord (skipped when already present).
         claimed_d2_bound: ceiling on d2 of the deleted vertex.
+        family: "degree" for any centre of that degree, else the class
+            of 5-vertex the centre must be: quad, strong, good, support.
+        degree: degree of the centre vertex.
+        corners: the corner-length tuples, capped at 5, that a frame of
+            the centre must show; the table writes them as a pattern
+            (module docstring).  A 1-vertex's frame has no corner, so
+            its rules have ``{()}``.
+        pred: what else the frame must show (ring degrees, ``in2``,
+            ``bad_kind``), or None.
+        bind: the bindings of an accepted frame, for the rules that
+            delete a ring vertex; None binds v and v1..v5 to the frame.
     """
 
     id: str
@@ -61,9 +86,11 @@ class ReductionRule:
     delete: str
     add_edges: tuple[tuple[str, str], ...]
     claimed_d2_bound: int
-    kind: str  # matcher family: degree | quad | strong | good | support | deg4 | degmid
-    degree: int = 0  # degree of the centre vertex
+    family: str
+    degree: int
+    corners: frozenset[tuple[int, ...]]
     pred: Optional[Callable] = None
+    bind: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -209,70 +236,46 @@ class _Ctx:
         return kind
 
 
-def _quad_frames(ctx: _Ctx, v: int) -> Iterator[_Frame]:
-    # four consecutive triangle corners, fifth corner length >= 4
-    for fr in ctx.frames(v):
-        c = fr.cfl
-        if c[0] == 3 and c[1] == 3 and c[2] == 3 and c[3] == 3 and c[4] >= 4:
-            yield fr
+# ======================================================================
+# corner patterns and the degree-5 classes
+# ======================================================================
+
+_LETTERS = {"3": (3,), "4": (4,), "5": (5,), "x": (4, 5), "s": (3, 4), "*": (3, 4, 5)}
 
 
-def _strong_frames(ctx: _Ctx, v: int) -> Iterator[_Frame]:
-    # triangle pair at corners 0,1 + lone triangle at corner 3; the
-    # middle w1 is bad or semi-bad and some non-triangle corner is 5+
-    for fr in ctx.frames(v):
-        c = fr.cfl
-        if (
-            c[0] == 3
-            and c[1] == 3
-            and c[3] == 3
-            and c[2] >= 4
-            and c[4] >= 4
-            and (c[2] >= 5 or c[4] >= 5)
-            and ctx.bad_kind(fr.w[1]) is not None
-        ):
-            yield fr
+def _corners(pattern: str) -> frozenset[tuple[int, ...]]:
+    """The corner tuples a pattern stands for (module docstring)."""
+    return frozenset(
+        c
+        for alt in pattern.split("|")
+        for c in product(*(_LETTERS[ch] for ch in alt))
+    )
 
 
-def _good_frames(ctx: _Ctx, v: int) -> Iterator[_Frame]:
-    # three consecutive triangle corners; the middle w1 is semi-bad and
-    # both edges v-w0w1 / v-w1w2 ... the chords w0w1, w1w2 sit in two
-    # 3-faces each
-    for fr in ctx.frames(v):
-        c = fr.cfl
-        if (
-            c[0] == 3
-            and c[1] == 3
-            and c[2] == 3
-            and c[3] >= 4
-            and c[4] >= 4
-            and ctx.bad_kind(fr.w[1]) == "semi-bad"
-            and ctx.in2(fr.w[0], fr.w[1])
-            and ctx.in2(fr.w[1], fr.w[2])
-        ):
-            yield fr
+def _bad_middle(ctx, fr):
+    return ctx.bad_kind(fr.w[1]) is not None
 
 
-def _support_frames(ctx: _Ctx, v: int) -> Iterator[_Frame]:
-    # exactly two triangle corners, adjacent; middle w1 bad or semi-bad
-    for fr in ctx.frames(v):
-        c = fr.cfl
-        if (
-            c[0] == 3
-            and c[1] == 3
-            and c[2] >= 4
-            and c[3] >= 4
-            and c[4] >= 4
-            and ctx.bad_kind(fr.w[1]) is not None
-        ):
-            yield fr
+def _good_middle(ctx, fr):
+    w = fr.w
+    return (
+        ctx.bad_kind(w[1]) == "semi-bad"
+        and ctx.in2(w[0], w[1])
+        and ctx.in2(w[1], w[2])
+    )
 
 
-_FRAME_FAMILY = {
-    "quad": _quad_frames,
-    "strong": _strong_frames,
-    "good": _good_frames,
-    "support": _support_frames,
+# class: (corners of its frames, test on the triangle pair's middle w1),
+# in the order classify_special tries them
+_FAMILIES: dict[str, tuple[frozenset, Optional[Callable]]] = {
+    # four triangles; the fifth corner is 4 (bad) or 5+ (semi-bad)
+    "quad": (_corners("3333x"), None),
+    # triangle pair at corners 0, 1, lone triangle at 3, a 5+ corner
+    "strong": (_corners("3353x|33435"), _bad_middle),
+    # three triangles in a row; w1 semi-bad, both its chords doubled
+    "good": (_corners("333xx"), _good_middle),
+    # the triangle pair alone
+    "support": (_corners("33xxx"), _bad_middle),
 }
 
 
@@ -283,32 +286,28 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
     "support") with the witness ring w0..w4, or None.  The classes are
     mutually exclusive, so the check order only settles ties that
     cannot occur.
+
+    Raises:
+        UnknownVertex: v is not a vertex of g.
     """
     ctx = _ctx if _ctx is not None else _Ctx(g)
-    if ctx.deg[v] != 5:
+    if g.degree(v) != 5:
         return None
-    # each class fixes how many of v's corners are triangles: quad 4,
-    # strong and good 3, support 2; those three also need a triangle
-    # pair whose middle neighbour is bad or semi-bad, and the neighbour
-    # between corners i - 1 and i is rot[i]
-    cl = ctx.g.corner_lens(v)
-    triangles = cl.count(3)
-    if triangles == 4:
-        for fr in _quad_frames(ctx, v):
-            return SpecialClass(ctx.bad_kind(v), v, fr.w)
-    if triangles not in (2, 3) or not any(
+    # a shortcut past v's frames: every class's frames open on a triangle
+    # pair, and outside quad (four triangles) its middle w1 is bad or
+    # semi-bad, where the neighbour between corners i - 1 and i is rot[i]
+    cl = g.corner_lens(v)
+    if cl.count(3) != 4 and not any(
         cl[i - 1] == 3 and cl[i] == 3 and ctx.bad_kind(u) is not None
-        for i, u in enumerate(ctx.g.rotations[v])
+        for i, u in enumerate(g.rotations[v])
     ):
         return None
-    if triangles == 3:
-        for fr in _strong_frames(ctx, v):
-            return SpecialClass("strong", v, fr.w)
-        for fr in _good_frames(ctx, v):
-            return SpecialClass("good", v, fr.w)
-    else:
-        for fr in _support_frames(ctx, v):
-            return SpecialClass("support", v, fr.w)
+    frames = ctx.frames(v)
+    for kind, (corners, test) in _FAMILIES.items():
+        for fr in frames:
+            if fr.cfl in corners and (test is None or test(ctx, fr)):
+                kind = ctx.bad_kind(v) if kind == "quad" else kind
+                return SpecialClass(kind, v, fr.w)
     return None
 
 
@@ -316,9 +315,9 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
 # rule predicates
 # ======================================================================
 #
-# Predicates receive (ctx, fr) where fr labels the candidate center.
-# They must only read structure; every consequence they promise is
-# re-checked downstream.
+# Predicates receive (ctx, fr) where fr labels the candidate center and
+# already shows the rule's corners.  They must only read structure;
+# every consequence they promise is re-checked downstream.
 
 
 def _d(ctx, fr, i):
@@ -339,137 +338,36 @@ def _in2c(ctx, fr, i):
     return ctx.in2(w[i], w[(i + 1) % len(w)])
 
 
-def _true(ctx, fr):
-    return True
-
-
-def _p_3in3f(ctx, fr):
-    return fr.cfl[0] == 3
-
-
-def _p_3two4f(ctx, fr):
-    # a face of length at most 4 that meets a vertex at two corners is
-    # the walk v-a-v-b-v of a 2-vertex, so at a 3-vertex two 4-corners
-    # lie on two distinct 4-faces
-    return fr.cfl[0] == 4 and fr.cfl[1] == 4
-
-
 def _p_3adj4(ctx, fr):
     return _d(ctx, fr, 0) <= 4
 
 
-def _p_4three3f(ctx, fr):
-    c = fr.cfl
-    return c[0] == 3 and c[1] == 3 and c[2] == 3
-
-
-def _p_4m2_4f_adj(ctx, fr):
-    c = fr.cfl
-    return c[1] == 3 and c[2] == 3 and c[0] == 4 and c[3] != 3
-
-
-def _p_4m2_4f_non(ctx, fr):
-    c = fr.cfl
-    return c[1] == 3 and c[3] == 3 and c[0] == 4 and c[2] != 3
-
-
-def _p_4m2_n5_adj(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] != 3
-        and c[3] != 3
-        and any(_d(ctx, fr, i) <= 4 for i in range(4))
-    )
-
-
-def _p_4m2_n5_non(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[2] == 3
-        and c[1] != 3
-        and c[3] != 3
-        and any(_d(ctx, fr, i) <= 4 for i in range(4))
-    )
+def _p_4m2_n5(ctx, fr):
+    return any(_d(ctx, fr, i) <= 4 for i in range(4))
 
 
 def _p_4comm_m1(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] >= 5
-        and c[2] == 4
-        and c[3] == 4
-        and all(_d(ctx, fr, i) == 5 for i in range(4))
-        and _in2c(ctx, fr, 0)
-    )
+    return all(_d(ctx, fr, i) == 5 for i in range(4)) and _in2c(ctx, fr, 0)
 
 
-def _p_4comm_adj(ctx, fr):
-    c = fr.cfl
-    return c[0] == 3 and c[1] == 3 and c[2] != 3 and c[3] != 3 and _in2c(ctx, fr, 0)
-
-
-def _p_4comm_non(ctx, fr):
-    c = fr.cfl
-    return c[0] == 3 and c[2] == 3 and c[1] != 3 and c[3] != 3 and _in2c(ctx, fr, 0)
+def _p_4comm(ctx, fr):
+    return _in2c(ctx, fr, 0)
 
 
 def _p_444(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and _d(ctx, fr, 0) == 4
-        and _d(ctx, fr, 1) >= 4
-        and sum(1 for x in c if x <= 4) >= 3
-    )
+    return _d(ctx, fr, 0) == 4 and _d(ctx, fr, 1) >= 4
 
 
 def _p_455(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and _d(ctx, fr, 0) == 5
-        and _d(ctx, fr, 1) == 5
-        and all(x <= 4 for x in c)
-    )
+    return _d(ctx, fr, 0) == 5 and _d(ctx, fr, 1) == 5
 
 
 def _p_455n4_adj(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] != 3
-        and c[2] != 3
-        and c[3] != 3
-        and _d(ctx, fr, 0) == 5
-        and _d(ctx, fr, 1) == 5
-        and c[1] <= 4
-        and c[2] <= 4
-        and min(_d(ctx, fr, 2), _d(ctx, fr, 3)) <= 4
-    )
+    return _p_455(ctx, fr) and min(_d(ctx, fr, 2), _d(ctx, fr, 3)) <= 4
 
 
 def _p_455n4_non(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] != 3
-        and c[2] != 3
-        and c[3] != 3
-        and _d(ctx, fr, 0) == 5
-        and _d(ctx, fr, 1) == 5
-        and c[1] <= 4
-        and c[3] <= 4
-        and c[2] >= 5
-        and _d(ctx, fr, 2) <= 4
-    )
-
-
-def _p_5m5(ctx, fr):
-    return all(x == 3 for x in fr.cfl)
+    return _p_455(ctx, fr) and _d(ctx, fr, 2) <= 4
 
 
 def _p_5n5(ctx, fr):
@@ -477,165 +375,35 @@ def _p_5n5(ctx, fr):
 
 
 def _p_5two4(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] != 3
-        and c[3] != 3
-        and c[4] != 3
-        and _d(ctx, fr, 3) == 3
-        and _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) >= 2
-    )
+    return _d(ctx, fr, 3) == 3 and _d(ctx, fr, 4) == 3 and _n4(ctx, fr) >= 2
 
 
-def _p_5t4n_a1(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] != 3
-        and c[3] != 3
-        and c[4] != 3
-        and _d(ctx, fr, 4) == 3
-        and all(_d(ctx, fr, i) == 4 for i in range(4))
-    )
+def _p_5t4n_a(ctx, fr):
+    return _d(ctx, fr, 4) == 3 and all(_d(ctx, fr, i) == 4 for i in range(4))
 
 
-def _p_5t4n_a2(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[2] == 3
-        and c[1] != 3
-        and c[3] != 3
-        and c[4] != 3
-        and _d(ctx, fr, 4) == 3
-        and all(_d(ctx, fr, i) == 4 for i in range(4))
-    )
+def _p_far3(ctx, fr):
+    return _d(ctx, fr, 4) == 3
 
 
-def _p_5t4n_b1(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] == 4
-        and c[3] == 4
-        and c[4] == 4
-        and _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) >= 1
-    )
-
-
-def _p_5t4n_b2(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[2] == 3
-        and c[1] == 4
-        and c[3] == 4
-        and c[4] == 4
-        and _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) >= 1
-    )
+def _p_far3_n4(ctx, fr):
+    return _d(ctx, fr, 4) == 3 and _n4(ctx, fr) >= 1
 
 
 def _p_5t4n_c1(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] == 3
-        and c[3] != 3
-        and c[4] != 3
-        and _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) >= 2
-    )
+    return _d(ctx, fr, 4) == 3 and _n4(ctx, fr) >= 2
 
 
-def _p_5t4n_c2(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] == 3
-        and c[3] == 4
-        and c[4] == 4
-        and _d(ctx, fr, 4) == 3
-    )
-
-
-def _p_5t4n_d(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] == 3
-        and c[3] != 3
-        and c[4] != 3
-        and _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) >= 1
-        and sum(1 for i in (3, 4) if c[i] >= 5) <= 1
-    )
-
-
-def _p_5n30_a1(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] != 3
-        and c[3] != 3
-        and c[4] != 3
-        and _n4(ctx, fr) == 5
-        and sum(1 for x in c if x >= 5) <= 2
-    )
-
-
-def _p_5n30_a2(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[2] == 3
-        and c[1] != 3
-        and c[3] != 3
-        and c[4] != 3
-        and _n4(ctx, fr) == 5
-        and sum(1 for x in c if x >= 5) <= 2
-    )
+def _p_5n30_a(ctx, fr):
+    return _n4(ctx, fr) == 5
 
 
 def _p_5n30_b1(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[3] == 3
-        and c[2] != 3
-        and c[4] != 3
-        and _n3(ctx, fr) == 0
-        and _n4(ctx, fr) >= 4
-    )
+    return _n3(ctx, fr) == 0 and _n4(ctx, fr) >= 4
 
 
 def _p_5n30_b2(ctx, fr):
-    c = fr.cfl
-    return (
-        c[0] == 3
-        and c[1] == 3
-        and c[2] == 3
-        and c[3] != 3
-        and c[4] != 3
-        and _n3(ctx, fr) == 0
-        and _n4(ctx, fr) >= 4
-        and _d(ctx, fr, 1) == 4
-    )
-
-
-# quad-frame rules: the frame generator already guarantees corners
-# 0..3 are triangles and corner 4 is not
+    return _p_5n30_b1(ctx, fr) and _d(ctx, fr, 1) == 4
 
 
 def _p_5m34_a(ctx, fr):
@@ -643,58 +411,35 @@ def _p_5m34_a(ctx, fr):
 
 
 def _p_5m34_b(ctx, fr):
-    return _n3(ctx, fr) == 0 and _n4(ctx, fr) >= 1 and fr.cfl[4] == 4
+    return _n3(ctx, fr) == 0 and _n4(ctx, fr) >= 1
 
 
 def _p_5m34_c(ctx, fr):
-    return (
-        _n3(ctx, fr) == 0
-        and fr.cfl[4] == 4
-        and any(_in2c(ctx, fr, i) for i in range(4))
-    )
+    return _n3(ctx, fr) == 0 and any(_in2c(ctx, fr, i) for i in range(4))
 
 
 def _p_5m34_d(ctx, fr):
-    return (
-        _n3(ctx, fr) == 0
-        and fr.cfl[4] >= 5
-        and sum(1 for i in range(4) if _in2c(ctx, fr, i)) >= 2
-    )
+    return _n3(ctx, fr) == 0 and sum(1 for i in range(4) if _in2c(ctx, fr, i)) >= 2
 
 
 def _p_5m34_e(ctx, fr):
-    return (
-        _n3(ctx, fr) == 0
-        and fr.cfl[4] >= 5
-        and _n4(ctx, fr) >= 1
-        and any(_in2c(ctx, fr, i) for i in range(4))
-    )
+    return _p_5m34_b(ctx, fr) and any(_in2c(ctx, fr, i) for i in range(4))
 
 
 def _p_sb_a(ctx, fr):
-    return fr.cfl[4] >= 5 and _n3(ctx, fr) >= 1
+    return _n3(ctx, fr) >= 1
 
 
-def _p_sb_b(ctx, fr):
-    return fr.cfl[4] >= 5 and _n4(ctx, fr) >= 2
+def _p_n4_2(ctx, fr):
+    return _n4(ctx, fr) >= 2
 
 
-# strong / good / support rules: frame generators guarantee the class
-
-
-def _p_strong_a(ctx, fr):
-    return (
-        _n4(ctx, fr) >= 2 and sum(1 for i in (2, 4) if fr.cfl[i] >= 5) <= 1
-    )
+def _p_n4_1(ctx, fr):
+    return _n4(ctx, fr) >= 1
 
 
 def _p_strong_b(ctx, fr):
-    return (
-        _in2c(ctx, fr, 0)
-        and _in2c(ctx, fr, 1)
-        and _n4(ctx, fr) >= 1
-        and (fr.cfl[2] == 4 or fr.cfl[4] == 4)
-    )
+    return _in2c(ctx, fr, 0) and _in2c(ctx, fr, 1) and _n4(ctx, fr) >= 1
 
 
 def _p_goodtwo(ctx, fr):
@@ -702,86 +447,79 @@ def _p_goodtwo(ctx, fr):
         ctx.bad_kind(fr.w[2]) == "semi-bad"
         and _n4(ctx, fr) == 1
         and _d(ctx, fr, 4) == 4
-        and fr.cfl[3] >= 5
-        and fr.cfl[4] >= 5
     )
-
-
-def _p_good_a(ctx, fr):
-    return _d(ctx, fr, 4) == 3
 
 
 def _p_good_b(ctx, fr):
     return _d(ctx, fr, 3) == 4 and _d(ctx, fr, 4) == 4
 
 
-def _p_good_c(ctx, fr):
-    return fr.cfl[3] == 4 and fr.cfl[4] == 4
-
-
-def _p_good_d1(ctx, fr):
-    return _n4(ctx, fr) >= 1 and fr.cfl[3] == 4
-
-
-def _p_good_d2(ctx, fr):
-    return _n4(ctx, fr) >= 1 and fr.cfl[4] == 4
-
-
 def _p_good_e(ctx, fr):
-    return (
-        ctx.bad_kind(fr.w[2]) == "semi-bad"
-        and _in2c(ctx, fr, 2)
-        and fr.cfl[3] == 4
-    )
+    return ctx.bad_kind(fr.w[2]) == "semi-bad" and _in2c(ctx, fr, 2)
 
 
 def _p_supp_a(ctx, fr):
-    return (
-        _n3(ctx, fr) == 1
-        and fr.cfl[2] == 4
-        and fr.cfl[3] == 4
-        and fr.cfl[4] == 4
-    )
+    return _n3(ctx, fr) == 1
 
 
-def _p_supp_b1(ctx, fr):
-    return (
-        _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) == 1
-        and fr.cfl[2] >= 5
-        and fr.cfl[3] == 4
-        and fr.cfl[4] == 4
-    )
-
-
-def _p_supp_b2(ctx, fr):
-    c = fr.cfl
-    return (
-        _d(ctx, fr, 4) == 3
-        and _n4(ctx, fr) == 1
-        and c[2] == 4
-        and (
-            (c[3] >= 5 and c[4] == 4)
-            or (c[3] == 4 and c[4] >= 5)
-        )
-    )
+def _p_supp_b(ctx, fr):
+    return _d(ctx, fr, 4) == 3 and _n4(ctx, fr) == 1
 
 
 def _p_supp_c(ctx, fr):
-    return (
-        _d(ctx, fr, 4) == 3
-        and _n3(ctx, fr) == 1
-        and _n4(ctx, fr) == 2
-        and any(fr.cfl[i] == 4 for i in (2, 3, 4))
-    )
+    return _d(ctx, fr, 4) == 3 and _n3(ctx, fr) == 1 and _n4(ctx, fr) == 2
 
 
 def _p_supp_d(ctx, fr):
-    return (
-        _d(ctx, fr, 3) == 3
-        and _d(ctx, fr, 4) == 3
-        and any(fr.cfl[i] == 4 for i in (2, 3, 4))
+    return _d(ctx, fr, 3) == 3 and _d(ctx, fr, 4) == 3
+
+
+# ======================================================================
+# binding rules: a quad frame, then a ring vertex to delete
+# ======================================================================
+
+
+def _deg4_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
+    # delete a degree-4 neighbour u = w1/w2/w3, x is u's fourth
+    # neighbour, chords close x to u's triangle mates
+    w = fr.w
+    for i in (1, 2, 3):
+        u = w[i]
+        if ctx.deg[u] != 4:
+            continue
+        rest = [t for t in ctx.g.rotations[u] if t not in (v, w[i - 1], w[i + 1])]
+        if len(rest) != 1:  # cannot happen: triangle mates are adjacent
+            continue
+        yield {"v": v, "v1": w[i - 1], "v2": u, "v3": w[i + 1], "x": rest[0]}
+
+
+def _degmid_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
+    # the middle neighbour u = w2 has degree 5 with rotation
+    # (.., b, v, a, c, d ..) and {a, b} = {w1, w3}; the corner between
+    # c and d must be a triangle, its flanks at most 4
+    w = fr.w
+    u = w[2]
+    if ctx.deg[u] != 5:
+        return
+    fu = ctx.frames(u)[0]  # u's rotation and its corner lengths
+    rot, cl = fu.w, fu.cfl
+    p = rot.index(v)
+    a, c, d, b = (
+        rot[(p + 1) % 5],
+        rot[(p + 2) % 5],
+        rot[(p + 3) % 5],
+        rot[(p + 4) % 5],
     )
+    if {a, b} != {w[1], w[3]}:
+        return  # cannot happen: the frame triangles force it
+    # corners of u after v: (v,a)=p, (a,c)=p+1, (c,d)=p+2, (d,b)=p+3
+    if cl[(p + 1) % 5] > 4 or cl[(p + 2) % 5] != 3 or cl[(p + 3) % 5] > 4:
+        return
+    if a == w[1]:
+        x, y = c, d
+    else:
+        x, y = d, c
+    yield {"v": v, "v2": w[1], "v3": u, "v4": w[3], "x": x, "y": y}
 
 
 # ======================================================================
@@ -789,180 +527,195 @@ def _p_supp_d(ctx, fr):
 # ======================================================================
 
 
-def _deg_rule(rid, bound, degree, adds, pattern, pred):
+def _rule(rid, bound, degree, corners, adds, pattern, pred=None):
     return ReductionRule(
         id=rid,
         pattern=pattern,
         delete="v",
         add_edges=adds,
         claimed_d2_bound=bound,
-        kind="degree",
+        family="degree",
         degree=degree,
+        corners=_corners(corners),
         pred=pred,
     )
 
 
-def _family_rule(rid, family, adds, pattern, pred, bound=15):
+def _both(test, pred):
+    return lambda ctx, fr: test(ctx, fr) and pred(ctx, fr)
+
+
+def _class_rule(rid, family, corners, adds, pattern, pred=None):
+    # the class's neighbour test runs first; corners=None takes the class's
+    own, test = _FAMILIES[family]
+    if test is not None:
+        pred = test if pred is None else _both(test, pred)
     return ReductionRule(
         id=rid,
         pattern=pattern,
         delete="v",
         add_edges=adds,
-        claimed_d2_bound=bound,
-        kind=family,
+        claimed_d2_bound=15,
+        family=family,
         degree=5,
+        corners=own if corners is None else _corners(corners),
         pred=pred,
     )
 
 
 _TABLE: tuple[ReductionRule, ...] = (
-    _deg_rule("R-1v", 15, 1, (), "1-vertex", _true),
-    _deg_rule("R-2v", 10, 2, (("v1", "v2"),), "2-vertex, bridge its ends", _true),
-    _deg_rule(
-        "R-3in3f", 13, 3, (("v2", "v3"),),
-        "3-vertex on a triangle", _p_3in3f,
+    _rule("R-1v", 15, 1, "", (), "1-vertex"),
+    _rule("R-2v", 10, 2, "**", (("v1", "v2"),), "2-vertex, bridge its ends"),
+    _rule(
+        "R-3in3f", 13, 3, "3**", (("v2", "v3"),),
+        "3-vertex on a triangle",
     ),
-    _deg_rule(
-        "R-3two4f", 13, 3, (("v1", "v3"),),
-        "3-vertex on two distinct 4-faces", _p_3two4f,
+    # a face of length at most 4 that meets a vertex at two corners is
+    # the walk v-a-v-b-v of a 2-vertex, so at a 3-vertex two 4-corners
+    # lie on two distinct 4-faces
+    _rule(
+        "R-3two4f", 13, 3, "44*", (("v1", "v3"),),
+        "3-vertex on two distinct 4-faces",
     ),
-    _deg_rule(
-        "R-3adj4", 14, 3, (("v1", "v2"), ("v1", "v3")),
+    _rule(
+        "R-3adj4", 14, 3, "***", (("v1", "v2"), ("v1", "v3")),
         "3-vertex with a neighbour of degree at most 4", _p_3adj4,
     ),
-    _deg_rule(
-        "R-4three3f", 14, 4, (("v1", "v4"),),
-        "4-vertex on three triangles", _p_4three3f,
+    _rule(
+        "R-4three3f", 14, 4, "333*", (("v1", "v4"),),
+        "4-vertex on three triangles",
     ),
-    _deg_rule(
-        "R-4m2-4f-adj", 15, 4, (("v1", "v4"),),
-        "4-vertex, adjacent triangle pair plus a 4-face", _p_4m2_4f_adj,
+    _rule(
+        "R-4m2-4f-adj", 15, 4, "433x", (("v1", "v4"),),
+        "4-vertex, adjacent triangle pair plus a 4-face",
     ),
-    _deg_rule(
-        "R-4m2-4f-non", 15, 4, (("v3", "v4"),),
-        "4-vertex, opposite triangles plus a 4-face", _p_4m2_4f_non,
+    _rule(
+        "R-4m2-4f-non", 15, 4, "43x3", (("v3", "v4"),),
+        "4-vertex, opposite triangles plus a 4-face",
     ),
-    _deg_rule(
-        "R-4m2-n5-adj", 15, 4, (("v2", "v4"),),
-        "4-vertex, adjacent triangle pair and a sub-5 neighbour", _p_4m2_n5_adj,
+    _rule(
+        "R-4m2-n5-adj", 15, 4, "33xx", (("v2", "v4"),),
+        "4-vertex, adjacent triangle pair and a sub-5 neighbour", _p_4m2_n5,
     ),
-    _deg_rule(
-        "R-4m2-n5-non", 15, 4, (("v2", "v3"), ("v1", "v4")),
-        "4-vertex, opposite triangles and a sub-5 neighbour", _p_4m2_n5_non,
+    _rule(
+        "R-4m2-n5-non", 15, 4, "3x3x", (("v2", "v3"), ("v1", "v4")),
+        "4-vertex, opposite triangles and a sub-5 neighbour", _p_4m2_n5,
     ),
-    _deg_rule(
-        "R-4comm-m1", 15, 4, (("v1", "v4"), ("v2", "v3")),
+    _rule(
+        "R-4comm-m1", 15, 4, "3544", (("v1", "v4"), ("v2", "v3")),
         "4-vertex, one shared triangle, 5+ face, two 4-faces", _p_4comm_m1,
     ),
-    _deg_rule(
-        "R-4comm-adj", 15, 4, (("v2", "v4"),),
-        "4-vertex, adjacent triangles, shared edge in two triangles", _p_4comm_adj,
+    _rule(
+        "R-4comm-adj", 15, 4, "33xx", (("v2", "v4"),),
+        "4-vertex, adjacent triangles, shared edge in two triangles", _p_4comm,
     ),
-    _deg_rule(
-        "R-4comm-non", 15, 4, (("v1", "v4"), ("v2", "v3")),
-        "4-vertex, opposite triangles, shared edge in two triangles", _p_4comm_non,
+    _rule(
+        "R-4comm-non", 15, 4, "3x3x", (("v1", "v4"), ("v2", "v3")),
+        "4-vertex, opposite triangles, shared edge in two triangles", _p_4comm,
     ),
-    _deg_rule(
-        "R-444", 15, 4, (("v1", "v3"), ("v1", "v4")),
+    _rule(
+        "R-444", 15, 4, "3ss*|3s*s|3*ss", (("v1", "v3"), ("v1", "v4")),
         "4-vertex on a triangle with a 4-neighbour, few large corners", _p_444,
     ),
-    _deg_rule(
-        "R-455", 15, 4, (("v1", "v4"), ("v2", "v3")),
+    _rule(
+        "R-455", 15, 4, "3sss", (("v1", "v4"), ("v2", "v3")),
         "4-vertex on a triangle of 5-vertices, no large corner", _p_455,
     ),
-    _deg_rule(
-        "R-455n4-adj", 15, 4, (("v2", "v3"), ("v1", "v4")),
+    _rule(
+        "R-455n4-adj", 15, 4, "344x", (("v2", "v3"), ("v1", "v4")),
         "4-vertex, lone triangle of 5-vertices, small corners 1 and 2", _p_455n4_adj,
     ),
-    _deg_rule(
-        "R-455n4-non", 15, 4, (("v2", "v3"), ("v3", "v4")),
+    _rule(
+        "R-455n4-non", 15, 4, "3454", (("v2", "v3"), ("v3", "v4")),
         "4-vertex, lone triangle of 5-vertices, large corner 2", _p_455n4_non,
     ),
-    _family_rule(
-        "R-5m5", "degree", (),
-        "5-vertex on five triangles", _p_5m5,
+    _rule(
+        "R-5m5", 15, 5, "33333", (),
+        "5-vertex on five triangles",
     ),
-    _family_rule(
-        "R-5n5", "degree",
+    _rule(
+        "R-5n5", 15, 5, "*****",
         (("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
         "5-vertex whose neighbours all have degree 3", _p_5n5,
     ),
-    _family_rule(
-        "R-5two4", "degree", (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
+    _rule(
+        "R-5two4", 15, 5, "33xxx", (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
         "5-vertex, adjacent triangles, two 3-neighbours off them", _p_5two4,
     ),
-    _family_rule(
-        "R-5t4n-a1", "degree", (("v3", "v4"), ("v4", "v5"), ("v1", "v5")),
-        "5-vertex, adjacent triangles, all frame-neighbours degree 4", _p_5t4n_a1,
+    _rule(
+        "R-5t4n-a1", 15, 5, "33xxx", (("v3", "v4"), ("v4", "v5"), ("v1", "v5")),
+        "5-vertex, adjacent triangles, all frame-neighbours degree 4", _p_5t4n_a,
     ),
-    _family_rule(
-        "R-5t4n-a2", "degree", (("v2", "v3"), ("v4", "v5"), ("v1", "v5")),
-        "5-vertex, opposite triangles, all frame-neighbours degree 4", _p_5t4n_a2,
+    _rule(
+        "R-5t4n-a2", 15, 5, "3x3xx", (("v2", "v3"), ("v4", "v5"), ("v1", "v5")),
+        "5-vertex, opposite triangles, all frame-neighbours degree 4", _p_5t4n_a,
     ),
-    _family_rule(
-        "R-5t4n-b1", "degree", (("v5", "v2"), ("v5", "v3"), ("v1", "v4")),
-        "5-vertex, adjacent triangles, three 4-faces", _p_5t4n_b1,
+    _rule(
+        "R-5t4n-b1", 15, 5, "33444", (("v5", "v2"), ("v5", "v3"), ("v1", "v4")),
+        "5-vertex, adjacent triangles, three 4-faces", _p_far3_n4,
     ),
-    _family_rule(
-        "R-5t4n-b2", "degree", (("v2", "v3"), ("v4", "v5"), ("v1", "v5")),
-        "5-vertex, opposite triangles, three 4-faces", _p_5t4n_b2,
+    _rule(
+        "R-5t4n-b2", 15, 5, "34344", (("v2", "v3"), ("v4", "v5"), ("v1", "v5")),
+        "5-vertex, opposite triangles, three 4-faces", _p_far3_n4,
     ),
-    _family_rule(
-        "R-5t4n-c1", "degree", (("v4", "v5"), ("v5", "v1")),
+    _rule(
+        "R-5t4n-c1", 15, 5, "333xx", (("v4", "v5"), ("v5", "v1")),
         "5-vertex, three consecutive triangles, two 4-neighbours", _p_5t4n_c1,
     ),
-    _family_rule(
-        "R-5t4n-c2", "degree", (("v4", "v5"), ("v5", "v1")),
-        "5-vertex, three consecutive triangles, two 4-faces", _p_5t4n_c2,
+    _rule(
+        "R-5t4n-c2", 15, 5, "33344", (("v4", "v5"), ("v5", "v1")),
+        "5-vertex, three consecutive triangles, two 4-faces", _p_far3,
     ),
-    _family_rule(
-        "R-5t4n-d", "degree", (("v4", "v5"), ("v5", "v1")),
-        "5-vertex, three consecutive triangles, one large corner", _p_5t4n_d,
+    _rule(
+        "R-5t4n-d", 15, 5, "3334x|33354", (("v4", "v5"), ("v5", "v1")),
+        "5-vertex, three consecutive triangles, one large corner", _p_far3_n4,
     ),
-    _family_rule(
-        "R-5n30-a1", "degree", (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
-        "5-vertex, adjacent triangles, all neighbours degree 4", _p_5n30_a1,
+    _rule(
+        "R-5n30-a1", 15, 5, "334xx|33x4x|33xx4",
+        (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
+        "5-vertex, adjacent triangles, all neighbours degree 4", _p_5n30_a,
     ),
-    _family_rule(
-        "R-5n30-a2", "degree", (("v2", "v3"), ("v4", "v5"), ("v5", "v1")),
-        "5-vertex, opposite triangles, all neighbours degree 4", _p_5n30_a2,
+    _rule(
+        "R-5n30-a2", 15, 5, "343xx|3x34x|3x3x4",
+        (("v2", "v3"), ("v4", "v5"), ("v5", "v1")),
+        "5-vertex, opposite triangles, all neighbours degree 4", _p_5n30_a,
     ),
-    _family_rule(
-        "R-5n30-b1", "degree", (("v3", "v4"), ("v5", "v1")),
+    _rule(
+        "R-5n30-b1", 15, 5, "33x3x", (("v3", "v4"), ("v5", "v1")),
         "5-vertex, split triangles, four-plus 4-neighbours", _p_5n30_b1,
     ),
-    _family_rule(
-        "R-5n30-b2", "degree", (("v2", "v5"), ("v2", "v4")),
+    _rule(
+        "R-5n30-b2", 15, 5, "333xx", (("v2", "v5"), ("v2", "v4")),
         "5-vertex, consecutive triangles, four-plus 4-neighbours", _p_5n30_b2,
     ),
-    _family_rule(
-        "R-5m34-a", "quad", (("v5", "v1"),),
+    _class_rule(
+        "R-5m34-a", "quad", None, (("v5", "v1"),),
         "near-saturated 5-vertex, two 4-neighbours", _p_5m34_a,
     ),
-    _family_rule(
-        "R-5m34-b", "quad", (("v5", "v1"),),
+    _class_rule(
+        "R-5m34-b", "quad", "33334", (("v5", "v1"),),
         "bad-shaped 5-vertex, a 4-neighbour", _p_5m34_b,
     ),
-    _family_rule(
-        "R-5m34-c", "quad", (("v5", "v1"),),
+    _class_rule(
+        "R-5m34-c", "quad", "33334", (("v5", "v1"),),
         "bad-shaped 5-vertex, a ring edge in two triangles", _p_5m34_c,
     ),
-    _family_rule(
-        "R-5m34-d", "quad", (("v5", "v1"),),
+    _class_rule(
+        "R-5m34-d", "quad", "33335", (("v5", "v1"),),
         "semi-bad-shaped 5-vertex, two ring edges in two triangles", _p_5m34_d,
     ),
-    _family_rule(
-        "R-5m34-e", "quad", (("v5", "v1"),),
+    _class_rule(
+        "R-5m34-e", "quad", "33335", (("v5", "v1"),),
         "semi-bad-shaped 5-vertex, ring edge in two triangles, 4-neighbour",
         _p_5m34_e,
     ),
-    _family_rule(
-        "R-sb-a", "quad", (("v5", "v1"),),
+    _class_rule(
+        "R-sb-a", "quad", "33335", (("v5", "v1"),),
         "semi-bad-shaped 5-vertex with a 3-neighbour", _p_sb_a,
     ),
-    _family_rule(
-        "R-sb-b", "quad", (("v5", "v1"),),
-        "semi-bad-shaped 5-vertex with two 4-neighbours", _p_sb_b,
+    _class_rule(
+        "R-sb-b", "quad", "33335", (("v5", "v1"),),
+        "semi-bad-shaped 5-vertex with two 4-neighbours", _p_n4_2,
     ),
     ReductionRule(
         id="R-deg",
@@ -970,8 +723,10 @@ _TABLE: tuple[ReductionRule, ...] = (
         delete="v2",
         add_edges=(("v1", "x"), ("x", "v3")),
         claimed_d2_bound=15,
-        kind="deg4",
+        family="quad",
         degree=5,
+        corners=_FAMILIES["quad"][0],
+        bind=_deg4_bindings,
     ),
     ReductionRule(
         id="R-degmid",
@@ -979,63 +734,68 @@ _TABLE: tuple[ReductionRule, ...] = (
         delete="v3",
         add_edges=(("v2", "x"), ("y", "v4")),
         claimed_d2_bound=15,
-        kind="degmid",
+        family="quad",
         degree=5,
+        corners=_FAMILIES["quad"][0],
+        bind=_degmid_bindings,
     ),
-    _family_rule(
-        "R-strong-a", "strong", (("v3", "v4"), ("v1", "v5")),
-        "strong vertex, two 4-neighbours, one large corner", _p_strong_a,
+    _class_rule(
+        "R-strong-a", "strong", "33534|33435", (("v3", "v4"), ("v1", "v5")),
+        "strong vertex, two 4-neighbours, one large corner", _p_n4_2,
     ),
-    _family_rule(
-        "R-strong-b", "strong", (("v3", "v4"), ("v1", "v5")),
+    _class_rule(
+        "R-strong-b", "strong", "33534|33435", (("v3", "v4"), ("v1", "v5")),
         "strong vertex, pair edges in two triangles, a 4-neighbour", _p_strong_b,
     ),
-    _family_rule(
-        "R-goodtwo", "good", (("v1", "v5"), ("v4", "v5")),
+    _class_rule(
+        "R-goodtwo", "good", "33355", (("v1", "v5"), ("v4", "v5")),
         "good vertex with both middles semi-bad", _p_goodtwo,
     ),
-    _family_rule(
-        "R-good-a", "good", (("v4", "v5"), ("v5", "v1")),
-        "good vertex with a 3-neighbour at the far slot", _p_good_a,
+    _class_rule(
+        "R-good-a", "good", None, (("v4", "v5"), ("v5", "v1")),
+        "good vertex with a 3-neighbour at the far slot", _p_far3,
     ),
-    _family_rule(
-        "R-good-b", "good", (("v1", "v5"), ("v4", "v5")),
+    _class_rule(
+        "R-good-b", "good", None, (("v1", "v5"), ("v4", "v5")),
         "good vertex with two far 4-neighbours", _p_good_b,
     ),
-    _family_rule(
-        "R-good-c", "good", (("v1", "v4"), ("v3", "v5")),
-        "good vertex with two far 4-faces", _p_good_c,
+    _class_rule(
+        "R-good-c", "good", "33344", (("v1", "v4"), ("v3", "v5")),
+        "good vertex with two far 4-faces",
     ),
-    _family_rule(
-        "R-good-d1", "good", (("v1", "v4"), ("v2", "v5")),
-        "good vertex, a 4-neighbour, 4-face at corner 3", _p_good_d1,
+    _class_rule(
+        "R-good-d1", "good", "3334x", (("v1", "v4"), ("v2", "v5")),
+        "good vertex, a 4-neighbour, 4-face at corner 3", _p_n4_1,
     ),
-    _family_rule(
-        "R-good-d2", "good", (("v1", "v4"), ("v3", "v5")),
-        "good vertex, a 4-neighbour, 4-face at corner 4", _p_good_d2,
+    _class_rule(
+        "R-good-d2", "good", "333x4", (("v1", "v4"), ("v3", "v5")),
+        "good vertex, a 4-neighbour, 4-face at corner 4", _p_n4_1,
     ),
-    _family_rule(
-        "R-good-e", "good", (("v1", "v4"), ("v2", "v5")),
+    _class_rule(
+        "R-good-e", "good", "3334x", (("v1", "v4"), ("v2", "v5")),
         "good vertex, second middle semi-bad on a doubled edge", _p_good_e,
     ),
-    _family_rule(
-        "R-supp-a", "support", (("v3", "v5"), ("v2", "v4")),
+    _class_rule(
+        "R-supp-a", "support", "33444", (("v3", "v5"), ("v2", "v4")),
         "support vertex, one 3-neighbour, three 4-faces", _p_supp_a,
     ),
-    _family_rule(
-        "R-supp-b1", "support", (("v2", "v4"), ("v3", "v5"), ("v1", "v5")),
-        "support vertex, 3-neighbour far, large corner 2", _p_supp_b1,
+    _class_rule(
+        "R-supp-b1", "support", "33544", (("v2", "v4"), ("v3", "v5"), ("v1", "v5")),
+        "support vertex, 3-neighbour far, large corner 2", _p_supp_b,
     ),
-    _family_rule(
-        "R-supp-b2", "support", (("v1", "v5"), ("v2", "v5"), ("v4", "v5")),
-        "support vertex, 3-neighbour far, one large far corner", _p_supp_b2,
+    _class_rule(
+        "R-supp-b2", "support", "33454|33445",
+        (("v1", "v5"), ("v2", "v5"), ("v4", "v5")),
+        "support vertex, 3-neighbour far, one large far corner", _p_supp_b,
     ),
-    _family_rule(
-        "R-supp-c", "support", (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
+    _class_rule(
+        "R-supp-c", "support", "334xx|33x4x|33xx4",
+        (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
         "support vertex, one 3- and two 4-neighbours", _p_supp_c,
     ),
-    _family_rule(
-        "R-supp-d", "support", (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
+    _class_rule(
+        "R-supp-d", "support", "334xx|33x4x|33xx4",
+        (("v3", "v4"), ("v4", "v5"), ("v5", "v1")),
         "support vertex with two far 3-neighbours", _p_supp_d,
     ),
 )
@@ -1096,79 +856,18 @@ def _ring_binding(v: int, fr: _Frame) -> dict[str, int]:
     return b
 
 
-def _deg4_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
-    # saturated frame at v; delete a degree-4 neighbour u = w1/w2/w3,
-    # x is u's fourth neighbour, chords close x to u's triangle mates
-    g = ctx.g
-    for fr in _quad_frames(ctx, v):
-        w = fr.w
-        for i in (1, 2, 3):
-            u = w[i]
-            if ctx.deg[u] != 4:
-                continue
-            rest = [t for t in g.rotations[u] if t not in (v, w[i - 1], w[i + 1])]
-            if len(rest) != 1:  # cannot happen: triangle mates are adjacent
-                continue
-            yield {"v": v, "v1": w[i - 1], "v2": u, "v3": w[i + 1], "x": rest[0]}
-
-
-def _degmid_bindings(ctx: _Ctx, v: int) -> Iterator[dict]:
-    # saturated frame at v; the middle neighbour u = w2 has degree 5
-    # with rotation (.., b, v, a, c, d ..) and {a, b} = {w1, w3}; the
-    # corner between c and d must be a triangle, its flanks at most 4
-    for fr in _quad_frames(ctx, v):
-        w = fr.w
-        u = w[2]
-        if ctx.deg[u] != 5:
-            continue
-        fu = ctx.frames(u)[0]  # u's rotation and its corner lengths
-        rot, cl = fu.w, fu.cfl
-        p = rot.index(v)
-        a, c, d, b = (
-            rot[(p + 1) % 5],
-            rot[(p + 2) % 5],
-            rot[(p + 3) % 5],
-            rot[(p + 4) % 5],
-        )
-        if {a, b} != {w[1], w[3]}:
-            continue  # cannot happen: the frame triangles force it
-        # corners of u after v: (v,a)=p, (a,c)=p+1, (c,d)=p+2, (d,b)=p+3
-        if cl[(p + 1) % 5] > 4 or cl[(p + 2) % 5] != 3 or cl[(p + 3) % 5] > 4:
-            continue
-        if a == w[1]:
-            x, y = c, d
-        else:
-            x, y = d, c
-        yield {"v": v, "v2": w[1], "v3": u, "v4": w[3], "x": x, "y": y}
-
-
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
-    kind = rule.kind
-    if kind == "deg4":
-        bindings = _deg4_bindings(ctx, v)
-    elif kind == "degmid":
-        bindings = _degmid_bindings(ctx, v)
-    else:
-        if kind == "degree":
-            frames = ctx.frames(v)
-        elif kind in _FRAME_FAMILY:
-            frames = _FRAME_FAMILY[kind](ctx, v)
-        else:  # pragma: no cover - table construction error
-            raise AssertionError(f"unknown matcher family {kind}")
-        # the hottest loop of detection, so without a generator between
-        # the frames and _make_match
-        pred = rule.pred
-        for fr in frames:
-            if pred(ctx, fr):
-                m = _make_match(ctx, rule, _ring_binding(v, fr))
+    # the hottest loop of detection, so without a generator between
+    # the frames and _make_match
+    corners, pred, bind = rule.corners, rule.pred, rule.bind
+    for fr in ctx.frames(v):
+        if fr.cfl in corners and (pred is None or pred(ctx, fr)):
+            bindings = (_ring_binding(v, fr),) if bind is None else bind(ctx, v, fr)
+            for binding in bindings:
+                m = _make_match(ctx, rule, binding)
                 if m is not None:
                     yield m
-        return
-    for binding in bindings:
-        m = _make_match(ctx, rule, binding)
-        if m is not None:
-            yield m
 
 
 def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:

@@ -265,9 +265,10 @@ class PlaneGraph:
         return fo[lo + 1 : hi] + fo[lo : min(lo + 1, hi)]
 
     def corner_lens(self, v: int) -> tuple[int, ...]:
-        """Face length in each corner of v, in corner order."""
+        """Face length in each corner of v, in corner order, capped at 5
+        as detection reads it (``WorkingGraph.corner_lens`` does too)."""
         fl = self.face_lens
-        return tuple([fl[f] for f in self.corner_faces(v)])
+        return tuple([fl[f] if fl[f] < 5 else 5 for f in self.corner_faces(v)])
 
     def incident_faces(self, v: int) -> tuple[int, ...]:
         """Distinct faces around v, ascending."""

@@ -18,7 +18,12 @@ from planecolor.configurations import (
     iter_matches,
     rule_table,
 )
-from planecolor.errors import DegreeOverflow, DegreeTooHigh, EmbeddingBroken
+from planecolor.errors import (
+    DegreeOverflow,
+    DegreeTooHigh,
+    EmbeddingBroken,
+    UnknownVertex,
+)
 from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph
 from planecolor.reducer import color16
@@ -29,7 +34,7 @@ PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
 # ring chords of these rules cross inside the deletion hole, so the
 # in-place patch cannot stay plane when both chords are missing; apply
-# refuses them and the search moves on (see decisions ledger)
+# refuses them and the search moves on (README, "Known rule-table caveat")
 CROSSING_CHORD_RULES = {
     "R-5t4n-b1",
     "R-good-c",
@@ -53,7 +58,7 @@ class TestRuleTable:
 
     def test_delete_role_is_consistent(self):
         for r in rule_table():
-            if r.kind in ("deg4", "degmid"):
+            if r.bind is not None:
                 assert r.delete != "v"
             else:
                 assert r.delete == "v"
@@ -77,7 +82,7 @@ class TestRuleTable:
         pos = {f"v{i + 1}": i for i in range(5)}
         found = set()
         for r in rule_table():
-            if r.kind in ("deg4", "degmid"):
+            if r.delete != "v":
                 continue  # their chords share an endpoint, never cross
             chords = [
                 (pos[a], pos[b])
@@ -233,6 +238,11 @@ class TestClassifier:
         # every corner is a triangle: no frame has a non-triangle slot
         g = named("icosahedron")
         assert all(classify_special(g, v) is None for v in range(g.n))
+
+    @pytest.mark.parametrize("v", [-1, -4, 4, 99])
+    def test_vertex_outside_the_graph_is_refused(self, v):
+        with pytest.raises(UnknownVertex):
+            classify_special(named("k4"), v)
 
     def test_classification_json(self):
         sc = classify_special(named("fig1a"), 0)
