@@ -306,7 +306,8 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
     for kind, (corners, test) in _FAMILIES.items():
         for fr in frames:
             if fr.cfl in corners and (test is None or test(ctx, fr)):
-                kind = ctx.bad_kind(v) if kind == "quad" else kind
+                if kind == "quad":
+                    kind = ctx.bad_kind(v)
                 return SpecialClass(kind, v, fr.w)
     return None
 
