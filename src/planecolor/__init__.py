@@ -22,13 +22,11 @@ from .discharging import (
 )
 from .exact_solver import INFEASIBLE, UNKNOWN, chi2_exact, color_with_k
 from .generators import NAMED_GRAPHS, named, random_plane
-from .plane_graph import Face, PlaneGraph, VertexMetrics, from_rotation_text
-from .reducer import PALETTE, ReductionTrace, apply, color16, extend, is_proper_wrt
+from .plane_graph import PlaneGraph, from_rotation_text
+from .reducer import PALETTE, ReductionTrace, color16
 
 __all__ = [
-    "Face",
     "PlaneGraph",
-    "VertexMetrics",
     "from_rotation_text",
     "Coloring",
     "ConflictReport",
@@ -45,10 +43,7 @@ __all__ = [
     "detect",
     "iter_matches",
     "rule_table",
-    "apply",
-    "extend",
     "color16",
-    "is_proper_wrt",
     "PALETTE",
     "ReductionTrace",
     "ChargeLedger",

@@ -24,17 +24,11 @@ class Coloring:
     palette: int
     colors: dict[int, int] = field(default_factory=dict)
 
-    def get(self, v: int) -> int | None:
-        return self.colors.get(v)
-
     def to_json(self) -> dict:
         return {
             "palette": self.palette,
             "colors": {str(v): self.colors[v] for v in sorted(self.colors)},
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, obj) -> "Coloring":

@@ -28,7 +28,7 @@ class Disconnected(EngineError):
 
 
 class UnknownVertex(EngineError):
-    """Vertex id outside [0, n)."""
+    """Vertex id that is not an int in [0, n)."""
 
 
 class DegreeTooHigh(EngineError):

@@ -22,8 +22,6 @@ one line per vertex, neighbours in clockwise order.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
 from .errors import (
@@ -34,52 +32,7 @@ from .errors import (
     UnknownVertex,
 )
 
-__all__ = [
-    "Face",
-    "VertexMetrics",
-    "PlaneGraph",
-    "from_rotation_text",
-]
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face of the embedding.
-
-    Attributes:
-        index: dense face id.
-        darts: boundary as a cyclic tuple of (tail, head) arcs.
-        length: number of boundary darts (counts bridges twice).
-    """
-
-    index: int
-    darts: tuple[tuple[int, int], ...]
-    length: int
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.darts)
-
-
-@dataclass(frozen=True)
-class VertexMetrics:
-    """Local structure report for one vertex.
-
-    n3/n4/n5 count neighbours of that degree; m3/m4/m5plus count
-    DISTINCT incident faces of length 3, 4, >= 5.  n2 is the sorted
-    two-hop neighbourhood (distance 1 or 2, the vertex excluded) and
-    d2 its size.
-    """
-
-    d: int
-    n3: int
-    n4: int
-    n5: int
-    m3: int
-    m4: int
-    m5plus: int
-    n2: tuple[int, ...]
-    d2: int
+__all__ = ["PlaneGraph", "from_rotation_text"]
 
 
 # ======================================================================
@@ -214,24 +167,16 @@ class PlaneGraph:
     # ==================================================================
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise UnknownVertex(f"vertex {v} not in [0, {self.n})")
+        # a bool is not an id here, as in the rotations
+        if type(v) is not int or not 0 <= v < self.n:
+            raise UnknownVertex(f"vertex {v!r} not in [0, {self.n})")
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.deg[v]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.rotations[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.rotations[u]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (v, u) for v, row in enumerate(self.rotations) for u in row if v < u
-        )
 
     def dart(self, u: int, v: int) -> int:
         """Flat index of the arc u -> v."""
@@ -239,36 +184,15 @@ class PlaneGraph:
             return self.rot_start[u] + self.rotations[u].index(v)
         raise UnknownVertex(f"no edge {u}-{v}")
 
-    def faces(self) -> list[Face]:
-        """Every face by id, traced afresh on each call."""
-        if self.m == 0:
-            return [Face(0, (), 0)]
-        tail, head = self.dart_tail, self.rot_flat
-        return [
-            Face(f, tuple((tail[p], head[p]) for p in orbit), len(orbit))
-            for f, orbit in enumerate(_orbits(self._successors()))
-        ]
-
-    def corner_face(self, v: int, i: int) -> int:
-        """Face id in corner i of v (between rotation neighbours i and i+1)."""
-        self._check_vertex(v)
-        d = self.deg[v]
-        if d == 0:
-            raise UnknownVertex(f"vertex {v} has no corners")
-        return self.face_of_dart[self.rot_start[v] + (i + 1) % d]
-
-    def corner_faces(self, v: int) -> tuple[int, ...]:
-        # corner i of v is traced by the dart v -> rot[v][i + 1]
-        self._check_vertex(v)
-        lo, hi = self.rot_start[v], self.rot_start[v + 1]
-        fo = self.face_of_dart
-        return fo[lo + 1 : hi] + fo[lo : min(lo + 1, hi)]
-
     def corner_lens(self, v: int) -> tuple[int, ...]:
         """Face length in each corner of v, in corner order, capped at 5
         as detection reads it (``WorkingGraph.corner_lens`` does too)."""
-        fl = self.face_lens
-        return tuple([fl[f] if fl[f] < 5 else 5 for f in self.corner_faces(v)])
+        # corner i of v is traced by the dart v -> rot[v][i + 1]
+        self._check_vertex(v)
+        lo, hi = self.rot_start[v], self.rot_start[v + 1]
+        fo, fl = self.face_of_dart, self.face_lens
+        faces = fo[lo + 1 : hi] + fo[lo : min(lo + 1, hi)]
+        return tuple([fl[f] if fl[f] < 5 else 5 for f in faces])
 
     def incident_faces(self, v: int) -> tuple[int, ...]:
         """Distinct faces around v, ascending."""
@@ -312,75 +236,6 @@ class PlaneGraph:
     def n2_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The rows of ``n2`` as CSR offsets and sorted column ids."""
         return self._n2_indptr, self._n2_flat
-
-    def within_two(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return True
-        hi = self._n2_indptr[u + 1]
-        i = bisect_left(self._n2_flat, v, self._n2_indptr[u], hi)
-        return i < hi and self._n2_flat[i] == v
-
-    def distance(self, u: int, v: int) -> int | None:
-        """BFS distance, None when unreachable (cannot happen: connected)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.rotations[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        if y == v:
-                            return dist[y]
-                        nxt.append(y)
-            frontier = nxt
-        return None
-
-    def girth(self) -> int | None:
-        """Length of a shortest cycle, None for forests."""
-        best: int | None = None
-        for root in range(self.n):
-            dist = {root: 0}
-            parent = {root: -1}
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.rotations[x]:
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            parent[y] = x
-                            nxt.append(y)
-                        elif parent[x] != y and parent[y] != x:
-                            cyc = dist[x] + dist[y] + 1
-                            if best is None or cyc < best:
-                                best = cyc
-                frontier = nxt
-                if best is not None and frontier and 2 * dist[frontier[0]] >= best:
-                    break
-        return best
-
-    def metrics(self, v: int) -> VertexMetrics:
-        self._check_vertex(v)
-        near = [self.deg[u] for u in self.rotations[v]]
-        lens = [self.face_lens[f] for f in self.incident_faces(v)]
-        return VertexMetrics(
-            d=self.deg[v],
-            n3=near.count(3),
-            n4=near.count(4),
-            n5=near.count(5),
-            m3=lens.count(3),
-            m4=lens.count(4),
-            m5plus=sum(1 for ln in lens if ln >= 5),
-            n2=self.n2(v),
-            d2=self.d2(v),
-        )
 
     # ==================================================================
     # derived graphs

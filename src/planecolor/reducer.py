@@ -8,7 +8,8 @@ re-verified on the concrete graph, never trusted from the table.
 ``color16`` reduces one ``WorkingGraph`` in place: each step patches
 and checks only the hole, and detection re-examines only the centres
 within reach of it.  ``apply`` runs the same step on a copy and returns
-the reduced graph rebuilt from scratch.
+the reduced graph rebuilt from scratch; with ``extend`` and
+``is_proper_wrt`` it is the tests' rebuild oracle, not exported.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from .exact_solver import DEFAULT_BUDGET, color_with_k
 from .plane_graph import PlaneGraph
 from .working_graph import WorkingGraph
 
-__all__ = [
-    "ReductionTrace",
-    "apply",
-    "extend",
-    "color16",
-    "is_proper_wrt",
-    "PALETTE",
-]
+__all__ = ["ReductionTrace", "color16", "PALETTE"]
 
 PALETTE = 16
 

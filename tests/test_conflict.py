@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from planecolor.conflict import Coloring, conflict_sets, validate
 from planecolor.errors import ParseError
 from planecolor.generators import named, random_plane
+from test_plane_graph import distances
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
 
 def brute_violations(g, coloring):
     out = []
+    colors = coloring.colors
     for u in range(g.n):
+        dist = distances(g, u)
         for v in range(u + 1, g.n):
-            d = g.distance(u, v)
-            if d is not None and d <= 2:
-                cu, cv = coloring.get(u), coloring.get(v)
+            if dist[v] <= 2:
+                cu, cv = colors.get(u), colors.get(v)
                 if cu is not None and cu == cv:
                     out.append((u, v, cu))
     return sorted(out)

@@ -55,7 +55,7 @@ def test_solution_is_validated():
     col = color_with_k(g, 16)
     assert col is not INFEASIBLE and col is not UNKNOWN
     assert validate(g, col).valid
-    assert col.get(0) == 1  # first vertex pinned
+    assert col.colors[0] == 1  # first vertex pinned
 
 
 def test_unknown_on_tiny_budget():

@@ -1,6 +1,6 @@
 """The graph core's loops against references that share no code with them.
 
-Face orbits, the faces and duals built from them, and two-hop rows are
+Face orbits, the duals built from them, and two-hop rows are
 checked against walks written out here.  The k-coloring search is
 checked against what the numpy build of the package returned on the
 same inputs: status, node count and the coloring found, so the search
@@ -88,15 +88,6 @@ class TestFaces:
             face_of, lens = [], [0]
         assert list(g.face_of_dart) == face_of
         assert list(g.face_lens) == lens
-
-    def test_faces(self, g):
-        if g.m == 0:
-            walks = [[]]
-        else:
-            walks = reference_walks(g)[1]
-        assert [(f.index, list(f.darts), f.length) for f in g.faces()] == [
-            (i, walk, len(walk)) for i, walk in enumerate(walks)
-        ]
 
     def test_dual(self, g):
         if g.m == 0:

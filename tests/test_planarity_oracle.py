@@ -89,7 +89,8 @@ def test_random_rotation_systems_build_plane_graphs_or_raise_engine_errors(rows)
     except EngineError:
         return
     assert_plane(g)
-    assert sorted(map(sorted, nx_graph(rows).edges())) == sorted(map(list, g.edges()))
+    edges = [[v, u] for v, row in enumerate(g.rotations) for u in row if v < u]
+    assert sorted(map(sorted, nx_graph(rows).edges())) == sorted(edges)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,11 +2,15 @@
 
 ``plane_graph_tables.json`` holds, per graph, the sha256 of the JSON of
 every table a ``PlaneGraph`` exposes: the rotation CSR, mirrors, face
-ids and lengths, corner faces, two-hop rows, d2 and the per-vertex
-counts of ``metrics``.  The digests were written by the numpy build of
+ids and lengths, two-hop rows and d2, and two things derived from them:
+the face in each corner of each vertex, and per vertex the counts of
+neighbours of degree 3, 4 and 5 and of distinct faces of length 3, 4
+and at least 5.  The digests were written by the numpy build of
 ``PlaneGraph`` that came before the plain-Python one, with
-``python3 tests/test_plane_graph_tables.py`` and ``src`` on the path, so
-any change to a face id, a dart order or a two-hop row shows here.
+``python3 tests/test_plane_graph_tables.py`` and ``src`` on the path,
+when the package still had ``corner_faces`` and ``metrics`` queries for
+the derived fields; the test now derives them from the tables itself.
+So any change to a face id, a dart order or a two-hop row shows here.
 """
 
 import hashlib
@@ -27,7 +31,18 @@ def sweep_graph(i: int):
 
 def tables(g) -> dict:
     ints = lambda xs: [int(x) for x in xs]  # noqa: E731
-    mts = [g.metrics(v) for v in range(g.n)]
+    corner_faces, counts = [], []
+    for v in range(g.n):
+        lo, hi = g.rot_start[v], g.rot_start[v + 1]
+        # corner i of v is traced by the dart v -> rot[v][i + 1]
+        faces = g.face_of_dart[lo:hi]
+        corner_faces.append(ints(faces[1:] + faces[:1]))
+        near = [g.deg[u] for u in g.rot_flat[lo:hi]]
+        lens = [g.face_lens[f] for f in set(faces)]
+        counts.append([
+            near.count(3), near.count(4), near.count(5),
+            lens.count(3), lens.count(4), sum(ln >= 5 for ln in lens),
+        ])
     return {
         "deg": ints(g.deg),
         "rot_start": ints(g.rot_start),
@@ -36,10 +51,10 @@ def tables(g) -> dict:
         "mirror": ints(g.mirror),
         "face_of_dart": ints(g.face_of_dart),
         "face_lens": ints(g.face_lens),
-        "corner_faces": [ints(g.corner_faces(v)) for v in range(g.n)],
+        "corner_faces": corner_faces,
         "n2": [ints(g.n2(v)) for v in range(g.n)],
         "d2": [g.d2(v) for v in range(g.n)],
-        "counts": [[mt.n3, mt.n4, mt.n5, mt.m3, mt.m4, mt.m5plus] for mt in mts],
+        "counts": counts,
     }
 
 

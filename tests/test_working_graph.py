@@ -48,6 +48,7 @@ from planecolor.reducer import (
 )
 from planecolor.working_graph import WorkingGraph, _crossing, _targets_in_order
 from strategies import rotation_systems
+from test_kernels import reference_walks
 
 CROSSING_MATCH_RULES = {"R-good-c", "R-good-d1", "R-good-d2", "R-5t4n-b1"}
 
@@ -455,7 +456,7 @@ class TestSplice:
         # 4-face 0,1,3,2 has its far corner at 3, a neighbour of 0
         rows = [[1, 3, 2], [3, 0], [0, 3], [2, 0, 1]]
         g = PlaneGraph(split_face(split_face(rows, [0, 3, 1]), [0, 2, 3]))
-        assert ((0, 1), (1, 3), (3, 2), (2, 0)) in [f.darts for f in g.faces()]
+        assert [(0, 1), (1, 3), (3, 2), (2, 0)] in reference_walks(g)[1]
         delete_and_check(WorkingGraph(g), 0, chords)
 
     @pytest.mark.parametrize("shift", range(4))
@@ -520,7 +521,7 @@ def medial_plus(n: int, seed: int, extra: int) -> PlaneGraph:
                 ]
     g = PlaneGraph(rows)
     for _ in range(extra):
-        darts = rng.choice([f for f in g.faces() if f.length >= 4]).darts
+        darts = rng.choice([w for w in reference_walks(g)[1] if len(w) >= 4])
         pairs = [
             (p, q)
             for i, p in enumerate(darts)
@@ -578,12 +579,14 @@ def assert_short_faces_meet_once(g: PlaneGraph) -> None:
     and an edge with a 3-face on each side has two faces."""
     for v in range(g.n):
         if g.deg[v] >= 3:
-            short = [f for f in g.corner_faces(v) if g.face_lens[f] <= 4]
+            faces = g.face_of_dart[g.rot_start[v] : g.rot_start[v + 1]]
+            short = [f for f in faces if g.face_lens[f] <= 4]
             assert len(set(short)) == len(short), v
-    for u, v in g.edges():
-        f1, f2 = g.edge_faces(u, v)
-        if g.face_lens[f1] == g.face_lens[f2] == 3:
-            assert f1 != f2, (u, v)
+    for u, row in enumerate(g.rotations):
+        for v in row:
+            f1, f2 = g.edge_faces(u, v)
+            if g.face_lens[f1] == g.face_lens[f2] == 3:
+                assert f1 != f2, (u, v)
 
 
 SHORT_FACE_INPUTS = {
@@ -613,7 +616,7 @@ class TestShortFacesMeetOnce:
         # the path a-v-b: why the degree must be at least 3
         g = PlaneGraph([[1], [0, 2], [1]])
         assert g.corner_lens(1) == (4, 4)
-        assert len(set(g.corner_faces(1))) == 1
+        assert len(set(g.face_of_dart[g.rot_start[1] : g.rot_start[2]])) == 1
 
 
 # ======================================================================
