@@ -90,15 +90,12 @@ def test_plane_graph_public_attributes():
 
 
 def package_namespaces() -> dict:
-    """Every attribute of every loaded planecolor module, and the
-    PlaneGraph constructor."""
-    out = {
+    """Every attribute of every loaded planecolor module."""
+    return {
         name: dict(vars(mod))
         for name, mod in sys.modules.items()
         if name == "planecolor" or name.startswith("planecolor.")
     }
-    out["PlaneGraph.__init__"] = planecolor.PlaneGraph.__init__
-    return out
 
 
 def test_perfbench_tracer_wraps_and_restores():
@@ -107,6 +104,7 @@ def test_perfbench_tracer_wraps_and_restores():
     spec.loader.exec_module(tracer_module)
 
     before = package_namespaces()
+    init = planecolor.PlaneGraph.__init__
     tracer = tracer_module.Tracer()
     tracer.install(planecolor)
     try:
@@ -130,12 +128,6 @@ def test_perfbench_tracer_wraps_and_restores():
         "color_with_k",
         "solve_k_coloring",
     } <= seen
-    after = package_namespaces()
-    assert after.keys() == before.keys()
-    for name, space in before.items():
-        if name == "PlaneGraph.__init__":
-            assert after[name] is space
-            continue
-        assert after[name].keys() == space.keys(), name
-        changed = [a for a, v in space.items() if after[name][a] is not v]
-        assert changed == [], name
+    # functions compare by identity, so a wrapper left behind shows here
+    assert planecolor.PlaneGraph.__init__ is init
+    assert package_namespaces() == before
