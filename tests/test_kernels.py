@@ -1,6 +1,6 @@
 """The graph core's loops against references that share no code with them.
 
-Face orbits, the duals built from them, and two-hop rows are
+Face orbits and walks, the duals built from them, and two-hop rows are
 checked against walks written out here.  The k-coloring search is
 checked against what the numpy build of the package returned on the
 same inputs: status, node count and the coloring found, so the search
@@ -16,6 +16,7 @@ from planecolor._kernels import SOLVE_FOUND, SOLVE_INFEASIBLE, solve_k_coloring
 from planecolor.errors import NotPlanarEmbedding, ParseError
 from planecolor.exact_solver import _static_order
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
+from planecolor.plane_graph import _orbits
 
 SAMPLE_GRAPHS = [named("cube"), named("icosahedron")] + [
     random_plane(n, seed=s) for n, s in [(30, 1), (77, 2), (120, 3)]
@@ -88,6 +89,13 @@ class TestFaces:
             face_of, lens = [], [0]
         assert list(g.face_of_dart) == face_of
         assert list(g.face_lens) == lens
+
+    def test_faces(self, g):
+        # the walks dual() reads its rows from, as (tail, head) pairs
+        orbits = _orbits(g._successors())
+        assert [[(g.dart_tail[p], g.rot_flat[p]) for p in o] for o in orbits] == (
+            reference_walks(g)[1]
+        )
 
     def test_dual(self, g):
         if g.m == 0:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecolor.configurations import classify_special
+from planecolor.conflict import Coloring, conflict_sets
 from planecolor.errors import (
     AsymmetricRotation,
     Disconnected,
@@ -127,6 +128,15 @@ class TestAccessors:
             ask = getattr(g, query)
         with pytest.raises(UnknownVertex):
             ask(v)
+
+    def test_distance_agrees_with_within_two(self, corpus_graph):
+        # two vertices alone in one color conflict exactly when within two
+        g = corpus_graph
+        for u in range(g.n):
+            dist = distances(g, u)
+            for v in range(u + 1, g.n):
+                pair = Coloring(palette=1, colors={u: 1, v: 1})
+                assert conflict_sets(g, pair) == ([(u, v, 1)] if dist[v] <= 2 else [])
 
     def test_n2_matches_bfs(self, corpus_graph):
         g = corpus_graph
