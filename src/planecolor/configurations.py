@@ -34,9 +34,8 @@ surfaces as a loud error instead of a bad coloring.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DegreeTooHigh
 from .plane_graph import PlaneGraph
@@ -58,8 +57,7 @@ _ROLE_ORDER = ("v", "v1", "v2", "v3", "v4", "v5", "x", "y")
 _RING_ROLES = ("v1", "v2", "v3", "v4", "v5")  # w0..w4 of a frame
 
 
-@dataclass(frozen=True)
-class ReductionRule:
+class ReductionRule(NamedTuple):
     """One reducible configuration.
 
     Attributes:
@@ -93,8 +91,7 @@ class ReductionRule:
     bind: Optional[Callable] = None
 
 
-@dataclass(frozen=True)
-class ConfigMatch:
+class ConfigMatch(NamedTuple):
     """A rule bound to concrete vertices."""
 
     rule_id: str
@@ -126,8 +123,7 @@ class ConfigMatch:
         }
 
 
-@dataclass(frozen=True)
-class SpecialClass:
+class SpecialClass(NamedTuple):
     """Classification of a degree-5 vertex, with its witness ring."""
 
     kind: str

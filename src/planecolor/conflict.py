@@ -9,7 +9,8 @@ report means there is literally nothing left to flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
 from .errors import ParseError
 from .plane_graph import PlaneGraph
@@ -17,12 +18,11 @@ from .plane_graph import PlaneGraph
 __all__ = ["Coloring", "ConflictReport", "conflict_sets", "validate"]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Partial vertex coloring with a declared palette size."""
 
     palette: int
-    colors: dict[int, int] = field(default_factory=dict)
+    colors: dict[int, int]
 
     def to_json(self) -> dict:
         return {
@@ -50,8 +50,7 @@ class Coloring:
         return cls(palette=palette, colors=out)
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     """Outcome of validating a coloring against a graph.
 
     valid is True exactly when violations, uncolored and not_in_graph
@@ -81,17 +80,22 @@ def conflict_sets(g: PlaneGraph, coloring: Coloring) -> list[tuple[int, int, int
     """All pairs u < v at distance <= 2 wearing the same color.
 
     The list is exhaustive and sorted; each unordered pair appears once.
+    Two vertices are within distance two exactly when some closed
+    neighbourhood N[x] holds both, so a violation is a repeated color in
+    some N[x].
     """
     colors = coloring.colors
-    out: list[tuple[int, int, int]] = []
-    for u in range(g.n):
-        cu = colors.get(u)
-        if cu is None:
+    get = colors.get
+    out: set[tuple[int, int, int]] = set()
+    for x, row in enumerate(g.rotations):
+        # no repeat in N[x], counting uncolored as None: nothing here
+        if len({get(x), *map(get, row)}) > len(row):
             continue
-        for v in g.n2(u):
-            if v > u and colors.get(v) == cu:
-                out.append((u, v, cu))
-    return out
+        ball = sorted(u for u in (x, *row) if u in colors)
+        for u, v in combinations(ball, 2):
+            if colors[u] == colors[v]:
+                out.add((u, v, colors[u]))
+    return sorted(out)
 
 
 def validate(g: PlaneGraph, coloring: Coloring) -> ConflictReport:

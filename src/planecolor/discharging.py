@@ -14,8 +14,7 @@ conservation checks are exact integer equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .configurations import _Ctx, classify_special, detect
 from .errors import EulerIdentityViolated
@@ -47,8 +46,7 @@ def _fmt(p: int) -> str:
     return f"{p}/{DENOM}"
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One charge movement: rule name, giver, taker, amount in 45ths."""
 
     rule: str
@@ -65,8 +63,7 @@ class TransferRecord:
         }
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
+class ChargeLedger(NamedTuple):
     """Charges in 45ths for every vertex and face."""
 
     vertices: tuple[int, ...]

@@ -38,20 +38,23 @@ INFEASIBLE = _Sentinel("INFEASIBLE")
 UNKNOWN = _Sentinel("UNKNOWN")
 
 
-def _static_order(g: PlaneGraph) -> list[int]:
+def _static_order(indptr) -> list[int]:
     # most constrained first: descending d2, ties by ascending id
-    return sorted(range(g.n), key=lambda v: (-g.d2(v), v))
+    n = len(indptr) - 1
+    return sorted(range(n), key=lambda v: (indptr[v] - indptr[v + 1], v))
 
 
-def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
+def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET, *, csr=None):
     """Search for a distance-two coloring with exactly k colors allowed.
+
+    ``csr`` is ``g.n2_csr()`` when the caller has already built it.
 
     Returns:
         A valid Coloring on success, INFEASIBLE when the search space
         is exhausted, UNKNOWN when the node budget runs out first.
     """
-    indptr, indices = g.n2_csr()
-    order = _static_order(g)
+    indptr, indices = csr or g.n2_csr()
+    order = _static_order(indptr)
     status, colors, _nodes = _kernels.solve_k_coloring(
         indptr, indices, order, g.n, k, budget
     )
@@ -76,8 +79,9 @@ def chi2_exact(g: PlaneGraph, budget: int = DEFAULT_BUDGET):
     if g.n == 1:
         return 1
     lo = max(g.deg) + 1
+    csr = g.n2_csr()
     for k in range(lo, g.n + 1):
-        res = color_with_k(g, k, budget)
+        res = color_with_k(g, k, budget, csr=csr)
         if res is UNKNOWN:
             return UNKNOWN
         if res is not INFEASIBLE:

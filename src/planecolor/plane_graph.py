@@ -63,8 +63,6 @@ class PlaneGraph:
         "face_of_dart",
         "face_lens",
         "num_faces",
-        "_n2_indptr",
-        "_n2_flat",
     )
 
     def __init__(self, rotations) -> None:
@@ -125,18 +123,6 @@ class PlaneGraph:
                 f"Euler check failed: {self.n} - {self.m} + {self.num_faces} != 2"
             )
 
-        indptr = [0]
-        flat: list[int] = []
-        for v, row in enumerate(rots):
-            near = set(row)
-            for u in row:
-                near.update(rots[u])
-            near.discard(v)
-            flat.extend(sorted(near))
-            indptr.append(len(flat))
-        self._n2_indptr = tuple(indptr)
-        self._n2_flat = tuple(flat)
-
     def _check_connected(self) -> None:
         seen = [False] * self.n
         seen[0] = True
@@ -176,13 +162,15 @@ class PlaneGraph:
         return self.deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.rotations[u]
+        # both ids are typed as _check_vertex wants them, so True is not 1
+        ok = type(u) is type(v) is int
+        return ok and 0 <= u < self.n and v in self.rotations[u]
 
     def dart(self, u: int, v: int) -> int:
         """Flat index of the arc u -> v."""
-        if 0 <= u < self.n and v in self.rotations[u]:
+        if self.has_edge(u, v):
             return self.rot_start[u] + self.rotations[u].index(v)
-        raise UnknownVertex(f"no edge {u}-{v}")
+        raise UnknownVertex(f"no edge {u!r}-{v!r}")
 
     def corner_lens(self, v: int) -> tuple[int, ...]:
         """Face length in each corner of v, in corner order, capped at 5
@@ -226,16 +214,18 @@ class PlaneGraph:
     # ==================================================================
 
     def n2(self, v: int) -> tuple[int, ...]:
+        """The vertices at distance 1 or 2 from v, ascending."""
         self._check_vertex(v)
-        return self._n2_flat[self._n2_indptr[v] : self._n2_indptr[v + 1]]
+        return _two_hop(self.rotations, v)
 
     def d2(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._n2_indptr[v + 1] - self._n2_indptr[v]
+        return len(self.n2(v))
 
     def n2_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The rows of ``n2`` as CSR offsets and sorted column ids."""
-        return self._n2_indptr, self._n2_flat
+        """The rows of ``n2`` as CSR offsets and sorted column ids,
+        built on every call."""
+        rows = [_two_hop(self.rotations, v) for v in range(self.n)]
+        return (0, *accumulate(map(len, rows))), tuple(chain.from_iterable(rows))
 
     # ==================================================================
     # derived graphs
@@ -258,7 +248,7 @@ class PlaneGraph:
     def to_rotation_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
         for v, row in enumerate(self.rotations):
-            lines.append(f"{v}: " + " ".join(str(u) for u in row) if row else f"{v}:")
+            lines.append(f"{v}: " + " ".join(map(str, row)) if row else f"{v}:")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -267,9 +257,6 @@ class PlaneGraph:
             "m": self.m,
             "rotations": [list(row) for row in self.rotations],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, obj) -> "PlaneGraph":
@@ -301,6 +288,14 @@ class PlaneGraph:
 # ======================================================================
 # module-level helpers
 # ======================================================================
+
+
+def _two_hop(rots: tuple[tuple[int, ...], ...], v: int) -> tuple[int, ...]:
+    """The ids within two steps of v along the rotations, v excluded, ascending."""
+    row = rots[v]
+    near = set(row).union(*map(rots.__getitem__, row))
+    near.discard(v)
+    return tuple(sorted(near))
 
 
 def _trace(succ: list[int]) -> tuple[list[int], list[int], list[int]]:

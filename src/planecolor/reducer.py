@@ -14,7 +14,7 @@ the reduced graph rebuilt from scratch; with ``extend`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .configurations import ConfigMatch, MatchQueue
 from .conflict import Coloring, validate
@@ -34,8 +34,7 @@ __all__ = ["ReductionTrace", "color16", "PALETTE"]
 PALETTE = 16
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Record of one reduction step, enough to replay or audit it."""
 
     step: int

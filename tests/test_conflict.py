@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from planecolor.conflict import Coloring, conflict_sets, validate
 from planecolor.errors import ParseError
-from planecolor.generators import named, random_plane
+from planecolor.generators import NAMED_GRAPHS, named, random_plane
 from test_plane_graph import distances
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
@@ -101,6 +101,19 @@ def test_report_json_shape():
     obj = rep.to_json()
     assert obj["valid"] is False
     assert obj["violations"] == [[0, 1, 1]]
+
+
+WORST_CASES = {name: named(name) for name in NAMED_GRAPHS}
+WORST_CASES.update({f"random_plane(60, seed={s})": random_plane(60, seed=s) for s in range(5)})
+
+
+@pytest.mark.parametrize("g", WORST_CASES.values(), ids=WORST_CASES.keys())
+def test_one_color_flags_every_pair_once(g):
+    # every pair within distance two conflicts, and many share several N[x]
+    one = Coloring(palette=1, colors=dict.fromkeys(range(g.n), 1))
+    got = conflict_sets(g, one)
+    assert got == brute_violations(g, one)
+    assert len(set(got)) == len(got)
 
 
 @st.composite

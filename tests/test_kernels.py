@@ -132,7 +132,7 @@ class TestParity:
 
     def test_solver(self, g):
         indptr, indices = g.n2_csr()
-        order = _static_order(g)
+        order = _static_order(indptr)
         for k, (status, nodes, colors) in SOLVER_PINS[graph_id(g)].items():
             got = solve_k_coloring(indptr, indices, order, g.n, k, 10**7)
             assert got[0] == status and got[2] == nodes
@@ -150,7 +150,7 @@ def test_search_node_counts(n, seed, chi, nodes):
     them, costs the same number of assignments as before."""
     g = random_plane(n, seed=seed)
     indptr, indices = g.n2_csr()
-    order = _static_order(g)
+    order = _static_order(indptr)
     total = 0
     for k in range(max(g.deg) + 1, chi + 1):
         status, _, spent = solve_k_coloring(indptr, indices, order, g.n, k, 10**6)

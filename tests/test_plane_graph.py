@@ -129,6 +129,17 @@ class TestAccessors:
         with pytest.raises(UnknownVertex):
             ask(v)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize("x", [True, 1.0, "1", None], ids=repr)
+    def test_edge_queries_reject_what_is_not_an_int_id(self, x, first):
+        # k4 joins every pair, so only the type of x can refuse the edge
+        g = named("k4")
+        pair = (x, 0) if first else (0, x)
+        assert g.has_edge(*pair) is False
+        for query in ("dart", "edge_faces", "edge_in_two_triangles", "edge_large_face_count"):
+            with pytest.raises(UnknownVertex):
+                getattr(g, query)(*pair)
+
     def test_distance_agrees_with_within_two(self, corpus_graph):
         # two vertices alone in one color conflict exactly when within two
         g = corpus_graph
@@ -178,7 +189,7 @@ class TestSerialization:
 
     def test_json_round_trip(self, corpus_graph):
         g = corpus_graph
-        assert PlaneGraph.from_json(json.loads(g.to_json_text())) == g
+        assert PlaneGraph.from_json(json.loads(json.dumps(g.to_json(), separators=(",", ":")))) == g
 
     @pytest.mark.parametrize(
         "doc",

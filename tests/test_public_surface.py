@@ -72,7 +72,6 @@ PLANE_GRAPH_PUBLIC = [
     "rot_start",
     "rotations",
     "to_json",
-    "to_json_text",
     "to_rotation_text",
 ]
 

@@ -9,7 +9,6 @@ graph per step.  Both are kept here only as oracles.
 """
 
 import copy
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -120,7 +119,7 @@ def stepwise_color16(g: PlaneGraph):
                 nxt, trace = apply(cur, match)
             except (EmbeddingBroken, DegreeOverflow):
                 continue
-            stack.append((cur, dataclasses.replace(trace, step=len(stack))))
+            stack.append((cur, trace._replace(step=len(stack))))
             cur = nxt
             break
         else:
@@ -365,8 +364,8 @@ class TestWorkingGraph:
             pool = [m for ms in before.values() for m in ms]
             rng.shuffle(pool)
             for m in pool:
-                dense = dataclasses.replace(
-                    m, binding={r: live.index(u) for r, u in m.binding.items()}
+                dense = m._replace(
+                    binding={r: live.index(u) for r, u in m.binding.items()}
                 )
                 try:
                     want = rebuild_apply(cur, dense)
