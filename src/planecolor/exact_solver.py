@@ -44,16 +44,14 @@ def _static_order(indptr) -> list[int]:
     return sorted(range(n), key=lambda v: (indptr[v] - indptr[v + 1], v))
 
 
-def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET, *, csr=None):
+def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
     """Search for a distance-two coloring with exactly k colors allowed.
-
-    ``csr`` is ``g.n2_csr()`` when the caller has already built it.
 
     Returns:
         A valid Coloring on success, INFEASIBLE when the search space
         is exhausted, UNKNOWN when the node budget runs out first.
     """
-    indptr, indices = csr or g.n2_csr()
+    indptr, indices = g.n2_csr()
     order = _static_order(indptr)
     status, colors, _nodes = _kernels.solve_k_coloring(
         indptr, indices, order, g.n, k, budget
@@ -79,9 +77,8 @@ def chi2_exact(g: PlaneGraph, budget: int = DEFAULT_BUDGET):
     if g.n == 1:
         return 1
     lo = max(g.deg) + 1
-    csr = g.n2_csr()
     for k in range(lo, g.n + 1):
-        res = color_with_k(g, k, budget, csr=csr)
+        res = color_with_k(g, k, budget)
         if res is UNKNOWN:
             return UNKNOWN
         if res is not INFEASIBLE:

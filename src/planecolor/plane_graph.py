@@ -216,7 +216,7 @@ class PlaneGraph:
     def n2(self, v: int) -> tuple[int, ...]:
         """The vertices at distance 1 or 2 from v, ascending."""
         self._check_vertex(v)
-        return _two_hop(self.rotations, v)
+        return tuple(sorted(two_hop(self.rotations, v)))
 
     def d2(self, v: int) -> int:
         return len(self.n2(v))
@@ -224,7 +224,7 @@ class PlaneGraph:
     def n2_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The rows of ``n2`` as CSR offsets and sorted column ids,
         built on every call."""
-        rows = [_two_hop(self.rotations, v) for v in range(self.n)]
+        rows = [tuple(sorted(two_hop(self.rotations, v))) for v in range(self.n)]
         return (0, *accumulate(map(len, rows))), tuple(chain.from_iterable(rows))
 
     # ==================================================================
@@ -290,12 +290,13 @@ class PlaneGraph:
 # ======================================================================
 
 
-def _two_hop(rots: tuple[tuple[int, ...], ...], v: int) -> tuple[int, ...]:
-    """The ids within two steps of v along the rotations, v excluded, ascending."""
-    row = rots[v]
-    near = set(row).union(*map(rots.__getitem__, row))
+def two_hop(rots, v: int) -> set[int]:
+    """The ids within two steps of v along the rotations, v excluded."""
+    near = set(rots[v])
+    for u in rots[v]:
+        near.update(rots[u])
     near.discard(v)
-    return tuple(sorted(near))
+    return near
 
 
 def _trace(succ: list[int]) -> tuple[list[int], list[int], list[int]]:

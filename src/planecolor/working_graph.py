@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import DegreeOverflow, EmbeddingBroken
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, two_hop
 
 __all__ = ["WorkingGraph"]
 
@@ -115,7 +115,7 @@ class WorkingGraph:
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        return len(self.n2(v))
+        return len(two_hop(self.rotations, v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
@@ -136,12 +136,7 @@ class WorkingGraph:
 
     def n2(self, v: int) -> set[int]:
         """Vertices within distance two of v, v excluded."""
-        rot = self.rotations
-        out = set(rot[v])
-        for u in rot[v]:
-            out.update(rot[u])
-        out.discard(v)
-        return out
+        return two_hop(self.rotations, v)
 
     def alive(self) -> list[int]:
         """Live vertices in ascending id order."""
