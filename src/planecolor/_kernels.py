@@ -1,8 +1,7 @@
-"""The exact k-coloring search over a conflict CSR.
+"""The exact k-coloring search over conflict rows.
 
-``indptr`` and ``indices`` are the CSR of the conflict graph: the
-neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``.  For the
-distance-two problem that is ``PlaneGraph.n2_csr()``.
+``rows[v]`` lists the neighbours of v in the conflict graph.  For the
+distance-two problem that is ``PlaneGraph.n2(v)``.
 
 Static variable order, ascending colors, first vertex pinned to the
 first color, forward checking with bitmask domains.  The budget counts
@@ -23,17 +22,17 @@ SOLVE_INFEASIBLE = 0
 SOLVE_UNKNOWN = -1
 
 
-def solve_k_coloring(indptr, indices, order, n: int, k: int, budget: int):
-    """Backtracking k-coloring over a conflict CSR.
+def solve_k_coloring(rows, order, k: int, budget: int):
+    """Backtracking k-coloring over conflict rows, one per vertex.
 
     Returns (status, colors, nodes); colors are 0-based and only
     meaningful when status == SOLVE_FOUND.
     """
+    n = len(rows)
     if n == 0:
         return SOLVE_FOUND, [], 0
     if k <= 0:
         return SOLVE_INFEASIBLE, [-1] * n, 0
-    rows = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
     domain = [(1 << k) - 1] * n
     color = [-1] * n
     trail: list[tuple[int, int]] = []

@@ -164,7 +164,7 @@ class _Ctx:
     def __init__(self, g):
         # g is a PlaneGraph or a WorkingGraph: only the queries both
         # answer are used (deg, rotations, corner_lens, has_edge,
-        # edge_in_two_triangles, d2)
+        # edge_in_two_triangles for in2 alone, and d2)
         self.g = g
         self.deg = g.deg
         self._frames: dict[int, list[_Frame]] = {}
@@ -261,8 +261,8 @@ def _good_middle(ctx, fr):
     )
 
 
-# class: (corners of its frames, test on the triangle pair's middle w1),
-# in the order classify_special tries them
+# class: (corners of its frames, test on the triangle pair's middle w1);
+# classify_special tries strong, good and support in this order
 _FAMILIES: dict[str, tuple[frozenset, Optional[Callable]]] = {
     # four triangles; the fifth corner is 4 (bad) or 5+ (semi-bad)
     "quad": (_corners("3333x"), None),
@@ -289,21 +289,26 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
     ctx = _ctx if _ctx is not None else _Ctx(g)
     if g.degree(v) != 5:
         return None
-    # a shortcut past v's frames: every class's frames open on a triangle
-    # pair, and outside quad (four triangles) its middle w1 is bad or
-    # semi-bad, where the neighbour between corners i - 1 and i is rot[i]
     cl = g.corner_lens(v)
-    if cl.count(3) != 4 and not any(
+    rot = g.rotations[v]
+    if cl.count(3) == 4:
+        # bad or semi-bad: the first quad frame in frame order starts
+        # after the one corner that is not a triangle
+        j = cl.index(max(cl))
+        return SpecialClass(ctx.bad_kind(v), v, (rot * 2)[j + 1 : j + 6])
+    # a shortcut past v's frames: every other class's frames open on a
+    # triangle pair whose middle w1 is bad or semi-bad, where the
+    # neighbour between corners i - 1 and i is rot[i]
+    if not any(
         cl[i - 1] == 3 and cl[i] == 3 and ctx.bad_kind(u) is not None
-        for i, u in enumerate(g.rotations[v])
+        for i, u in enumerate(rot)
     ):
         return None
     frames = ctx.frames(v)
-    for kind, (corners, test) in _FAMILIES.items():
+    for kind in ("strong", "good", "support"):
+        corners, test = _FAMILIES[kind]
         for fr in frames:
-            if fr.cfl in corners and (test is None or test(ctx, fr)):
-                if kind == "quad":
-                    kind = ctx.bad_kind(v)
+            if fr.cfl in corners and test(ctx, fr):
                 return SpecialClass(kind, v, fr.w)
     return None
 

@@ -162,14 +162,18 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             if deg[u] == 5:
                 move("R2", ("vertex", u), ("vertex", v), NINTH)
 
+    def faces_at(v: int) -> list[int]:
+        # the distinct faces around v, ascending
+        return sorted(set(fod[rs[v] : rs[v + 1]]))
+
     # R3 / R4: big faces pay their small incident vertices
     for v in range(g.n):
         if deg[v] == 3:
-            for fid in g.incident_faces(v):
+            for fid in faces_at(v):
                 if flen[fid] >= 5:
                     move("R3", ("face", fid), ("vertex", v), THIRD)
         elif deg[v] == 4:
-            for fid in g.incident_faces(v):
+            for fid in faces_at(v):
                 if flen[fid] >= 5:
                     move("R4", ("face", fid), ("vertex", v), FIFTH)
 
@@ -179,7 +183,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
         if deg[v] != 5:
             continue
         small_nbrs = [u for u in g.rotations[v] if deg[u] == 3]
-        for fid in g.incident_faces(v):
+        for fid in faces_at(v):
             if flen[fid] < 5:
                 continue
             # u is on the face when one of u's darts traces it
@@ -189,14 +193,17 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
                 move("R5", ("face", fid), ("vertex", v), FIFTH)
 
     # R7: a 5-vertex with at most three incident 3-faces pays each
-    # 4-neighbour per big face along their shared edge
+    # 4-neighbour per big face along their shared edge, the dart
+    # v -> u and its mirror (one face for a bridge)
     for v in range(g.n):
-        if deg[v] != 5 or sum(flen[f] == 3 for f in g.incident_faces(v)) > 3:
+        if deg[v] != 5 or sum(flen[f] == 3 for f in faces_at(v)) > 3:
             continue
-        for u in sorted(g.rotations[v]):
+        for p in sorted(range(rs[v], rs[v + 1]), key=head.__getitem__):
+            u = head[p]
             if deg[u] != 4:
                 continue
-            big = g.edge_large_face_count(v, u)
+            f1, f2 = fod[p], fod[mirror[p]]
+            big = (flen[f1] >= 5) + (f2 != f1 and flen[f2] >= 5)
             if big == 1:
                 move("R7a", ("vertex", v), ("vertex", u), FIFTEENTH)
             elif big == 2:

@@ -1,10 +1,10 @@
 """Exact distance-two coloring by backtracking search.
 
 The search runs on the conflict graph (vertices at distance <= 2 are
-adjacent), with a static variable order, ascending color choice, the
-first vertex pinned to color 1, and forward checking.  A node budget
-caps the number of assignments tried; hitting it returns UNKNOWN rather
-than a wrong answer.
+adjacent, so v's row is ``PlaneGraph.n2(v)``), with a static variable
+order, ascending color choice, the first vertex pinned to color 1, and
+forward checking.  A node budget caps the number of assignments tried;
+hitting it returns UNKNOWN rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ INFEASIBLE = _Sentinel("INFEASIBLE")
 UNKNOWN = _Sentinel("UNKNOWN")
 
 
-def _static_order(indptr) -> list[int]:
+def _static_order(rows) -> list[int]:
     # most constrained first: descending d2, ties by ascending id
-    n = len(indptr) - 1
-    return sorted(range(n), key=lambda v: (indptr[v] - indptr[v + 1], v))
+    return sorted(range(len(rows)), key=lambda v: (-len(rows[v]), v))
 
 
 def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
@@ -51,10 +50,9 @@ def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
         A valid Coloring on success, INFEASIBLE when the search space
         is exhausted, UNKNOWN when the node budget runs out first.
     """
-    indptr, indices = g.n2_csr()
-    order = _static_order(indptr)
+    rows = [g.n2(v) for v in range(g.n)]
     status, colors, _nodes = _kernels.solve_k_coloring(
-        indptr, indices, order, g.n, k, budget
+        rows, _static_order(rows), k, budget
     )
     if status == _kernels.SOLVE_INFEASIBLE:
         return INFEASIBLE

@@ -166,12 +166,6 @@ class PlaneGraph:
         ok = type(u) is type(v) is int
         return ok and 0 <= u < self.n and v in self.rotations[u]
 
-    def dart(self, u: int, v: int) -> int:
-        """Flat index of the arc u -> v."""
-        if self.has_edge(u, v):
-            return self.rot_start[u] + self.rotations[u].index(v)
-        raise UnknownVertex(f"no edge {u!r}-{v!r}")
-
     def corner_lens(self, v: int) -> tuple[int, ...]:
         """Face length in each corner of v, in corner order, capped at 5
         as detection reads it (``WorkingGraph.corner_lens`` does too)."""
@@ -182,32 +176,13 @@ class PlaneGraph:
         faces = fo[lo + 1 : hi] + fo[lo : min(lo + 1, hi)]
         return tuple([fl[f] if fl[f] < 5 else 5 for f in faces])
 
-    def incident_faces(self, v: int) -> tuple[int, ...]:
-        """Distinct faces around v, ascending."""
-        self._check_vertex(v)
-        if self.deg[v] == 0:
-            return (0,)
-        lo, hi = self.rot_start[v], self.rot_start[v + 1]
-        return tuple(sorted(set(self.face_of_dart[lo:hi])))
-
-    def edge_faces(self, u: int, v: int) -> tuple[int, int]:
-        """The two faces at edge uv (equal for a bridge)."""
-        return (
-            self.face_of_dart[self.dart(u, v)],
-            self.face_of_dart[self.dart(v, u)],
-        )
-
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
+        if not self.has_edge(u, v):
+            raise UnknownVertex(f"no edge {u!r}-{v!r}")
+        p = self.rot_start[u] + self.rotations[u].index(v)
+        fo, fl = self.face_of_dart, self.face_lens
         # a bridge's one face is never a triangle, so two 3-sides are two faces
-        f1, f2 = self.edge_faces(u, v)
-        return self.face_lens[f1] == 3 and self.face_lens[f2] == 3
-
-    def edge_large_face_count(self, u: int, v: int) -> int:
-        """How many of the edge's two sides are faces of length >= 5."""
-        f1, f2 = self.edge_faces(u, v)
-        if f1 == f2:
-            return 1 if self.face_lens[f1] >= 5 else 0
-        return int(self.face_lens[f1] >= 5) + int(self.face_lens[f2] >= 5)
+        return fl[fo[p]] == 3 and fl[fo[self.mirror[p]]] == 3
 
     # ==================================================================
     # distance structure
@@ -220,12 +195,6 @@ class PlaneGraph:
 
     def d2(self, v: int) -> int:
         return len(self.n2(v))
-
-    def n2_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The rows of ``n2`` as CSR offsets and sorted column ids,
-        built on every call."""
-        rows = [tuple(sorted(two_hop(self.rotations, v))) for v in range(self.n)]
-        return (0, *accumulate(map(len, rows))), tuple(chain.from_iterable(rows))
 
     # ==================================================================
     # derived graphs

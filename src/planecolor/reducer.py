@@ -63,14 +63,11 @@ def is_proper_wrt(g: PlaneGraph, h: PlaneGraph, deleted: int) -> bool:
 
     Vertices above ``deleted`` shift down by one in h.
     """
-    gp, gi = g.n2_csr()
-    hp, hi = h.n2_csr()
     for u in range(g.n):
         if u == deleted:
             continue
-        a = u - (u > deleted)
-        have = set(hi[hp[a] : hp[a + 1]])
-        for v in gi[gp[u] : gp[u + 1]]:
+        have = set(h.n2(u - (u > deleted)))
+        for v in g.n2(u):
             if v > u and v != deleted and v - (v > deleted) not in have:
                 return False
     return True

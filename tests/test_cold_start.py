@@ -3,13 +3,14 @@
 A fresh interpreter imports ``planecolor`` and ``planecolor.cli``.  The
 records are named tuples, so nothing loads ``dataclasses`` or the
 ``inspect`` it pulls in; and a ``PlaneGraph`` keeps no distance-two
-table, since only ``validate`` and the exact solver read one and
-``n2_csr()`` builds it on call.
+table: ``n2(v)`` reads v's row off the rotations on call, and the exact
+solver builds all the rows it needs on each call.
 """
 
 import json
 import subprocess
 import sys
+from itertools import accumulate, chain
 from pathlib import Path
 
 import planecolor
@@ -41,8 +42,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_plane_graph_keeps_no_distance_two_table():
     g = random_plane(60, seed=1)
-    indptr, flat = g.n2_csr()
     rows = tuple(g.n2(v) for v in range(g.n))
+    flat = tuple(chain.from_iterable(rows))
+    offsets = (0, *accumulate(map(len, rows)))
     for name in type(g).__slots__:
         assert "n2" not in name and "d2" not in name, name
-        assert getattr(g, name) not in (indptr, flat, rows), name
+        assert getattr(g, name) not in (rows, flat, offsets), name

@@ -28,7 +28,7 @@ from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random
 from planecolor.plane_graph import PlaneGraph
 from planecolor.reducer import color16
 from planecolor.working_graph import WorkingGraph
-from test_working_graph import medial_plus
+from test_working_graph import SNUB_GRAPHS, medial_plus, snub
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -308,6 +308,7 @@ REFERENCE_GRAPHS = {
     },
     **{f"random_plane(150, {s})": lambda s=s: random_plane(150, seed=s) for s in range(3)},
     **{name: lambda name=name: named(name) for name in NAMED_GRAPHS},
+    **{f"snub({name})": lambda name=name: snub(name) for name in SNUB_GRAPHS},
 }
 
 

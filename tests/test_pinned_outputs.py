@@ -20,7 +20,7 @@ from planecolor.configurations import classify_special, iter_matches
 from planecolor.discharging import apply_rules, audit
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
 from planecolor.reducer import color16
-from test_working_graph import medial_plus
+from test_working_graph import SNUB_GRAPHS, medial_plus, snub
 
 PINNED = Path(__file__).with_name("pinned_outputs.json")
 SWEEP = 200  # the first inputs of acceptance criterion 1
@@ -74,10 +74,16 @@ def test_medial_outputs(seed):
     assert outputs(medial_graph(seed)) == _pinned()["medial"][str(seed)]
 
 
+@pytest.mark.parametrize("name", SNUB_GRAPHS)
+def test_snub_outputs(name):
+    assert outputs(snub(name)) == _pinned()["snub"][name]
+
+
 if __name__ == "__main__":
     PINNED.write_text(json.dumps({
         "named": {name: outputs(named(name)) for name in sorted(NAMED_GRAPHS)},
         "sweep": [outputs(sweep_graph(i)) for i in range(SWEEP)],
         "medial": {str(s): outputs(medial_graph(s)) for s in MEDIAL_SEEDS},
+        "snub": {name: outputs(snub(name)) for name in SNUB_GRAPHS},
     }, indent=1) + "\n")
     print(f"wrote {PINNED}")

@@ -116,7 +116,7 @@ class TestAccessors:
 
     @pytest.mark.parametrize(
         "query",
-        ["degree", "n2", "d2", "corner_lens", "incident_faces", "classify_special"],
+        ["degree", "n2", "d2", "corner_lens", "classify_special"],
     )
     @pytest.mark.parametrize("v", [True, 1.0, "1", None], ids=repr)
     def test_query_rejects_what_is_not_an_int_id(self, query, v):
@@ -136,9 +136,8 @@ class TestAccessors:
         g = named("k4")
         pair = (x, 0) if first else (0, x)
         assert g.has_edge(*pair) is False
-        for query in ("dart", "edge_faces", "edge_in_two_triangles", "edge_large_face_count"):
-            with pytest.raises(UnknownVertex):
-                getattr(g, query)(*pair)
+        with pytest.raises(UnknownVertex):
+            g.edge_in_two_triangles(*pair)
 
     def test_distance_agrees_with_within_two(self, corpus_graph):
         # two vertices alone in one color conflict exactly when within two
@@ -158,22 +157,22 @@ class TestAccessors:
 
     def test_corner_faces_cover_incident_faces(self, corpus_graph):
         g = corpus_graph
+        fo, mirror = g.face_of_dart, g.mirror
         for v in range(g.n):
-            d = g.degree(v)
-            if d == 0:
+            lo, hi = g.rot_start[v], g.rot_start[v + 1]
+            if lo == hi:
                 continue
-            # corner i lies between rotation neighbours i and i + 1
-            row = g.rotations[v]
-            corners = [g.face_of_dart[g.dart(v, row[(i + 1) % d])] for i in range(d)]
-            assert set(corners) == set(g.incident_faces(v))
+            # corner i lies between rotation neighbours i and i + 1: its
+            # face comes in along row[i] -> v and leaves along v -> row[i + 1]
+            corners = [fo[mirror[p]] for p in range(lo, hi)]
+            assert corners == [fo[lo + (p - lo + 1) % (hi - lo)] for p in range(lo, hi)]
+            assert set(corners) == set(fo[lo:hi])
             assert g.corner_lens(v) == tuple(min(g.face_lens[f], 5) for f in corners)
 
     def test_edge_faces_on_cube(self, cube):
-        for u, row in enumerate(cube.rotations):
-            for v in row:
-                f1, f2 = cube.edge_faces(u, v)
-                assert f1 != f2  # no bridges in the cube
-                assert not cube.edge_in_two_triangles(u, v)
+        for p, q in enumerate(cube.mirror):
+            assert cube.face_of_dart[p] != cube.face_of_dart[q]  # no bridges
+            assert not cube.edge_in_two_triangles(cube.dart_tail[p], cube.rot_flat[p])
 
     def test_dual_of_cube_is_octahedron(self, cube):
         d = cube.dual()

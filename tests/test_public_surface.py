@@ -49,24 +49,19 @@ EXPORTS = [
 PLANE_GRAPH_PUBLIC = [
     "corner_lens",
     "d2",
-    "dart",
     "dart_tail",
     "deg",
     "degree",
     "dual",
-    "edge_faces",
     "edge_in_two_triangles",
-    "edge_large_face_count",
     "face_lens",
     "face_of_dart",
     "from_json",
     "has_edge",
-    "incident_faces",
     "m",
     "mirror",
     "n",
     "n2",
-    "n2_csr",
     "num_faces",
     "rot_flat",
     "rot_start",

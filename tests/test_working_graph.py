@@ -539,6 +539,52 @@ def medial_plus(n: int, seed: int, extra: int) -> PlaneGraph:
     return g
 
 
+def snub_rotations(rot) -> list[list[int]]:
+    """Clockwise rotations of the snub of a plane graph whose degrees
+    are all at least 3: every degree is 5.  Corner (u, i), between
+    ``rot[u][i]`` and ``rot[u][i + 1]``, becomes vertex
+    ``start[u] + i``; the corners around u and around each face become
+    faces of the same length, and every edge two triangles."""
+    start = [0]
+    for row in rot:
+        start.append(start[-1] + len(row))
+    at = [{x: i for i, x in enumerate(row)} for row in rot]
+
+    def corner(u, i):
+        return start[u] + i % len(rot[u])
+
+    out = []
+    for u, row in enumerate(rot):
+        for i, a in enumerate(row):
+            b = row[(i + 1) % len(row)]
+            j, k = at[b][u], at[a][u] - 1
+            out.append([corner(a, k), corner(b, j), corner(b, j - 1),
+                        corner(u, i + 1), corner(u, i - 1)])
+    return out
+
+
+# every snub input: three named polyhedra and four grown triangulations
+SNUB_GRAPHS = {
+    **{name: lambda name=name: named(name).rotations
+       for name in ("cube", "dodecahedron", "pentagonal_prism")},
+    **{f"triangulation({n}, {s})": lambda n=n, s=s: _grow_triangulation(n, random.Random(s))
+       for n, s in ((16, 0), (40, 0), (40, 1), (200, 2))},
+}
+
+
+def snub(name: str) -> PlaneGraph:
+    return PlaneGraph(snub_rotations(SNUB_GRAPHS[name]()))
+
+
+@pytest.mark.parametrize(
+    "name,n,m,faces",
+    [("cube", 24, 60, {3: 32, 4: 6}), ("dodecahedron", 60, 150, {3: 80, 5: 12})],
+)
+def test_snub_counts(name, n, m, faces):
+    g = snub(name)
+    assert (g.n, g.m, Counter(g.face_lens), set(g.deg)) == (n, m, faces, {5})
+
+
 def random_tree(n: int, rng: random.Random) -> PlaneGraph:
     """Every vertex is a cut vertex or a leaf; any rotation is plane."""
     rows: list[list[int]] = [[]]
@@ -581,11 +627,10 @@ def assert_short_faces_meet_once(g: PlaneGraph) -> None:
             faces = g.face_of_dart[g.rot_start[v] : g.rot_start[v + 1]]
             short = [f for f in faces if g.face_lens[f] <= 4]
             assert len(set(short)) == len(short), v
-    for u, row in enumerate(g.rotations):
-        for v in row:
-            f1, f2 = g.edge_faces(u, v)
-            if g.face_lens[f1] == g.face_lens[f2] == 3:
-                assert f1 != f2, (u, v)
+    for p, q in enumerate(g.mirror):
+        f1, f2 = g.face_of_dart[p], g.face_of_dart[q]
+        if g.face_lens[f1] == g.face_lens[f2] == 3:
+            assert f1 != f2, (g.dart_tail[p], g.rot_flat[p])
 
 
 SHORT_FACE_INPUTS = {
