@@ -10,7 +10,8 @@ Patterns are matched against *frames*: a frame fixes one neighbour
 labeling w0..w(d-1) of a candidate vertex, taken from the stored
 rotation at every offset and in both directions, so each written
 pattern covers all rotations and mirror images of the drawn shape.
-Corner i of a frame is the face between w_i and w_(i+1).
+Corner i of a frame is the face between w_i and w_(i+1).  A rule asks
+for the frames that show its corners, and only those are built.
 
 The corners a frame must show are data: ``ReductionRule.corners`` is
 the set of corner-length tuples, lengths capped at 5 so that 5 reads
@@ -54,7 +55,7 @@ __all__ = [
 SPECIAL_KINDS = ("bad", "semi-bad", "strong", "good", "support")
 
 _ROLE_ORDER = ("v", "v1", "v2", "v3", "v4", "v5", "x", "y")
-_RING_ROLES = ("v1", "v2", "v3", "v4", "v5")  # w0..w4 of a frame
+_FRAME_ROLES = ("v", "v1", "v2", "v3", "v4", "v5")  # the centre, then w0..w4
 
 
 class ReductionRule(NamedTuple):
@@ -150,60 +151,72 @@ class _Frame:
         self.cfl = cfl
 
 
-class _Ctx:
-    """Per-graph scratch: memoized frames, bad kinds and ``in2``."""
+def _frame_corners(cl: tuple) -> list[tuple]:
+    """The corner lengths of each frame of a vertex with corners ``cl``,
+    in frame order: forward from each offset o, then, from degree 3 on,
+    reversed, with corner i = cl[o - i - 1]."""
+    d = len(cl)
+    if d == 1:
+        return [()]
+    out = [cl[o:] + cl[:o] for o in range(d)]
+    if d > 2:  # reversed labelings coincide with forward ones below 3
+        out += [cl[o - 1 :: -1] + cl[: o - 1 : -1] for o in range(d)]
+    return out
 
-    __slots__ = (
-        "g",
-        "deg",
-        "_frames",
-        "_badmemo",
-        "_in2memo",
-    )
+
+# corners -> a centre's corner lengths -> (index, corner lengths) of its
+# frames that show ``corners``; filled on demand, 364 entries per set at most
+_SHOWN: dict[frozenset, dict[tuple, tuple]] = {}
+
+
+class _Ctx:
+    """Per-graph scratch: memoized corner lengths, bad kinds and ``in2``."""
+
+    __slots__ = ("g", "deg", "_cl", "_badmemo", "_in2memo")
 
     def __init__(self, g):
-        # g is a PlaneGraph or a WorkingGraph: only the queries both
-        # answer are used (deg, rotations, corner_lens, has_edge,
-        # edge_in_two_triangles for in2 alone, and d2)
+        # g is a PlaneGraph or a WorkingGraph, asked only what both answer:
+        # deg, rotations, corner_lens, has_edge, d2 and, for in2 alone,
+        # edge_in_two_triangles
         self.g = g
         self.deg = g.deg
-        self._frames: dict[int, list[_Frame]] = {}
+        self._cl: dict[int, tuple[int, ...]] = {}
         self._badmemo: dict[int, Optional[str]] = {}
         self._in2memo: dict[tuple[int, int], bool] = {}
 
     def forget(self, vertices) -> None:
         """Drop the memos of vertices whose rotation, degree or corners changed."""
         for v in vertices:
-            self._frames.pop(v, None)
+            self._cl.pop(v, None)
             self._badmemo.pop(v, None)
         self._in2memo.clear()
 
+    def showing(self, v: int, corners) -> list[_Frame]:
+        """The labelings of v whose corner lengths lie in ``corners``, in
+        frame order.  v's corner lengths say which they are, so only
+        those frames are built."""
+        cl = self._cl.get(v)
+        if cl is None:
+            cl = self._cl[v] = self.g.corner_lens(v)
+        table = _SHOWN.get(corners)
+        if table is None:
+            table = _SHOWN[corners] = {}
+        shown = table.get(cl)
+        if shown is None:
+            shown = table[cl] = tuple(
+                (k, c) for k, c in enumerate(_frame_corners(cl)) if c in corners
+            )
+        # frame k < d runs forward from rot[k], frame d + o backward from rot[o]
+        rot, d = self.g.rotations[v], len(cl)
+        out = []
+        for k, c in shown:
+            w = rot[k:] + rot[:k] if k < d else rot[k - d :: -1] + rot[: k - d : -1]
+            out.append(_Frame(tuple(w), c))
+        return out
+
     def frames(self, v: int) -> list[_Frame]:
         """Every labeling of v; the first is the rotation itself."""
-        got = self._frames.get(v)
-        if got is not None:
-            return got
-        g = self.g
-        rot = g.rotations[v]
-        d = len(rot)
-        cl = g.corner_lens(v) if d > 0 else ()
-        out: list[_Frame] = []
-        if d == 1:
-            out.append(_Frame((rot[0],), ()))
-        else:
-            # every labeling is a slice of a doubled tuple: forward ones
-            # start at o, reversed ones run w_i = rot[o - i] with corner
-            # i = cl[o - i - 1]
-            rr, ll = tuple(rot) * 2, cl * 2
-            for o in range(d):
-                out.append(_Frame(rr[o : o + d], ll[o : o + d]))
-            if d > 2:  # reversed labelings coincide with forward ones below 3
-                rw, rl = rr[::-1], ll[::-1]
-                for o in range(d):
-                    a, b = d - 1 - o, d - o
-                    out.append(_Frame(rw[a : a + d], rl[b : b + d]))
-        self._frames[v] = out
-        return out
+        return self.showing(v, frozenset(_frame_corners(self.g.corner_lens(v))))
 
     def in2(self, a: int, b: int) -> bool:
         """Edge ab exists and lies in two distinct 3-faces."""
@@ -304,11 +317,10 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
         for i, u in enumerate(rot)
     ):
         return None
-    frames = ctx.frames(v)
     for kind in ("strong", "good", "support"):
         corners, test = _FAMILIES[kind]
-        for fr in frames:
-            if fr.cfl in corners and test(ctx, fr):
+        for fr in ctx.showing(v, corners):
+            if test(ctx, fr):
                 return SpecialClass(kind, v, fr.w)
     return None
 
@@ -503,8 +515,7 @@ def _degmid_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
     u = w[2]
     if ctx.deg[u] != 5:
         return
-    fu = ctx.frames(u)[0]  # u's rotation and its corner lengths
-    rot, cl = fu.w, fu.cfl
+    rot, cl = ctx.g.rotations[u], ctx.g.corner_lens(u)
     p = rot.index(v)
     a, c, d, b = (
         rot[(p + 1) % 5],
@@ -531,15 +542,7 @@ def _degmid_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
 
 def _rule(rid, bound, degree, corners, adds, pattern, pred=None):
     return ReductionRule(
-        id=rid,
-        pattern=pattern,
-        delete="v",
-        add_edges=adds,
-        claimed_d2_bound=bound,
-        family="degree",
-        degree=degree,
-        corners=_corners(corners),
-        pred=pred,
+        rid, pattern, "v", adds, bound, "degree", degree, _corners(corners), pred
     )
 
 
@@ -552,17 +555,8 @@ def _class_rule(rid, family, corners, adds, pattern, pred=None):
     own, test = _FAMILIES[family]
     if test is not None:
         pred = test if pred is None else _both(test, pred)
-    return ReductionRule(
-        id=rid,
-        pattern=pattern,
-        delete="v",
-        add_edges=adds,
-        claimed_d2_bound=15,
-        family=family,
-        degree=5,
-        corners=own if corners is None else _corners(corners),
-        pred=pred,
-    )
+    corners = own if corners is None else _corners(corners)
+    return ReductionRule(rid, pattern, "v", adds, 15, family, 5, corners, pred)
 
 
 _TABLE: tuple[ReductionRule, ...] = (
@@ -820,52 +814,37 @@ def rule_table() -> tuple[ReductionRule, ...]:
 # ======================================================================
 
 
-def degree_overflow(g, deleted: int, edges) -> bool:
-    """The degree-5 guard at detection: would some vertex pass degree 5
-    once ``deleted`` goes and the missing ``edges`` are added?
-    ``WorkingGraph.delete`` refuses the same steps when they are applied."""
+def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
+    g = ctx.g
+    deleted = binding[rule.delete]
+    # no vertex may pass degree 5 once ``deleted`` goes and the missing
+    # chords come in; ``WorkingGraph.delete`` refuses the same steps
     gain: dict[int, int] = {}
-    for a, b in edges:
+    for a, b in rule.add_edges:
+        a, b = binding[a], binding[b]
         if not g.has_edge(a, b):
             gain[a] = gain.get(a, 0) + 1
             gain[b] = gain.get(b, 0) + 1
     for x, extra in gain.items():
-        newd = g.deg[x] - (1 if g.has_edge(x, deleted) else 0) + extra
-        if newd > 5:
-            return True
-    return False
-
-
-def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
-    deleted = binding[rule.delete]
-    edges = [(binding[a], binding[b]) for a, b in rule.add_edges]
-    if degree_overflow(ctx.g, deleted, edges):
-        return None
-    observed = ctx.g.d2(deleted)
+        if ctx.deg[x] - g.has_edge(x, deleted) + extra > 5:
+            return None
+    observed = g.d2(deleted)
     if observed > rule.claimed_d2_bound:
         return None
-    return ConfigMatch(
-        rule_id=rule.id,
-        binding=binding,
-        claimed_bound=rule.claimed_d2_bound,
-        observed_d2=observed,
-    )
-
-
-def _ring_binding(v: int, fr: _Frame) -> dict[str, int]:
-    b = {"v": v}
-    b.update(zip(_RING_ROLES, fr.w))
-    return b
+    return ConfigMatch(rule.id, binding, rule.claimed_d2_bound, observed)
 
 
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
     # the hottest loop of detection, so without a generator between
     # the frames and _make_match
-    corners, pred, bind = rule.corners, rule.pred, rule.bind
-    for fr in ctx.frames(v):
-        if fr.cfl in corners and (pred is None or pred(ctx, fr)):
-            bindings = (_ring_binding(v, fr),) if bind is None else bind(ctx, v, fr)
+    pred, bind = rule.pred, rule.bind
+    for fr in ctx.showing(v, rule.corners):
+        if pred is None or pred(ctx, fr):
+            if bind is None:
+                bindings = (dict(zip(_FRAME_ROLES, (v, *fr.w))),)
+            else:
+                bindings = bind(ctx, v, fr)
             for binding in bindings:
                 m = _make_match(ctx, rule, binding)
                 if m is not None:

@@ -122,19 +122,21 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
     """The pass behind ``apply_rules``, with each transfer as the tuple
     of a ``TransferRecord``'s fields."""
     led = initial_charges(g)
-    vc = list(led.vertices)
-    fc = list(led.faces)
+    n = g.n
+    # vertex v is entry v and face f entry n + f of the charges and keys
+    charge = list(led.vertices) + list(led.faces)
+    keys = [("vertex", v) for v in range(n)] + [
+        ("face", f) for f in range(g.num_faces)
+    ]
     moves: list[tuple] = []
     ctx = _Ctx(g)
     deg = g.deg
     flen = g.face_lens
 
-    def move(rule: str, src: tuple[str, int], dst: tuple[str, int], amt: int):
-        arr = vc if src[0] == "vertex" else fc
-        arr[src[1]] -= amt
-        arr = vc if dst[0] == "vertex" else fc
-        arr[dst[1]] += amt
-        moves.append((rule, src, dst, amt))
+    def move(rule: str, src: int, dst: int, amt: int):
+        charge[src] -= amt
+        charge[dst] += amt
+        moves.append((rule, keys[src], keys[dst], amt))
 
     tail, head, fod = g.dart_tail, g.rot_flat, g.face_of_dart
     rs, mirror = g.rot_start, g.mirror
@@ -152,51 +154,49 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             u = head[p]
             w = head[rs[u] + (mirror[p] - rs[u] + 1) % deg[u]]
             for v in sorted((tail[p], u, w)):
-                move("R1", ("vertex", v), ("face", f), THIRD)
+                move("R1", v, n + f, THIRD)
 
     # R2: every 5-vertex pays 1/9 to each 3-neighbour
-    for v in range(g.n):
+    for v in range(n):
         if deg[v] != 3:
             continue
         for u in sorted(g.rotations[v]):
             if deg[u] == 5:
-                move("R2", ("vertex", u), ("vertex", v), NINTH)
+                move("R2", u, v, NINTH)
 
-    def faces_at(v: int) -> list[int]:
-        # the distinct faces around v, ascending
-        return sorted(set(fod[rs[v] : rs[v + 1]]))
+    # the distinct faces around each vertex, ascending
+    faces_at = [sorted(set(fod[rs[v] : rs[v + 1]])) for v in range(n)]
 
     # R3 / R4: big faces pay their small incident vertices
-    for v in range(g.n):
+    for v in range(n):
         if deg[v] == 3:
-            for fid in faces_at(v):
+            for fid in faces_at[v]:
                 if flen[fid] >= 5:
-                    move("R3", ("face", fid), ("vertex", v), THIRD)
+                    move("R3", n + fid, v, THIRD)
         elif deg[v] == 4:
-            for fid in faces_at(v):
+            for fid in faces_at[v]:
                 if flen[fid] >= 5:
-                    move("R4", ("face", fid), ("vertex", v), FIFTH)
+                    move("R4", n + fid, v, FIFTH)
 
     # R5 / R6: big faces pay incident 5-vertices, less when the face
     # carries one of the vertex's 3-neighbours
-    for v in range(g.n):
+    for v in range(n):
         if deg[v] != 5:
             continue
         small_nbrs = [u for u in g.rotations[v] if deg[u] == 3]
-        for fid in faces_at(v):
+        for fid in faces_at[v]:
             if flen[fid] < 5:
                 continue
-            # u is on the face when one of u's darts traces it
-            if any(fid in fod[rs[u] : rs[u + 1]] for u in small_nbrs):
-                move("R6", ("face", fid), ("vertex", v), NINTH)
+            if any(fid in faces_at[u] for u in small_nbrs):
+                move("R6", n + fid, v, NINTH)
             else:
-                move("R5", ("face", fid), ("vertex", v), FIFTH)
+                move("R5", n + fid, v, FIFTH)
 
     # R7: a 5-vertex with at most three incident 3-faces pays each
     # 4-neighbour per big face along their shared edge, the dart
     # v -> u and its mirror (one face for a bridge)
-    for v in range(g.n):
-        if deg[v] != 5 or sum(flen[f] == 3 for f in faces_at(v)) > 3:
+    for v in range(n):
+        if deg[v] != 5 or sum(flen[f] == 3 for f in faces_at[v]) > 3:
             continue
         for p in sorted(range(rs[v], rs[v + 1]), key=head.__getitem__):
             u = head[p]
@@ -205,12 +205,12 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             f1, f2 = fod[p], fod[mirror[p]]
             big = (flen[f1] >= 5) + (f2 != f1 and flen[f2] >= 5)
             if big == 1:
-                move("R7a", ("vertex", v), ("vertex", u), FIFTEENTH)
+                move("R7a", v, u, FIFTEENTH)
             elif big == 2:
-                move("R7b", ("vertex", v), ("vertex", u), TWO_FIFTEENTHS)
+                move("R7b", v, u, TWO_FIFTEENTHS)
 
     # R8-R10: the degree-5 taxonomy pays its bad or semi-bad charges
-    for v in range(g.n):
+    for v in range(n):
         if deg[v] != 5:
             continue
         sc = classify_special(g, v, ctx)
@@ -218,23 +218,21 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             continue
         w = sc.ring
         if sc.kind == "strong":
-            doubled = sum(
-                1 for i in (0, 1) if ctx.in2(w[i], w[i + 1])
-            )
+            doubled = ctx.in2(w[0], w[1]) + ctx.in2(w[1], w[2])
             if doubled == 1:
-                move("R8a", ("vertex", v), ("vertex", w[1]), TWO_FIFTEENTHS)
+                move("R8a", v, w[1], TWO_FIFTEENTHS)
             elif doubled == 2:
-                move("R8b", ("vertex", v), ("vertex", w[1]), FIFTH)
+                move("R8b", v, w[1], FIFTH)
         elif sc.kind == "good":
-            move("R9", ("vertex", v), ("vertex", w[1]), FIFTH)
+            move("R9", v, w[1], FIFTH)
             if ctx.bad_kind(w[2]) == "semi-bad":
-                move("R9", ("vertex", v), ("vertex", w[2]), FIFTH)
+                move("R9", v, w[2], FIFTH)
         elif sc.kind == "support":
             for u in sorted(g.rotations[v]):
                 if ctx.bad_kind(u) is not None and ctx.in2(v, u):
-                    move("R10", ("vertex", v), ("vertex", u), THIRD)
+                    move("R10", v, u, THIRD)
 
-    after = ChargeLedger(vertices=tuple(vc), faces=tuple(fc))
+    after = ChargeLedger(vertices=tuple(charge[:n]), faces=tuple(charge[n:]))
     if after.total() != TOTAL:  # tripwire: moves cannot change the sum
         raise AssertionError(
             f"transfers broke conservation: {_fmt(after.total())}"

@@ -27,6 +27,17 @@ class Disconnected(EngineError):
     """Input graph is not connected."""
 
 
+class BadArgument(EngineError):
+    """An argument that must be an int is not one; a bool is not an int."""
+
+
+def require_int(**args) -> None:
+    """Raise BadArgument unless every keyword's value is an int."""
+    for name, value in args.items():
+        if type(value) is not int:
+            raise BadArgument(f"{name} must be an int, got {value!r}")
+
+
 class UnknownVertex(EngineError):
     """Vertex id that is not an int in [0, n)."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import _kernels
 from .conflict import Coloring, validate
+from .errors import require_int
 from .plane_graph import PlaneGraph
 
 __all__ = [
@@ -49,7 +50,11 @@ def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
     Returns:
         A valid Coloring on success, INFEASIBLE when the search space
         is exhausted, UNKNOWN when the node budget runs out first.
+
+    Raises:
+        BadArgument: k or budget is not an int.
     """
+    require_int(k=k, budget=budget)
     rows = [g.n2(v) for v in range(g.n)]
     status, colors, _nodes = _kernels.solve_k_coloring(
         rows, _static_order(rows), k, budget
@@ -71,7 +76,11 @@ def chi2_exact(g: PlaneGraph, budget: int = DEFAULT_BUDGET):
     Tries k = max-degree + 1 upward; k = n always succeeds, so the loop
     terminates.  Returns UNKNOWN if any attempt exhausts the budget
     before a feasible k is found.
+
+    Raises:
+        BadArgument: budget is not an int.
     """
+    require_int(budget=budget)
     if g.n == 1:
         return 1
     lo = max(g.deg) + 1

@@ -87,20 +87,15 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
         DegreeOverflow: a chord endpoint would pass degree 5.
     """
     dv = match.deleted
-    adds = [e for e in match.added_edges() if not wg.has_edge(*e)]
+    rot = wg.rotations
+    adds = [(a, b) for a, b in match.added_edges() if b not in rot[a]]
     label = wg.label
     before = wg.n + wg.m
     deleted = label(dv)
     added = tuple((label(a), label(b)) for a, b in adds)
     ball, changed, reach = wg.delete(dv, adds, match.rule_id)
     trace = ReductionTrace(
-        step=step,
-        rule=match.rule_id,
-        deleted=deleted,
-        added_edges=added,
-        v_plus_e_before=before,
-        v_plus_e_after=wg.n + wg.m,
-        observed_d2=match.observed_d2,
+        step, match.rule_id, deleted, added, before, wg.n + wg.m, match.observed_d2
     )
     return trace, ball, changed, reach
 
@@ -187,14 +182,9 @@ def color16(
                 )
             live = wg.alive()
             colors = {live[v]: c for v, c in direct.colors.items()}
+            size = cur.n + cur.m
             sentinel = ReductionTrace(
-                step=len(traces),
-                rule="anomaly-exact-fallback",
-                deleted=-1,
-                added_edges=(),
-                v_plus_e_before=cur.n + cur.m,
-                v_plus_e_after=cur.n + cur.m,
-                observed_d2=-1,
+                len(traces), "anomaly-exact-fallback", -1, (), size, size, -1
             )
             return _unwind(g, traces + [sentinel], balls, colors)
         matches.close()

@@ -16,11 +16,12 @@ with an empty rotation.  A step touches only the hole:
 
 A corner holds the length of its face capped at 5: detection asks for
 3-faces, 4-faces and 5+-faces, so no walk goes further than 5 darts,
-and a walk that finds a longer face gives every corner it passed the
-length 5.  Lengths also settle the two questions of face identity that
-detection asks: a vertex of degree at least 3 meets a face of length at
-most 4 at one corner only, and the one face of a bridge is never a
-triangle.
+and a walk that finds a longer face gives the length 5 to every corner
+it passed and to the 4 before its start, so a long face through the
+hole is walked once.  Lengths also settle the two questions of face
+identity that detection asks: a vertex of degree at least 3 meets a
+face of length at most 4 at one corner only, and the one face of a
+bridge is never a triangle.
 
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 ``rotations``, ``corner_lens``, ``has_edge``, ``edge_in_two_triangles``,
@@ -286,6 +287,16 @@ class WorkingGraph:
                         clen[y][j] = ln
                     if ln < _CAP:
                         changed.update(y for y, _ in corners)
+                        continue
+                    # the corners passed took length 5; so do the 4 before
+                    # (w, i) on this long face, so that no walk starts there
+                    # (the face reaches corner (y, j) from rot[y][j])
+                    y, j = w, i
+                    for _ in range(_CAP - 1):
+                        x = rot[y][j]
+                        r = rot[x]
+                        y, j = x, (r.index(y) - 1) % len(r)
+                        clen[y][j] = _CAP
         # N2[ring] | N1[changed], as N1[N1(ring) | changed]
         near = ball | changed
         reach = set(chain.from_iterable(map(rot.__getitem__, near)))

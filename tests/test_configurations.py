@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from planecolor import reducer
 from planecolor.configurations import (
+    _FAMILIES,
     _PRIORITY,
     SPECIAL_KINDS,
     MatchQueue,
@@ -26,7 +27,7 @@ from planecolor.errors import (
 )
 from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph
-from planecolor.reducer import color16
+from planecolor.reducer import PALETTE, color16
 from planecolor.working_graph import WorkingGraph
 from test_working_graph import SNUB_GRAPHS, medial_plus, snub
 
@@ -460,3 +461,43 @@ class TestFrames:
         wg = reduced(FRAME_GRAPHS[name](), 12)
         assert len(wg.alive()) < len(wg.rotations)
         assert_frames_match_formula(wg, wg.alive())
+
+
+def assert_query_matches_reference(g, live) -> None:
+    """Asked for a rule's corners, or a degree-5 class's, at a live
+    centre, the frame query returns the centre's frames that show them,
+    in frame order.  One context serves every query, so corner lengths
+    memoized for one rule serve the next."""
+    ctx = _Ctx(g)
+    frames = {v: frames_by_formula(g, v) for v in live if 1 <= g.deg[v] <= 5}
+    sets = [r.corners for r in _PRIORITY] + [c for c, _ in _FAMILIES.values()]
+    shown = 0
+    for corners in sets:
+        for v, ref in frames.items():
+            got = [(f.w, f.cfl) for f in ctx.showing(v, corners)]
+            assert got == [(w, c) for w, c in ref if c in corners], v
+            shown += len(got)
+    assert shown or not frames
+
+
+QUERY_GRAPHS = {
+    **{name: lambda name=name: named(name) for name in NAMED_GRAPHS},
+    **{f"snub({name})": lambda name=name: snub(name) for name in SNUB_GRAPHS},
+    **{
+        f"random_plane({n}, {s})": lambda n=n, s=s: random_plane(n, seed=s)
+        for n, s in ((40, 1), (120, 3), (150, 7))
+    },
+}
+
+
+class TestFrameQuery:
+    @pytest.mark.parametrize("name", QUERY_GRAPHS)
+    def test_plane_graph(self, name):
+        g = QUERY_GRAPHS[name]()
+        assert_query_matches_reference(g, range(g.n))
+
+    @pytest.mark.parametrize("name", [n for n in QUERY_GRAPHS if "random" in n])
+    def test_working_graph_halfway_through_color16(self, name):
+        g = QUERY_GRAPHS[name]()
+        wg = reduced(g, (g.n - PALETTE) // 2)
+        assert_query_matches_reference(wg, wg.alive())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecolor.conflict import validate
+from planecolor.errors import BadArgument
 from planecolor.exact_solver import (
     INFEASIBLE,
     UNKNOWN,
@@ -67,6 +68,24 @@ def test_unknown_on_tiny_budget():
 def test_chi2_respects_budget():
     g = random_plane(150, seed=3)
     assert chi2_exact(g, budget=2) is UNKNOWN
+
+
+def test_palette_size_must_be_an_int():
+    with pytest.raises(BadArgument):
+        color_with_k(named("k4"), 1.5)
+
+
+def test_palette_size_is_not_a_bool():
+    # True would otherwise run as k = 1
+    with pytest.raises(BadArgument):
+        color_with_k(named("k4"), True)
+
+
+@pytest.mark.parametrize("name", ["k1", "k4"])
+def test_budget_must_be_an_int(name):
+    # k1 is answered before any search, so the check comes first
+    with pytest.raises(BadArgument):
+        chi2_exact(named(name), budget="x")
 
 
 class TestSolverProperties:

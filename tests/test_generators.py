@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecolor.errors import UnknownName
+from planecolor.errors import BadArgument, UnknownName
 from planecolor.generators import (
     NAMED_GRAPHS,
     _grow_triangulation,
@@ -67,6 +67,12 @@ class TestNamedCorpus:
 
 
 class TestRandomPlane:
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_size_must_be_an_int(self, n):
+        # 2.5 would otherwise give 3 vertices and True 1
+        with pytest.raises(BadArgument):
+            random_plane(n, seed=1)
+
     def test_tiny_sizes(self):
         assert random_plane(1, seed=0).n == 1
         g2 = random_plane(2, seed=0)

@@ -79,8 +79,8 @@ class WorldCtx:
         ]
         self._in2, self._bad = WORLDS[world]
 
-    def frames(self, v):
-        return self._frames
+    def showing(self, v, corners):
+        return [fr for fr in self._frames if fr.cfl in corners]
 
     def in2(self, a, b):
         pa, pb = (a - 1) % self.d, (b - 1) % self.d

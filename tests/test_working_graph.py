@@ -382,8 +382,9 @@ class TestWorkingGraph:
             assert_matches_rebuild(wg)
             ctx.forget(changed)
             fresh = _Ctx(wg)
-            for v, got in ctx._frames.items():
-                assert [(f.w, f.cfl) for f in got] == [
+            for v, cl in ctx._cl.items():
+                assert cl == wg.corner_lens(v)
+                assert [(f.w, f.cfl) for f in ctx.frames(v)] == [
                     (f.w, f.cfl) for f in fresh.frames(v)
                 ]
             for v, got in ctx._badmemo.items():
@@ -479,6 +480,31 @@ class TestSplice:
             wg.delete(6, crossing)
         assert snapshot(wg) == before
         delete_and_check(wg, 6, [(1, 3)])
+
+    def test_long_face_is_walked_once(self, monkeypatch):
+        # the 10-cycle with the chord 0-5 drawn through vertex 10: faces
+        # of length 7, 7 and 10
+        rows = [[(i + 1) % 10, (i - 1) % 10] for i in range(10)]
+        rows[0].insert(1, 10)
+        rows[5].insert(1, 10)
+        wg = WorkingGraph(PlaneGraph(rows + [[0, 5]]))
+        m = next(MatchQueue(wg).matches())
+        assert (m.rule_id, m.binding) == ("R-2v", {"v": 1, "v1": 2, "v2": 0})
+        walks = []
+        walk = WorkingGraph._walk
+        monkeypatch.setattr(
+            WorkingGraph, "_walk", lambda g, v, i: walks.append(v) or walk(g, v, i)
+        )
+        reducer._step(wg, m)
+        # the chord 0-2 closes two faces longer than 5; the first walk
+        # from each reaches or fills every other corner of the hole
+        h = wg.to_plane_graph()
+        assert sorted(h.face_lens) == [6, 7, 9]
+        assert len(walks) == 2
+        fresh = WorkingGraph(h)
+        assert [wg.corner_lens(v) for v in wg.alive()] == [
+            fresh.corner_lens(v) for v in range(h.n)
+        ]
 
 
 def all_matches(ctx: _Ctx, wg: WorkingGraph) -> dict:
