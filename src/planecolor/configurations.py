@@ -164,15 +164,28 @@ def _frame_corners(cl: tuple) -> list[tuple]:
     return out
 
 
-# corners -> a centre's corner lengths -> (index, corner lengths) of its
-# frames that show ``corners``; filled on demand, 364 entries per set at most
+def _labelings(rot, shown) -> list[_Frame]:
+    """The frames of a vertex with rotation ``rot`` at the (index, corner
+    lengths) pairs ``shown``: frame k < d runs forward from rot[k], frame
+    d + o backward from rot[o]."""
+    d = len(rot)
+    out = []
+    for k, c in shown:
+        w = rot[k:] + rot[:k] if k < d else rot[k - d :: -1] + rot[: k - d : -1]
+        out.append(_Frame(tuple(w), c))
+    return out
+
+
+# a rule's or class's corners -> a centre's corner lengths -> the (index,
+# corner lengths) of its frames that show them; filled on demand, one
+# entry per corner set of the table, each keyed by 364 tuples at most
 _SHOWN: dict[frozenset, dict[tuple, tuple]] = {}
 
 
 class _Ctx:
-    """Per-graph scratch: memoized corner lengths, bad kinds and ``in2``."""
+    """Per-graph scratch: memoized bad kinds and ``in2``."""
 
-    __slots__ = ("g", "deg", "_cl", "_badmemo", "_in2memo")
+    __slots__ = ("g", "deg", "_badmemo", "_in2memo")
 
     def __init__(self, g):
         # g is a PlaneGraph or a WorkingGraph, asked only what both answer:
@@ -180,14 +193,12 @@ class _Ctx:
         # edge_in_two_triangles
         self.g = g
         self.deg = g.deg
-        self._cl: dict[int, tuple[int, ...]] = {}
         self._badmemo: dict[int, Optional[str]] = {}
         self._in2memo: dict[tuple[int, int], bool] = {}
 
     def forget(self, vertices) -> None:
         """Drop the memos of vertices whose rotation, degree or corners changed."""
         for v in vertices:
-            self._cl.pop(v, None)
             self._badmemo.pop(v, None)
         self._in2memo.clear()
 
@@ -195,9 +206,7 @@ class _Ctx:
         """The labelings of v whose corner lengths lie in ``corners``, in
         frame order.  v's corner lengths say which they are, so only
         those frames are built."""
-        cl = self._cl.get(v)
-        if cl is None:
-            cl = self._cl[v] = self.g.corner_lens(v)
+        cl = self.g.corner_lens(v)
         table = _SHOWN.get(corners)
         if table is None:
             table = _SHOWN[corners] = {}
@@ -206,17 +215,12 @@ class _Ctx:
             shown = table[cl] = tuple(
                 (k, c) for k, c in enumerate(_frame_corners(cl)) if c in corners
             )
-        # frame k < d runs forward from rot[k], frame d + o backward from rot[o]
-        rot, d = self.g.rotations[v], len(cl)
-        out = []
-        for k, c in shown:
-            w = rot[k:] + rot[:k] if k < d else rot[k - d :: -1] + rot[: k - d : -1]
-            out.append(_Frame(tuple(w), c))
-        return out
+        return _labelings(self.g.rotations[v], shown)
 
     def frames(self, v: int) -> list[_Frame]:
         """Every labeling of v; the first is the rotation itself."""
-        return self.showing(v, frozenset(_frame_corners(self.g.corner_lens(v))))
+        cl = self.g.corner_lens(v)
+        return _labelings(self.g.rotations[v], enumerate(_frame_corners(cl)))
 
     def in2(self, a: int, b: int) -> bool:
         """Edge ab exists and lies in two distinct 3-faces."""
@@ -542,7 +546,15 @@ def _degmid_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
 
 def _rule(rid, bound, degree, corners, adds, pattern, pred=None):
     return ReductionRule(
-        rid, pattern, "v", adds, bound, "degree", degree, _corners(corners), pred
+        id=rid,
+        pattern=pattern,
+        delete="v",
+        add_edges=adds,
+        claimed_d2_bound=bound,
+        family="degree",
+        degree=degree,
+        corners=_corners(corners),
+        pred=pred,
     )
 
 
@@ -555,8 +567,17 @@ def _class_rule(rid, family, corners, adds, pattern, pred=None):
     own, test = _FAMILIES[family]
     if test is not None:
         pred = test if pred is None else _both(test, pred)
-    corners = own if corners is None else _corners(corners)
-    return ReductionRule(rid, pattern, "v", adds, 15, family, 5, corners, pred)
+    return ReductionRule(
+        id=rid,
+        pattern=pattern,
+        delete="v",
+        add_edges=adds,
+        claimed_d2_bound=15,
+        family=family,
+        degree=5,
+        corners=own if corners is None else _corners(corners),
+        pred=pred,
+    )
 
 
 _TABLE: tuple[ReductionRule, ...] = (

@@ -182,9 +182,14 @@ def color16(
                 )
             live = wg.alive()
             colors = {live[v]: c for v, c in direct.colors.items()}
-            size = cur.n + cur.m
             sentinel = ReductionTrace(
-                len(traces), "anomaly-exact-fallback", -1, (), size, size, -1
+                step=len(traces),
+                rule="anomaly-exact-fallback",
+                deleted=-1,
+                added_edges=(),
+                v_plus_e_before=cur.n + cur.m,
+                v_plus_e_after=cur.n + cur.m,
+                observed_d2=-1,
             )
             return _unwind(g, traces + [sentinel], balls, colors)
         matches.close()

@@ -15,13 +15,14 @@ with an empty rotation.  A step touches only the hole:
   the step did not touch keeps its length.
 
 A corner holds the length of its face capped at 5: detection asks for
-3-faces, 4-faces and 5+-faces, so no walk goes further than 5 darts,
-and a walk that finds a longer face gives the length 5 to every corner
-it passed and to the 4 before its start, so a long face through the
-hole is walked once.  Lengths also settle the two questions of face
-identity that detection asks: a vertex of degree at least 3 meets a
-face of length at most 4 at one corner only, and the one face of a
-bridge is never a triangle.
+3-faces, 4-faces and 5+-faces, so no walk goes further than 5 darts, and
+a walk that finds a longer face gives the length 5 to every corner it
+passed and to the 4 before its start, so a long face through the hole is
+usually walked once (a ring corner more than 4 corners back on the face
+starts its own walk).  Lengths also settle the two questions of face
+identity that detection asks: a vertex of degree at least 3 meets a face
+of length at most 4 at one corner only, and the one face of a bridge is
+never a triangle.
 
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 ``rotations``, ``corner_lens``, ``has_edge``, ``edge_in_two_triangles``,

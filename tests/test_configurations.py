@@ -10,6 +10,7 @@ from planecolor import reducer
 from planecolor.configurations import (
     _FAMILIES,
     _PRIORITY,
+    _SHOWN,
     SPECIAL_KINDS,
     MatchQueue,
     _center_matches,
@@ -418,11 +419,13 @@ def frames_by_formula(g, v: int) -> list[tuple]:
 def assert_frames_match_formula(g, live) -> None:
     ctx = _Ctx(g)
     checked = 0
+    tables = set(_SHOWN)
     for v in live:
         if 1 <= g.deg[v] <= 5:
             got = [(f.w, f.cfl) for f in ctx.frames(v)]
             assert got == frames_by_formula(g, v), v
             checked += 1
+    assert set(_SHOWN) == tables  # frames() leaves the query's table alone
     assert checked or not any(g.deg)
 
 
@@ -466,8 +469,9 @@ class TestFrames:
 def assert_query_matches_reference(g, live) -> None:
     """Asked for a rule's corners, or a degree-5 class's, at a live
     centre, the frame query returns the centre's frames that show them,
-    in frame order.  One context serves every query, so corner lengths
-    memoized for one rule serve the next."""
+    in frame order.  The queries run in turn, so a centre's frame indices
+    kept for one rule's corners serve every later centre with the same
+    corner lengths."""
     ctx = _Ctx(g)
     frames = {v: frames_by_formula(g, v) for v in live if 1 <= g.deg[v] <= 5}
     sets = [r.corners for r in _PRIORITY] + [c for c, _ in _FAMILIES.values()]
@@ -478,6 +482,7 @@ def assert_query_matches_reference(g, live) -> None:
             assert got == [(w, c) for w, c in ref if c in corners], v
             shown += len(got)
     assert shown or not frames
+    assert set(_SHOWN) <= set(sets)  # one table per corner set of the rules
 
 
 QUERY_GRAPHS = {

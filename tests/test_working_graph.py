@@ -382,11 +382,6 @@ class TestWorkingGraph:
             assert_matches_rebuild(wg)
             ctx.forget(changed)
             fresh = _Ctx(wg)
-            for v, cl in ctx._cl.items():
-                assert cl == wg.corner_lens(v)
-                assert [(f.w, f.cfl) for f in ctx.frames(v)] == [
-                    (f.w, f.cfl) for f in fresh.frames(v)
-                ]
             for v, got in ctx._badmemo.items():
                 assert got == fresh.bad_kind(v)
             after = all_matches(ctx, wg)

@@ -1,17 +1,17 @@
 """Compare the engines of two checkouts in one process.
 
-    python3 tools/ab_engine.py CHECKOUT_A CHECKOUT_B [--rounds 20]
+    python3 tools/ab_engine.py CHECKOUT_A CHECKOUT_B
 
 Loads ``src/planecolor`` of each checkout under its own module name and
 asserts that both give equal colorings, traces and audits on the inputs
 of perfbench's ``batch-sweep`` and ``color-large`` workloads (default
 seed), made by ``perfbench/run.py`` of this repository.  Then it times
-whole rounds of each workload, A and B in turn, the first side swapping
-every round, and prints the time of B's round over A's: the median with
-its quartiles, and in how many rounds B was faster.  Both sides of a
-pair run at the same host speed, so the ratio shows a layer's change
-where separate benchmark runs see the host's speed changes; claims of a
-gain still come from perfbench.
+``ROUNDS`` whole rounds of each workload, A and B in turn, the first
+side swapping every round, and prints the time of B's round over A's:
+the median with its quartiles, and in how many rounds B was faster.  Both
+sides of a pair run at the same host speed, so the ratio shows a layer's
+change where separate benchmark runs see the host's speed changes;
+claims of a gain still come from perfbench.
 """
 
 import argparse
@@ -25,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import make_inputs  # noqa: E402
 
 WORKLOADS = ("batch-sweep", "color-large")
+ROUNDS = 20
 
 
 def load(checkout: str, name: str):
@@ -53,14 +54,13 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--rounds", type=int, default=20)
     args = p.parse_args()
     sides = (load(args.a, "planecolor_a"), load(args.b, "planecolor_b"))
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
         assert run(sides[0], w, inputs[0]) == run(sides[1], w, inputs[1]), w
         ratios = []
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             took = [0.0, 0.0]
             for s in ((0, 1) if r % 2 == 0 else (1, 0)):
                 t0 = perf_counter()
