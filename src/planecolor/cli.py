@@ -23,6 +23,7 @@ from .discharging import apply_rules, audit
 from .errors import (
     AnomalyNoConfiguration,
     EngineError,
+    InvalidColoring,
     NoAvailableColor,
 )
 from .exact_solver import DEFAULT_BUDGET, UNKNOWN, chi2_exact
@@ -91,21 +92,17 @@ def _cmd_color(args) -> int:
     g = _read_graph(args.infile)
     try:
         coloring, traces = color16(g, budget=args.budget)
-    except (NoAvailableColor, AnomalyNoConfiguration) as exc:
+    except (NoAvailableColor, AnomalyNoConfiguration, InvalidColoring) as exc:
         log.error("coloring failed: %s", exc)
         _dump_graph(g, args.dump, "uncolorable")
         return EXIT_FALSIFIED
-    report = validate(g, coloring)
     out = coloring.to_json()
-    out["valid"] = report.valid
+    out["valid"] = True  # color16 validated it
     out["steps"] = len(traces)
     out["colors_used"] = len(set(coloring.colors.values()))
     if args.trace:
         out["trace"] = [t.to_json() for t in traces]
     _emit(out, args.format)
-    if not report.valid:
-        _dump_graph(g, args.dump, "invalid-coloring")
-        return EXIT_FALSIFIED
     return EXIT_OK
 
 
@@ -157,12 +154,11 @@ def _batch_one(g: PlaneGraph, index: int, seed: Optional[int], budget: int) -> d
         row["seed"] = seed
     try:
         coloring, traces = color16(g, budget=budget)
-        report = validate(g, coloring)
-        row["valid"] = report.valid
+        row["valid"] = True  # color16 validated it
         row["steps"] = len(traces)
         row["colors_used"] = len(set(coloring.colors.values()))
         row["anomaly"] = any(t.rule == "anomaly-exact-fallback" for t in traces)
-    except (NoAvailableColor, AnomalyNoConfiguration) as exc:
+    except (NoAvailableColor, AnomalyNoConfiguration, InvalidColoring) as exc:
         row["valid"] = False
         row["steps"] = 0
         row["colors_used"] = 0

@@ -183,9 +183,12 @@ _SHOWN: dict[frozenset, dict[tuple, tuple]] = {}
 
 
 class _Ctx:
-    """Per-graph scratch: memoized bad kinds and ``in2``."""
+    """The one object predicates read: a graph and its degree list.
+    It keeps nothing of its own (``deg`` is the graph's list, which a
+    ``WorkingGraph`` updates in place), so one context serves a graph
+    across all its steps."""
 
-    __slots__ = ("g", "deg", "_badmemo", "_in2memo")
+    __slots__ = ("g", "deg")
 
     def __init__(self, g):
         # g is a PlaneGraph or a WorkingGraph, asked only what both answer:
@@ -193,14 +196,6 @@ class _Ctx:
         # edge_in_two_triangles
         self.g = g
         self.deg = g.deg
-        self._badmemo: dict[int, Optional[str]] = {}
-        self._in2memo: dict[tuple[int, int], bool] = {}
-
-    def forget(self, vertices) -> None:
-        """Drop the memos of vertices whose rotation, degree or corners changed."""
-        for v in vertices:
-            self._badmemo.pop(v, None)
-        self._in2memo.clear()
 
     def showing(self, v: int, corners) -> list[_Frame]:
         """The labelings of v whose corner lengths lie in ``corners``, in
@@ -224,12 +219,7 @@ class _Ctx:
 
     def in2(self, a: int, b: int) -> bool:
         """Edge ab exists and lies in two distinct 3-faces."""
-        key = (a, b) if a < b else (b, a)
-        got = self._in2memo.get(key)
-        if got is None:
-            got = self.g.has_edge(a, b) and self.g.edge_in_two_triangles(a, b)
-            self._in2memo[key] = got
-        return got
+        return self.g.has_edge(a, b) and self.g.edge_in_two_triangles(a, b)
 
     def bad_kind(self, v: int) -> Optional[str]:
         """"bad", "semi-bad", or None: the shape of v's quad frames.
@@ -237,16 +227,11 @@ class _Ctx:
         A 5-vertex has a quad frame exactly when four of its corners are
         triangles, and every such frame ends on the fifth corner.
         """
-        got = self._badmemo.get(v, "?")
-        if got != "?":
-            return got
-        kind: Optional[str] = None
         if self.deg[v] == 5:
             cl = self.g.corner_lens(v)
             if cl.count(3) == 4:
-                kind = "bad" if 4 in cl else "semi-bad"
-        self._badmemo[v] = kind
-        return kind
+                return "bad" if 4 in cl else "semi-bad"
+        return None
 
 
 # ======================================================================
@@ -292,7 +277,7 @@ _FAMILIES: dict[str, tuple[frozenset, Optional[Callable]]] = {
 }
 
 
-def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
+def classify_special(g: PlaneGraph, v: int):
     """Classify a vertex into the degree-5 taxonomy.
 
     Returns a SpecialClass ("bad", "semi-bad", "strong", "good",
@@ -303,9 +288,9 @@ def classify_special(g: PlaneGraph, v: int, _ctx: Optional[_Ctx] = None):
     Raises:
         UnknownVertex: v is not a vertex of g.
     """
-    ctx = _ctx if _ctx is not None else _Ctx(g)
     if g.degree(v) != 5:
         return None
+    ctx = _Ctx(g)
     cl = g.corner_lens(v)
     rot = g.rotations[v]
     if cl.count(3) == 4:
@@ -918,10 +903,8 @@ class MatchQueue:
         self._heaps[r], self._queued[r] = heap, set(heap)
         self._read[r] = len(self._log)
 
-    def touch(self, changed, reach) -> None:
-        """Report a step: ``changed`` vertices lose their memos, and
-        ``reach`` vertices are examined again."""
-        self._ctx.forget(changed)
+    def touch(self, reach) -> None:
+        """Report a step: the ``reach`` vertices are examined again."""
         self._log.extend(reach)
 
     def matches(self) -> Iterator[ConfigMatch]:

@@ -213,7 +213,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
     for v in range(n):
         if deg[v] != 5:
             continue
-        sc = classify_special(g, v, ctx)
+        sc = classify_special(g, v)
         if sc is None:
             continue
         w = sc.ring

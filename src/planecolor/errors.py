@@ -58,6 +58,10 @@ class NoAvailableColor(EngineError):
     """All 16 colors are blocked at extension time: a falsified bound."""
 
 
+class InvalidColoring(EngineError):
+    """A constructed coloring failed its distance-two check: the unwinding is at fault."""
+
+
 class AnomalyNoConfiguration(EngineError):
     """No reducible configuration matched a graph that the theory says must contain one."""
 

@@ -226,7 +226,7 @@ def random_plane(n: int, seed: int) -> PlaneGraph:
     vertices in the 36th, about 60 s in all.
 
     Raises:
-        BadArgument: n is not an int.
+        BadArgument: n or seed is not an int.
         GenerationFailed: n < 1, or none of 64 attempts keeps n/2
             vertices.  Trimming to degree 5 splits the triangulation
             and only its largest component is kept, whose share of n
@@ -234,7 +234,7 @@ def random_plane(n: int, seed: int) -> PlaneGraph:
             0.51-0.91 at n = 5000 and 0.12-0.17 at n = 160000, and
             ``random_plane(160000, 1)`` raises.
     """
-    require_int(n=n)
+    require_int(n=n, seed=seed)
     if n < 1:
         raise GenerationFailed(f"need n >= 1, got {n}")
     if n == 1:

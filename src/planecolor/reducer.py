@@ -23,6 +23,7 @@ from .errors import (
     DegreeOverflow,
     DegreeTooHigh,
     EmbeddingBroken,
+    InvalidColoring,
     NoAvailableColor,
 )
 from .exact_solver import DEFAULT_BUDGET, color_with_k
@@ -78,8 +79,7 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
 
     Returns the trace, numbered ``step`` and in the dense labels of the
     graph before the step, with what ``WorkingGraph.delete`` reports:
-    dv's distance-two ball, the changed vertices and the vertices within
-    reach of a change.
+    dv's distance-two ball and the vertices within reach of a change.
 
     Raises:
         EmbeddingBroken: the patched graph would come out non-planar,
@@ -93,11 +93,11 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     before = wg.n + wg.m
     deleted = label(dv)
     added = tuple((label(a), label(b)) for a, b in adds)
-    ball, changed, reach = wg.delete(dv, adds, match.rule_id)
+    ball, reach = wg.delete(dv, adds, match.rule_id)
     trace = ReductionTrace(
         step, match.rule_id, deleted, added, before, wg.n + wg.m, match.observed_d2
     )
-    return trace, ball, changed, reach
+    return trace, ball, reach
 
 
 def apply(g: PlaneGraph, match: ConfigMatch) -> tuple[PlaneGraph, ReductionTrace]:
@@ -152,12 +152,15 @@ def color16(
     some graph (which the table says cannot happen), that graph is
     colored with the exact solver under ``budget`` before giving up.
 
-    Returns the coloring plus the trace stack, outermost step first.
+    Returns the coloring, checked with ``validate``, plus the trace
+    stack, outermost step first.
 
     Raises:
         DegreeTooHigh: g has more than 16 vertices and a degree above 5.
         AnomalyNoConfiguration: no configuration matched and the exact
             fallback found nothing; the engine's claim failed on g.
+        NoAvailableColor: a deleted vertex sees all 16 colors.
+        InvalidColoring: the unwound coloring fails ``validate``.
     """
     wg = WorkingGraph(g)
     if wg.n > PALETTE and max(wg.deg) > 5:
@@ -169,7 +172,7 @@ def color16(
         matches = queue.matches()
         for match in matches:
             try:
-                trace, ball, changed, reach = _step(wg, match, len(traces))
+                trace, ball, reach = _step(wg, match, len(traces))
             except (EmbeddingBroken, DegreeOverflow):
                 continue
             break
@@ -193,7 +196,7 @@ def color16(
             )
             return _unwind(g, traces + [sentinel], balls, colors)
         matches.close()
-        queue.touch(changed, reach)
+        queue.touch(reach)
         traces.append(trace)
         balls.append((match.deleted, tuple(ball)))
     # at most 16 vertices left: give everyone a distinct color
@@ -212,7 +215,5 @@ def _unwind(
     coloring = Coloring(palette=PALETTE, colors=colors)
     report = validate(g, coloring)
     if not report.valid:  # tripwire: unwinding is supposed to be safe
-        raise AssertionError(
-            f"constructed coloring is invalid: {report.to_json()}"
-        )
+        raise InvalidColoring(f"constructed coloring is invalid: {report.to_json()}")
     return coloring, traces

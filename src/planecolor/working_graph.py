@@ -85,7 +85,6 @@ class WorkingGraph:
         "deg",
         "n",
         "m",
-        "num_faces",
         "_size",
         "_alive",
         "_dead_tree",
@@ -97,7 +96,7 @@ class WorkingGraph:
         self._size = size
         self.rotations = [list(row) for row in g.rotations]
         self.deg = [len(row) for row in self.rotations]
-        self.n, self.m, self.num_faces = g.n, g.m, g.num_faces
+        self.n, self.m = g.n, g.m
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
         self._clen = self._initial_corner_lens(g)
@@ -163,7 +162,7 @@ class WorkingGraph:
     # the reduction step
     # ==================================================================
 
-    def delete(self, dv: int, chords, rule: str = "") -> tuple[set, set, set]:
+    def delete(self, dv: int, chords, rule: str = "") -> tuple[set, set]:
         """Delete dv and add ``chords`` (pairs of dv's neighbours) in its hole.
 
         Refuses the step exactly when rebuilding the reduced graph from
@@ -171,11 +170,10 @@ class WorkingGraph:
         distance-two pair, fail to shrink, or pass degree 5 at a patched
         vertex.  A refused step leaves the graph unchanged.
 
-        Returns dv's distance-two ball before the step, the vertices
-        whose rotation, degree or corner data changed, and the vertices
+        Returns dv's distance-two ball before the step and the vertices
         within reach of any change for detection: distance two of a
         patched rotation, which covers every vertex whose d2 changed,
-        and distance one of a changed corner.
+        and distance one of a vertex whose corner data changed.
 
         Raises:
             EmbeddingBroken: a pair of dv's neighbours ends up more
@@ -275,7 +273,6 @@ class WorkingGraph:
             i += i & -i
         self.n -= 1
         self.m += len(chords) - d
-        self.num_faces += 1 - d + len(chords)
 
         # every corner of a long face already has length 5, so only a
         # short face changes a vertex
@@ -302,8 +299,7 @@ class WorkingGraph:
         near = ball | changed
         reach = set(chain.from_iterable(map(rot.__getitem__, near)))
         reach |= near
-        changed.add(dv)
-        return ball, changed, reach
+        return ball, reach
 
     def _walk(self, v: int, i: int):
         """Walk the face of corner i at v for at most 5 corners.

@@ -14,11 +14,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import planecolor
-from planecolor import cli, discharging, errors
+from planecolor import cli, discharging, errors, reducer
 from planecolor.cli import EXIT_FALSIFIED, EXIT_INPUT, EXIT_OK, _build_parser, run
 from planecolor.generators import named
 from planecolor.plane_graph import PlaneGraph
 from strategies import rotation_systems
+
+
+def break_unwinding(monkeypatch) -> None:
+    """Give every deleted vertex color 1, so the coloring ``color16``
+    unwinds fails its check."""
+    monkeypatch.setattr(reducer, "_least_free", lambda colors, ball, dv: 1)
 
 
 def run_lines(capsys, argv):
@@ -157,6 +163,19 @@ class TestColor:
         assert code == EXIT_OK
         assert rows[0]["steps"] == len(rows[0]["trace"])
 
+    def test_failed_check_dumps_and_exits_3(self, capsys, caplog, tmp_path, monkeypatch):
+        path = tmp_path / "g.rot"
+        path.write_text(named("dodecahedron").to_rotation_text())
+        dump = tmp_path / "dumps"
+        break_unwinding(monkeypatch)
+        caplog.clear()
+        code, rows = run_lines(
+            capsys, ["color", "--in", str(path), "--dump", str(dump)]
+        )
+        assert (code, rows) == (EXIT_FALSIFIED, [])
+        assert "constructed coloring is invalid" in caplog.text
+        assert len(list(dump.glob("*.rot"))) == 1
+
 
 class TestChi2:
     def test_c5(self, capsys, tmp_path):
@@ -265,6 +284,18 @@ class TestBatch:
         )
         assert code == EXIT_OK
         assert rows[-1]["graphs"] == 15
+
+    def test_failed_check_dumps_and_exits_3(self, capsys, tmp_path, monkeypatch):
+        dump = tmp_path / "dumps"
+        break_unwinding(monkeypatch)
+        code, rows = run_lines(
+            capsys, ["batch", "--count", "1", "--n", "40", "--dump", str(dump)]
+        )
+        assert code == EXIT_FALSIFIED
+        assert rows[0]["valid"] is False and rows[0]["ok"] is False
+        assert "constructed coloring is invalid" in rows[0]["error"]
+        assert rows[-1]["failures"] == 1
+        assert len(list(dump.glob("*.rot"))) == 1
 
     def test_rows_pinned(self, capsys):
         # sha256 of the whole output, written when batch still built

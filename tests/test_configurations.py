@@ -437,12 +437,12 @@ def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
         matches = queue.matches()
         for m in matches:
             try:
-                _, _, changed, reach = reducer._step(wg, m)
+                _, _, reach = reducer._step(wg, m)
             except (EmbeddingBroken, DegreeOverflow):
                 continue
             break
         matches.close()
-        queue.touch(changed, reach)
+        queue.touch(reach)
     return wg
 
 

@@ -73,6 +73,12 @@ class TestRandomPlane:
         with pytest.raises(BadArgument):
             random_plane(n, seed=1)
 
+    @pytest.mark.parametrize("seed", ["1", 1.0, True, None])
+    def test_seed_must_be_an_int(self, seed):
+        # "1" would otherwise give the graph of seed 1, the others another graph
+        with pytest.raises(BadArgument):
+            random_plane(40, seed=seed)
+
     def test_tiny_sizes(self):
         assert random_plane(1, seed=0).n == 1
         g2 = random_plane(2, seed=0)
