@@ -1,9 +1,9 @@
 """Named test graphs and a seeded random plane-graph generator.
 
-All named graphs are hand-pinned rotation systems (or cheap derivations
-such as the dual of another named graph).  The five ``fig*`` graphs are
-icosahedron surgeries: deleting a few edges opens larger faces around a
-chosen vertex so that it lands in one of the special degree-5 classes.
+All named graphs are hand-pinned rotation systems.  The five ``fig*``
+graphs are icosahedron surgeries: deleting a few edges opens larger
+faces around a chosen vertex so that it lands in one of the special
+degree-5 classes.
 
 ``random_plane`` grows a random triangulation by repeated in-face vertex
 insertion, then deletes edges at vertices of degree 6+ until the degree
@@ -61,6 +61,16 @@ def _icosahedron() -> list[list[int]]:
     return rots
 
 
+# the dual of the icosahedron: vertex f is face f of _icosahedron(), with
+# faces numbered in the order of their least dart
+_DODECAHEDRON = [
+    [1, 5, 4], [2, 7, 0], [3, 9, 1], [4, 11, 2], [0, 13, 3],
+    [6, 14, 0], [7, 15, 5], [1, 8, 6], [9, 16, 7], [2, 10, 8],
+    [11, 17, 9], [3, 12, 10], [13, 18, 11], [4, 14, 12], [5, 19, 13],
+    [16, 19, 6], [8, 17, 15], [10, 18, 16], [12, 19, 17], [14, 15, 18],
+]
+
+
 def _delete_edges(rots: list[list[int]], edges) -> list[list[int]]:
     out = [list(r) for r in rots]
     for u, v in edges:
@@ -109,7 +119,7 @@ def _build(name: str) -> PlaneGraph:
     if name == "icosahedron":
         return PlaneGraph(_icosahedron())
     if name == "dodecahedron":
-        return PlaneGraph(_icosahedron()).dual()
+        return PlaneGraph(_DODECAHEDRON)
     if name == "star5":
         return PlaneGraph([[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]])
     if name in _FIG_SURGERY:

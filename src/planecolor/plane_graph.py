@@ -114,7 +114,7 @@ class PlaneGraph:
             self.face_of_dart = ()
             self.face_lens = (0,)
         else:
-            face_of, lens, _ = _trace(self._successors())
+            face_of, lens = _trace(self._successors())
             self.face_of_dart = tuple(face_of)
             self.face_lens = tuple(lens)
         self.num_faces = len(self.face_lens)
@@ -197,20 +197,6 @@ class PlaneGraph:
         return len(self.n2(v))
 
     # ==================================================================
-    # derived graphs
-    # ==================================================================
-
-    def dual(self) -> "PlaneGraph":
-        """Planar dual; requires the dual to be simple (no bridges, no
-        two faces sharing more than one edge)."""
-        if self.m == 0:
-            raise NotPlanarEmbedding("dual of a single vertex is not simple")
-        fo, mirror = self.face_of_dart, self.mirror
-        return PlaneGraph(
-            [[fo[mirror[p]] for p in orbit] for orbit in _orbits(self._successors())]
-        )
-
-    # ==================================================================
     # serialization
     # ==================================================================
 
@@ -268,33 +254,24 @@ def two_hop(rots, v: int) -> set[int]:
     return near
 
 
-def _trace(succ: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _trace(succ: list[int]) -> tuple[list[int], list[int]]:
     """Walk the cycles of the dart successor permutation, each from its
     least dart, in the order of those darts: the faces by id.
 
-    Returns the face id of every dart, the length of every face, and
-    all darts in walk order, one face after the other."""
+    Returns the face id of every dart and the length of every face."""
     face_of = [-1] * len(succ)
     lens: list[int] = []
-    walk: list[int] = []
-    step = walk.append
     for p0 in range(len(succ)):
         if face_of[p0] < 0:
             f = len(lens)
-            start = len(walk)
+            k = 0
             p = p0
             while face_of[p] < 0:
                 face_of[p] = f
-                step(p)
+                k += 1
                 p = succ[p]
-            lens.append(len(walk) - start)
-    return face_of, lens, walk
-
-
-def _orbits(succ: list[int]) -> list[list[int]]:
-    """The faces by id, each as its darts in walk order."""
-    _, lens, walk = _trace(succ)
-    return [walk[end - k : end] for end, k in zip(accumulate(lens), lens)]
+            lens.append(k)
+    return face_of, lens
 
 
 def from_rotation_text(text: str) -> PlaneGraph:

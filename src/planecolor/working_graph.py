@@ -64,19 +64,6 @@ def _crossing(chords, pos: dict[int, int]) -> bool:
     return False
 
 
-def _cycles(succ) -> int:
-    """Number of cycles of the permutation given as a dict."""
-    seen: set = set()
-    count = 0
-    for s in succ:
-        if s not in seen:
-            count += 1
-            while s not in seen:
-                seen.add(s)
-                s = succ[s]
-    return count
-
-
 class WorkingGraph:
     """A plane graph with stable vertex ids, reduced one vertex at a time."""
 
@@ -165,10 +152,13 @@ class WorkingGraph:
     def delete(self, dv: int, chords, rule: str = "") -> tuple[set, set]:
         """Delete dv and add ``chords`` (pairs of dv's neighbours) in its hole.
 
-        Refuses the step exactly when rebuilding the reduced graph from
-        scratch would fail its Euler or connectivity check, lose a
-        distance-two pair, fail to shrink, or pass degree 5 at a patched
-        vertex.  A refused step leaves the graph unchanged.
+        Refuses the step whenever two chords cross in the hole, even at
+        a cut vertex, where the reduced graph could still be plane: no
+        rule whose chords cross matches at a cut vertex.  Chords that do
+        not cross are refused exactly when rebuilding the reduced graph
+        from scratch would lose a distance-two pair, fail to shrink, or
+        pass degree 5 at a patched vertex.  A refused step leaves the
+        graph unchanged.
 
         Returns dv's distance-two ball before the step and the vertices
         within reach of any change for detection: distance two of a
@@ -177,8 +167,8 @@ class WorkingGraph:
 
         Raises:
             EmbeddingBroken: a pair of dv's neighbours ends up more
-                than two apart, the chords leave the plane, or the size
-                does not drop.
+                than two apart, two chords cross, or the size does not
+                drop.
             DegreeOverflow: a patched vertex passes degree 5.
         """
         rot = self.rotations
@@ -218,14 +208,8 @@ class WorkingGraph:
                     raise EmbeddingBroken(
                         f"rule {rule}: a distance-two pair fell apart"
                     )
-        if len(chords) > 1:
-            pos = {w: i for i, w in enumerate(ring)}
-            if _crossing(chords, pos) and not self._euler_holds(
-                dv, pos, order, len(chords)
-            ):
-                raise EmbeddingBroken(
-                    f"rule {rule} at {dv}: the chords leave the plane"
-                )
+        if len(chords) > 1 and _crossing(chords, {w: i for i, w in enumerate(ring)}):
+            raise EmbeddingBroken(f"rule {rule} at {dv}: the chords cross")
         if len(chords) > d:
             raise EmbeddingBroken(f"rule {rule}: size did not drop")
         for w in ring:
@@ -321,61 +305,3 @@ class WorkingGraph:
             if len(corners) == _CAP:
                 return _CAP, corners
             x, y = y, r[(j + 1) % len(r)]
-
-    def _euler_holds(self, dv: int, pos, order, added: int) -> bool:
-        """Euler's formula for the patched graph, from the hole alone.
-
-        Reached only when chords cross.  The faces through dv are cut at
-        dv into segments; segment j leaves dv's neighbour w_(j+1) and
-        runs along the old face until it next enters dv, at the corner
-        sigma(j).  Faces away from dv keep their darts, so the reduced
-        graph has F - cycles(sigma) + cycles(mu) faces, where mu chains
-        segments and chord darts the way the patched rotations walk.
-        Euler needs that to be F + 1 - d + added.
-        """
-        rot = self.rotations
-        ring = rot[dv]
-        d = len(ring)
-        sigma: dict[int, int] = {}
-        open_ = []
-        for j in range(d):
-            k = self._next_visit(dv, j, _CAP - 1)
-            if k is None:
-                open_.append(j)
-            else:
-                sigma[j] = k
-        if len(open_) == 1:
-            sigma[open_[0]] = (set(range(d)) - set(sigma.values())).pop()
-        else:
-            # the crossing rules of the table fix every corner but one at
-            # length 3 or 4, so only hand-built chord sets walk this far
-            for j in open_:
-                sigma[j] = self._next_visit(dv, j, None)
-
-        def leave(w: int, came: int | None):
-            # at w, arrived from `came` (None: along a segment into the slot)
-            targets = order[w]
-            k = 0 if came is None else targets.index(came) + 1
-            return (w, targets[k]) if k < len(targets) else (pos[w] - 1) % d
-
-        mu: dict = {}
-        for j in range(d):
-            mu[j] = leave(ring[sigma[j]], None)
-        for w, targets in order.items():
-            for t in targets:
-                mu[(w, t)] = leave(t, w)
-        return _cycles(mu) - _cycles(sigma) == 1 - d + added
-
-    def _next_visit(self, dv: int, j: int, limit: int | None) -> int | None:
-        """Corner of dv where the face leaving corner j next enters dv."""
-        rot = self.rotations
-        ring = rot[dv]
-        x, y = dv, ring[(j + 1) % len(ring)]
-        steps = 0
-        while y != dv:
-            if limit is not None and steps == limit:
-                return None
-            r = rot[y]
-            x, y = y, r[(r.index(x) + 1) % len(r)]
-            steps += 1
-        return ring.index(x)

@@ -1,6 +1,7 @@
 """Rule table, detection priority, and the degree-5 taxonomy."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from planecolor.errors import (
 from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph
 from planecolor.reducer import PALETTE, color16
-from planecolor.working_graph import WorkingGraph
+from planecolor.working_graph import WorkingGraph, _crossing
 from test_working_graph import SNUB_GRAPHS, medial_plus, snub
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
@@ -85,7 +86,7 @@ class TestRuleTable:
         found = set()
         for r in rule_table():
             if r.delete != "v":
-                continue  # their chords share an endpoint, never cross
+                continue  # binding rules: test_binding_rule_chords_never_cross
             chords = [
                 (pos[a], pos[b])
                 for a, b in r.add_edges
@@ -96,6 +97,45 @@ class TestRuleTable:
                     if crosses(chords[i], chords[j]):
                         found.add(r.id)
         assert found == CROSSING_CHORD_RULES
+
+    def test_crossing_chord_rules_leave_at_most_one_long_corner(self):
+        # so their centre, of degree 5, is no cut vertex
+        # (test_few_long_corners_mean_no_cut_vertex), and delete loses
+        # no match by refusing crossing chords outright
+        most = {
+            r.id: (r.degree, max(c.count(5) for c in r.corners))
+            for r in rule_table()
+            if r.id in CROSSING_CHORD_RULES
+        }
+        assert most == {
+            "R-5t4n-b1": (5, 0),
+            "R-good-c": (5, 0),
+            "R-good-d1": (5, 1),
+            "R-good-d2": (5, 1),
+            "R-good-e": (5, 1),
+            "R-supp-a": (5, 0),
+            "R-supp-b1": (5, 1),
+        }
+
+    def test_binding_rule_chords_never_cross(self):
+        # R-deg's chords share x; each of R-degmid's joins two
+        # neighbouring slots of the deleted vertex's rotation (v, a, c, d, b)
+        graphs = [snub(name) for name in SNUB_GRAPHS]
+        graphs += [medial_plus(40, s, extra=30) for s in range(3)]
+        seen = Counter()
+        for g in graphs:
+            ctx = _Ctx(g)
+            for rule in rule_table():
+                if rule.bind is None:
+                    continue
+                for v in range(g.n):
+                    if g.deg[v] != rule.degree:
+                        continue
+                    for m in _center_matches(ctx, rule, v):
+                        pos = {w: i for i, w in enumerate(g.rotations[m.deleted])}
+                        assert not _crossing(m.added_edges(), pos), m
+                        seen[m.rule_id] += 1
+        assert seen.keys() == {"R-deg", "R-degmid"}, seen
 
 
 class TestDetection:

@@ -1,10 +1,9 @@
 """The graph core's loops against references that share no code with them.
 
-Face orbits and walks, the duals built from them, and two-hop rows are
-checked against walks written out here.  The k-coloring search is
-checked against what the numpy build of the package returned on the
-same inputs: status, node count and the coloring found, so the search
-itself is pinned, not only its answers.
+Face tracing and two-hop rows are checked against walks written out
+here.  The k-coloring search is checked against what the numpy build of
+the package returned on the same inputs: status, node count and the
+coloring found, so the search itself is pinned, not only its answers.
 """
 
 import hashlib
@@ -13,10 +12,8 @@ import json
 import pytest
 
 from planecolor._kernels import SOLVE_FOUND, SOLVE_INFEASIBLE, solve_k_coloring
-from planecolor.errors import NotPlanarEmbedding, ParseError
 from planecolor.exact_solver import _static_order
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
-from planecolor.plane_graph import _orbits
 
 SAMPLE_GRAPHS = [named("cube"), named("icosahedron")] + [
     random_plane(n, seed=s) for n, s in [(30, 1), (77, 2), (120, 3)]
@@ -89,30 +86,6 @@ class TestFaces:
             face_of, lens = [], [0]
         assert list(g.face_of_dart) == face_of
         assert list(g.face_lens) == lens
-
-    def test_faces(self, g):
-        # the walks dual() reads its rows from, as (tail, head) pairs
-        orbits = _orbits(g._successors())
-        assert [[(g.dart_tail[p], g.rot_flat[p]) for p in o] for o in orbits] == (
-            reference_walks(g)[1]
-        )
-
-    def test_dual(self, g):
-        if g.m == 0:
-            with pytest.raises(NotPlanarEmbedding):
-                g.dual()
-            return
-        face_of, walks = reference_walks(g)
-        darts = [(v, u) for v, row in enumerate(g.rotations) for u in row]
-        index = {d: p for p, d in enumerate(darts)}
-        # face f's dual row: the face across each dart of its walk
-        rows = [[face_of[index[(u, v)]] for v, u in walk] for walk in walks]
-        if all(f not in row and len(set(row)) == len(row) for f, row in enumerate(rows)):
-            assert g.dual().rotations == tuple(map(tuple, rows))
-        else:
-            # a bridge or two faces sharing two edges: no simple dual
-            with pytest.raises(ParseError):
-                g.dual()
 
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=graph_id)

@@ -174,12 +174,6 @@ class TestAccessors:
             assert cube.face_of_dart[p] != cube.face_of_dart[q]  # no bridges
             assert not cube.edge_in_two_triangles(cube.dart_tail[p], cube.rot_flat[p])
 
-    def test_dual_of_cube_is_octahedron(self, cube):
-        d = cube.dual()
-        assert d.n == 6 and d.m == 12
-        assert set(d.face_lens) == {3}
-        assert all(d.degree(v) == 4 for v in range(d.n))
-
 
 class TestSerialization:
     def test_rotation_text_round_trip(self, corpus_graph):
@@ -254,18 +248,3 @@ class TestPlaneGraphProperties:
     def test_n2_symmetric(self, g):
         pairs = {(a, b) for a in range(g.n) for b in g.n2(a)}
         assert all((b, a) in pairs for a, b in pairs)
-
-    @PROPERTY_SETTINGS
-    @given(seeded_graph())
-    def test_dual_euler(self, g):
-        # two faces sharing several edges would need a multigraph dual,
-        # which the constructor rejects, as it rejects the one face of a
-        # tree; both outcomes are legitimate
-        if g.n < 2:
-            return
-        try:
-            d = g.dual()
-        except ParseError:
-            return
-        assert d.n - d.m + d.num_faces == 2
-        assert d.num_faces == g.n

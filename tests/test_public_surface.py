@@ -52,7 +52,6 @@ PLANE_GRAPH_PUBLIC = [
     "dart_tail",
     "deg",
     "degree",
-    "dual",
     "edge_in_two_triangles",
     "face_lens",
     "face_of_dart",

@@ -11,7 +11,7 @@ graph per step.  Both are kept here only as oracles.
 import copy
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -274,13 +274,12 @@ class TestWorkingGraph:
         assert all(got == want for got, want in balls)
 
     def test_certificate_matches_rebuild_on_random_chord_sets(self):
-        """Arbitrary chord sets, crossing or not, at cut vertices or not."""
+        """Arbitrary chord sets, crossing or not, at cut vertices or not:
+        sets that do not cross are refused exactly when the rebuild
+        refuses them, and crossing sets are always refused."""
         rng = random.Random(7)
-        graphs = [random_plane(rng.randrange(12, 30), seed=s) for s in range(12)]
-        graphs += [random_tree(rng.randrange(6, 20), rng) for _ in range(12)]
-        graphs += [glued(rng) for _ in range(12)]
         seen = Counter()
-        for g in graphs:
+        for g in certificate_inputs(rng):
             for dv in range(g.n):
                 ring = g.rotations[dv]
                 missing = [
@@ -291,25 +290,8 @@ class TestWorkingGraph:
                 for _ in range(6):
                     k = rng.randrange(len(missing) // 2, len(missing) + 1)
                     chords = rng.sample(missing, k)
-                    crossing = _crossing(chords, {w: i for i, w in enumerate(ring)})
-                    try:
-                        want = rebuild_delete(g, dv, chords)
-                    except (EmbeddingBroken, DegreeOverflow):
-                        want = None
-                    wg = WorkingGraph(g)
-                    before = snapshot(wg)
-                    try:
-                        wg.delete(dv, chords)
-                    except (EmbeddingBroken, DegreeOverflow):
-                        assert want is None, (g.rotations, dv, chords)
-                        assert snapshot(wg) == before
-                        seen[crossing, "refused"] += 1
-                        continue
-                    assert want is not None, (g.rotations, dv, chords)
-                    assert wg.to_plane_graph() == want
-                    assert_matches_rebuild(wg)
-                    seen[crossing, "accepted"] += 1
-        # crossing chords can be accepted only at a cut vertex
+                    seen[check_against_rebuild(g, dv, chords)] += 1
+        # every outcome occurs, crossing sets the rebuild accepts too
         assert len(seen) == 4, seen
 
     @pytest.mark.parametrize(
@@ -325,22 +307,13 @@ class TestWorkingGraph:
         missing = [
             (a, b) for a, b in combinations(sorted(rows[0]), 2) if not g.has_edge(a, b)
         ]
-        accepted = 0
+        seen = Counter()
         for mask in range(1 << len(missing)):
             chords = [e for i, e in enumerate(missing) if mask >> i & 1]
-            try:
-                want = rebuild_delete(g, 0, chords)
-            except (EmbeddingBroken, DegreeOverflow):
-                want = None
-            wg = WorkingGraph(g)
-            try:
-                wg.delete(0, chords)
-            except (EmbeddingBroken, DegreeOverflow):
-                assert want is None, chords
-                continue
-            assert wg.to_plane_graph() == want, chords
-            accepted += 1
-        assert accepted > 0
+            seen[check_against_rebuild(g, 0, chords)] += 1
+        assert seen["accepted"] > 0
+        # crossing sets the rebuild accepts, which delete refuses
+        assert seen["crossing", "plane"] > 0, seen
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_steps_on_degree_five_graphs(self, seed):
@@ -390,6 +363,32 @@ class TestWorkingGraph:
                 if before.get(key) != after.get(key) and wg.deg[key[1]]:
                     assert key[1] in reach, key
         assert len(applied) >= 5, applied
+
+
+def check_against_rebuild(g: PlaneGraph, dv: int, chords):
+    """Run ``delete`` on a fresh working graph of g and hold it to
+    ``rebuild_delete``; return how the chord set fared."""
+    try:
+        want = rebuild_delete(g, dv, chords)
+    except (EmbeddingBroken, DegreeOverflow):
+        want = None
+    wg = WorkingGraph(g)
+    before = snapshot(wg)
+    if _crossing(chords, {w: i for i, w in enumerate(g.rotations[dv])}):
+        with pytest.raises(EmbeddingBroken):
+            wg.delete(dv, chords)
+        assert snapshot(wg) == before
+        return "crossing", "plane" if want else "broken"
+    try:
+        wg.delete(dv, chords)
+    except (EmbeddingBroken, DegreeOverflow):
+        assert want is None, (g.rotations, dv, chords)
+        assert snapshot(wg) == before
+        return "refused"
+    assert want is not None, (g.rotations, dv, chords)
+    assert wg.to_plane_graph() == want
+    assert_matches_rebuild(wg)
+    return "accepted"
 
 
 def record_balls(monkeypatch) -> list:
@@ -617,6 +616,14 @@ def random_tree(n: int, rng: random.Random) -> PlaneGraph:
     return PlaneGraph(rows)
 
 
+def certificate_inputs(rng: random.Random) -> list[PlaneGraph]:
+    """Small random plane graphs, trees and graphs glued at a cut vertex."""
+    graphs = [random_plane(rng.randrange(12, 30), seed=s) for s in range(12)]
+    graphs += [random_tree(rng.randrange(6, 20), rng) for _ in range(12)]
+    graphs += [glued(rng) for _ in range(12)]
+    return graphs
+
+
 def glued(rng: random.Random) -> PlaneGraph:
     """Two random plane graphs sharing one vertex, which becomes a cut
     vertex: the second graph's rotation there fills one corner."""
@@ -683,6 +690,42 @@ class TestShortFacesMeetOnce:
         g = PlaneGraph([[1], [0, 2], [1]])
         assert g.corner_lens(1) == (4, 4)
         assert len(set(g.face_of_dart[g.rot_start[1] : g.rot_start[2]])) == 1
+
+
+# ======================================================================
+# crossing chords never come at a cut vertex
+# ======================================================================
+
+
+def is_cut_vertex(g: PlaneGraph, v: int) -> bool:
+    """Does deleting v disconnect g?  A breadth-first search from one
+    neighbour of v that never enters v."""
+    rots = g.rotations
+    start = rots[v][0]
+    seen = {v, start}
+    queue = deque([start])
+    while queue:
+        for u in rots[queue.popleft()]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) < g.n
+
+
+def test_few_long_corners_mean_no_cut_vertex():
+    """A vertex of degree at least 3 with at most one corner of length
+    5+ is no cut vertex.  Every frame of a rule whose chords cross has
+    at most one such corner (test_configurations), so no such match
+    sits at a cut vertex, the one place where crossing chords could
+    still be drawn, and ``delete`` loses nothing by refusing them."""
+    seen = Counter()
+    for g in certificate_inputs(random.Random(7)):
+        for v in range(g.n):
+            if g.deg[v] >= 3:
+                cut = is_cut_vertex(g, v)
+                assert not cut or g.corner_lens(v).count(5) >= 2, (g.rotations, v)
+                seen[cut] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
 
 
 # ======================================================================
