@@ -1,8 +1,9 @@
 """The graph core's loops against references that share no code with them.
 
 Face tracing and two-hop rows are checked against walks written out
-here.  The k-coloring search is checked against what the numpy build of
-the package returned on the same inputs: status, node count and the
+here, and the constructor against the duals built from those walks.
+The k-coloring search is checked against what the numpy build of the
+package returned on the same inputs: status, node count and the
 coloring found, so the search itself is pinned, not only its answers.
 """
 
@@ -12,8 +13,10 @@ import json
 import pytest
 
 from planecolor._kernels import SOLVE_FOUND, SOLVE_INFEASIBLE, solve_k_coloring
+from planecolor.errors import ParseError
 from planecolor.exact_solver import _static_order
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
+from planecolor.plane_graph import PlaneGraph
 
 SAMPLE_GRAPHS = [named("cube"), named("icosahedron")] + [
     random_plane(n, seed=s) for n, s in [(30, 1), (77, 2), (120, 3)]
@@ -86,6 +89,44 @@ class TestFaces:
             face_of, lens = [], [0]
         assert list(g.face_of_dart) == face_of
         assert list(g.face_lens) == lens
+
+    def test_successor_walks(self, g):
+        # _trace's input: each face walked from its least dart along
+        # the successors, as (tail, head) pairs
+        succ = g._successors()
+        walks = []
+        seen = set()
+        for p0 in range(len(succ)):
+            if p0 in seen:
+                continue
+            walks.append([])
+            p = p0
+            while p not in seen:
+                seen.add(p)
+                walks[-1].append((g.dart_tail[p], g.rot_flat[p]))
+                p = succ[p]
+            assert p == p0  # the walk closes where it began
+        assert walks == reference_walks(g)[1]
+
+    def test_faces_of_the_dual_are_the_vertices(self, g):
+        # the dual's rows, from the walks written out here: face f's row
+        # is the face across each dart of its walk
+        face_of, walks = reference_walks(g)
+        darts = [(v, u) for v, row in enumerate(g.rotations) for u in row]
+        index = {d: p for p, d in enumerate(darts)}
+        rows = [[face_of[index[(u, v)]] for v, u in walk] for walk in walks]
+        if g.m == 0:
+            rows = [[]]  # the one face of a single vertex
+        if not all(f not in row and len(set(row)) == len(row) for f, row in enumerate(rows)):
+            # a bridge or two faces sharing two edges: no simple dual
+            with pytest.raises(ParseError):
+                PlaneGraph(rows)
+            return
+        d = PlaneGraph(rows)
+        assert (d.n, d.m, d.num_faces) == (g.num_faces, g.m, g.n)
+        assert sorted(d.face_lens) == sorted(g.deg)
+        if g == named("icosahedron"):
+            assert d == named("dodecahedron")
 
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=graph_id)
