@@ -878,65 +878,72 @@ class MatchQueue:
     Each rule rank keeps a heap of centres still to examine.  A centre
     examined without a match leaves the heap until ``touch`` reports it
     within reach of a change; a centre whose matches were all refused
-    stays.  Touched centres go to a log that each rank reads only when a
-    search reaches it, so ranks past the first applicable match cost
-    nothing.  A step touches a bounded ball, so the log stays within a
-    constant times the number of vertices.
+    stays.  ``touch`` logs the reported vertices by degree, and a rank
+    reads the log of its degree only when a search reaches it, so ranks
+    past the first applicable match cost nothing.  This is exact: a
+    degree changes only on a step's ring, which is within its reach, so
+    a vertex's last entry is in the log of its current degree.  A step
+    touches a bounded ball, so the logs stay within a constant times the
+    number of vertices.  A centre popped with a match goes back on its
+    heap when the next search starts, so a search needs no closing.
 
     A rank's heap is built when a search first reaches it, from the
-    vertices of the rank's degree at that time, with the log read up to
+    vertices of the rank's degree at that time, with its log read up to
     then.  A vertex whose degree changed since the queue was made is in
-    the log, so this is the heap the queue would hold had it started
-    with every rank filled.
+    the log of its degree, so this is the heap the queue would hold had
+    it started with every rank filled.
     """
 
     def __init__(self, g) -> None:
         self._ctx = _Ctx(g)
         self._heaps: list[Optional[list[int]]] = [None] * len(_PRIORITY)
         self._queued: list[Optional[set[int]]] = [None] * len(_PRIORITY)
-        self._log: list[int] = []
+        # by degree; no step takes a degree past 5 or the input's maximum
+        top = max(5, max(g.deg, default=0))
+        self._logs: list[list[int]] = [[] for _ in range(top + 1)]
         self._read = [0] * len(_PRIORITY)
+        self._kept: list[tuple[list[int], int]] = []  # (heap, centre)
 
     def _first_visit(self, r: int) -> None:
         k = _PRIORITY[r].degree
         heap = [v for v, d in enumerate(self._ctx.deg) if d == k]  # sorted: a heap
         self._heaps[r], self._queued[r] = heap, set(heap)
-        self._read[r] = len(self._log)
+        self._read[r] = len(self._logs[k])
 
     def touch(self, reach) -> None:
         """Report a step: the ``reach`` vertices are examined again."""
-        self._log.extend(reach)
+        logs, deg = self._logs, self._ctx.deg
+        for v in reach:
+            logs[deg[v]].append(v)
 
     def matches(self) -> Iterator[ConfigMatch]:
-        """Matches in priority order.  Close the iterator before the
-        graph changes."""
-        ctx, deg, log = self._ctx, self._ctx.deg, self._log
+        """Matches in priority order.  Read no further once the graph
+        changes; the next call starts the search over."""
+        ctx, deg = self._ctx, self._ctx.deg
+        for heap, v in self._kept:
+            heapq.heappush(heap, v)
+        kept = self._kept = []
         for r, rule in enumerate(_PRIORITY):
             k = rule.degree
             if self._heaps[r] is None:
                 self._first_visit(r)
-            heap, queued = self._heaps[r], self._queued[r]
+            heap, queued, log = self._heaps[r], self._queued[r], self._logs[k]
             for v in log[self._read[r] :]:
                 if deg[v] == k and v not in queued:
                     queued.add(v)
                     heapq.heappush(heap, v)
             self._read[r] = len(log)
-            kept: list[int] = []
-            try:
-                while heap:
-                    v = heapq.heappop(heap)
-                    found = False
-                    if deg[v] == k:
-                        for m in _center_matches(ctx, rule, v):
-                            if not found:
-                                found = True
-                                kept.append(v)
-                            yield m
-                    if not found:
-                        queued.discard(v)
-            finally:
-                for v in kept:
-                    heapq.heappush(heap, v)
+            while heap:
+                v = heapq.heappop(heap)
+                found = False
+                if deg[v] == k:
+                    for m in _center_matches(ctx, rule, v):
+                        if not found:
+                            found = True
+                            kept.append((heap, v))
+                        yield m
+                if not found:
+                    queued.discard(v)
 
 
 def detect(g: PlaneGraph) -> Optional[ConfigMatch]:

@@ -115,28 +115,22 @@ def apply_rules(
     transfer made.
     """
     after, moves = _transfer_pass(g)
-    return after, [TransferRecord(*mv) for mv in moves]
+    keys = [("vertex", v) for v in range(g.n)]
+    keys += [("face", f) for f in range(g.num_faces)]
+    return after, [TransferRecord(r, keys[s], keys[t], a) for r, s, t, a in moves]
 
 
 def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
-    """The pass behind ``apply_rules``, with each transfer as the tuple
-    of a ``TransferRecord``'s fields."""
+    """The pass behind ``apply_rules``, with each transfer as a tuple
+    (rule, giver, taker, amount) whose giver and taker are vertex v as
+    v and face f as n + f."""
     led = initial_charges(g)
     n = g.n
-    # vertex v is entry v and face f entry n + f of the charges and keys
-    charge = list(led.vertices) + list(led.faces)
-    keys = [("vertex", v) for v in range(n)] + [
-        ("face", f) for f in range(g.num_faces)
-    ]
     moves: list[tuple] = []
+    move = moves.append
     ctx = _Ctx(g)
     deg = g.deg
     flen = g.face_lens
-
-    def move(rule: str, src: int, dst: int, amt: int):
-        charge[src] -= amt
-        charge[dst] += amt
-        moves.append((rule, keys[src], keys[dst], amt))
 
     tail, head, fod = g.dart_tail, g.rot_flat, g.face_of_dart
     rs, mirror = g.rot_start, g.mirror
@@ -154,7 +148,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             u = head[p]
             w = head[rs[u] + (mirror[p] - rs[u] + 1) % deg[u]]
             for v in sorted((tail[p], u, w)):
-                move("R1", v, n + f, THIRD)
+                move(("R1", v, n + f, THIRD))
 
     # R2: every 5-vertex pays 1/9 to each 3-neighbour
     for v in range(n):
@@ -162,7 +156,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             continue
         for u in sorted(g.rotations[v]):
             if deg[u] == 5:
-                move("R2", u, v, NINTH)
+                move(("R2", u, v, NINTH))
 
     # the distinct faces around each vertex, ascending
     faces_at = [sorted(set(fod[rs[v] : rs[v + 1]])) for v in range(n)]
@@ -172,11 +166,11 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
         if deg[v] == 3:
             for fid in faces_at[v]:
                 if flen[fid] >= 5:
-                    move("R3", n + fid, v, THIRD)
+                    move(("R3", n + fid, v, THIRD))
         elif deg[v] == 4:
             for fid in faces_at[v]:
                 if flen[fid] >= 5:
-                    move("R4", n + fid, v, FIFTH)
+                    move(("R4", n + fid, v, FIFTH))
 
     # R5 / R6: big faces pay incident 5-vertices, less when the face
     # carries one of the vertex's 3-neighbours
@@ -188,9 +182,9 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             if flen[fid] < 5:
                 continue
             if any(fid in faces_at[u] for u in small_nbrs):
-                move("R6", n + fid, v, NINTH)
+                move(("R6", n + fid, v, NINTH))
             else:
-                move("R5", n + fid, v, FIFTH)
+                move(("R5", n + fid, v, FIFTH))
 
     # R7: a 5-vertex with at most three incident 3-faces pays each
     # 4-neighbour per big face along their shared edge, the dart
@@ -205,9 +199,9 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             f1, f2 = fod[p], fod[mirror[p]]
             big = (flen[f1] >= 5) + (f2 != f1 and flen[f2] >= 5)
             if big == 1:
-                move("R7a", v, u, FIFTEENTH)
+                move(("R7a", v, u, FIFTEENTH))
             elif big == 2:
-                move("R7b", v, u, TWO_FIFTEENTHS)
+                move(("R7b", v, u, TWO_FIFTEENTHS))
 
     # R8-R10: the degree-5 taxonomy pays its bad or semi-bad charges
     for v in range(n):
@@ -220,18 +214,23 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
         if sc.kind == "strong":
             doubled = ctx.in2(w[0], w[1]) + ctx.in2(w[1], w[2])
             if doubled == 1:
-                move("R8a", v, w[1], TWO_FIFTEENTHS)
+                move(("R8a", v, w[1], TWO_FIFTEENTHS))
             elif doubled == 2:
-                move("R8b", v, w[1], FIFTH)
+                move(("R8b", v, w[1], FIFTH))
         elif sc.kind == "good":
-            move("R9", v, w[1], FIFTH)
+            move(("R9", v, w[1], FIFTH))
             if ctx.bad_kind(w[2]) == "semi-bad":
-                move("R9", v, w[2], FIFTH)
+                move(("R9", v, w[2], FIFTH))
         elif sc.kind == "support":
             for u in sorted(g.rotations[v]):
                 if ctx.bad_kind(u) is not None and ctx.in2(v, u):
-                    move("R10", v, u, THIRD)
+                    move(("R10", v, u, THIRD))
 
+    # vertex v is entry v and face f entry n + f of the charges
+    charge = list(led.vertices) + list(led.faces)
+    for _, src, dst, amt in moves:
+        charge[src] -= amt
+        charge[dst] += amt
     after = ChargeLedger(vertices=tuple(charge[:n]), faces=tuple(charge[n:]))
     if after.total() != TOTAL:  # tripwire: moves cannot change the sum
         raise AssertionError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .configurations import ConfigMatch, MatchQueue
+from .configurations import _BY_ID, ConfigMatch, MatchQueue
 from .conflict import Coloring, validate
 from .errors import (
     AnomalyNoConfiguration,
@@ -78,26 +78,33 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     """Apply one match to the working graph in place.
 
     Returns the trace, numbered ``step`` and in the dense labels of the
-    graph before the step, with what ``WorkingGraph.delete`` reports:
-    dv's distance-two ball and the vertices within reach of a change.
+    graph before the step; the unwinding record ``(dv, ball)``, with
+    dv's distance-two ball as ``WorkingGraph.delete`` reports it; and
+    the vertices within reach of a change, for ``MatchQueue.touch``.
 
     Raises:
         EmbeddingBroken: the patched graph would come out non-planar,
             disconnected, not smaller, or lose a distance-two pair.
         DegreeOverflow: a chord endpoint would pass degree 5.
     """
-    dv = match.deleted
-    rot = wg.rotations
-    adds = [(a, b) for a, b in match.added_edges() if b not in rot[a]]
-    label = wg.label
+    rule, binding = _BY_ID[match.rule_id], match.binding
+    dv = binding[rule.delete]
+    rot, label = wg.rotations, wg.label
+    adds, added = [], []  # ``added_edges`` the graph lacks, and their labels
+    for x, y in rule.add_edges:
+        a, b = binding[x], binding[y]
+        if b not in rot[a]:
+            if a > b:
+                a, b = b, a
+            adds.append((a, b))
+            added.append((label(a), label(b)))
     before = wg.n + wg.m
     deleted = label(dv)
-    added = tuple((label(a), label(b)) for a, b in adds)
-    ball, reach = wg.delete(dv, adds, match.rule_id)
+    ball, reach = wg.delete(dv, adds, rule.id)
     trace = ReductionTrace(
-        step, match.rule_id, deleted, added, before, wg.n + wg.m, match.observed_d2
+        step, rule.id, deleted, tuple(added), before, wg.n + wg.m, match.observed_d2
     )
-    return trace, ball, reach
+    return trace, (dv, tuple(ball)), reach
 
 
 def apply(g: PlaneGraph, match: ConfigMatch) -> tuple[PlaneGraph, ReductionTrace]:
@@ -118,7 +125,7 @@ def apply(g: PlaneGraph, match: ConfigMatch) -> tuple[PlaneGraph, ReductionTrace
 
 
 def _least_free(colors: dict[int, int], ball, dv: int) -> int:
-    seen = {colors[u] for u in ball}
+    seen = set(map(colors.__getitem__, ball))
     for c in range(1, PALETTE + 1):
         if c not in seen:
             return c
@@ -169,10 +176,9 @@ def color16(
     traces: list[ReductionTrace] = []
     balls: list[tuple[int, tuple[int, ...]]] = []
     while wg.n > PALETTE:
-        matches = queue.matches()
-        for match in matches:
+        for match in queue.matches():
             try:
-                trace, ball, reach = _step(wg, match, len(traces))
+                trace, record, reach = _step(wg, match, len(traces))
             except (EmbeddingBroken, DegreeOverflow):
                 continue
             break
@@ -195,10 +201,9 @@ def color16(
                 observed_d2=-1,
             )
             return _unwind(g, traces + [sentinel], balls, colors)
-        matches.close()
         queue.touch(reach)
         traces.append(trace)
-        balls.append((match.deleted, tuple(ball)))
+        balls.append(record)
     # at most 16 vertices left: give everyone a distinct color
     colors = {v: i + 1 for i, v in enumerate(wg.alive())}
     return _unwind(g, traces, balls, colors)

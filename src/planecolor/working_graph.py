@@ -7,7 +7,9 @@ with an empty rotation.  A step touches only the hole:
 
 * the rotations of the deleted vertex's neighbours are patched;
 * degrees are updated on the ring of the hole; d2 is not stored but
-  counted from the rotations when detection asks for it;
+  counted from the rotations when detection asks for it.  ``d2`` keeps
+  the ball it counted, for the vertex of the match detection verified
+  last, and ``delete`` of that vertex takes it; a step drops it;
 * corner data is re-walked only around the hole: the corners next to
   the deleted vertex's slot in each patched rotation, and the corners
   of the 4-faces the deleted vertex was on.  Every other corner of a
@@ -39,6 +41,7 @@ from .plane_graph import PlaneGraph, two_hop
 __all__ = ["WorkingGraph"]
 
 _CAP = 5  # face lengths are kept up to this value
+_NO_BALL: tuple[int, frozenset] = (-1, frozenset())
 
 
 def _targets_in_order(ring, u: int, targets) -> list[int]:
@@ -76,6 +79,7 @@ class WorkingGraph:
         "_alive",
         "_dead_tree",
         "_clen",
+        "_ball",
     )
 
     def __init__(self, g: PlaneGraph) -> None:
@@ -87,6 +91,7 @@ class WorkingGraph:
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
         self._clen = self._initial_corner_lens(g)
+        self._ball = _NO_BALL
 
     @staticmethod
     def _initial_corner_lens(g: PlaneGraph) -> list[list[int]]:
@@ -103,7 +108,10 @@ class WorkingGraph:
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        return len(two_hop(self.rotations, v))
+        # kept for ``delete`` (module docstring)
+        ball = two_hop(self.rotations, v)
+        self._ball = (v, ball)
+        return len(ball)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
@@ -160,7 +168,8 @@ class WorkingGraph:
         pass degree 5 at a patched vertex.  A refused step leaves the
         graph unchanged.
 
-        Returns dv's distance-two ball before the step and the vertices
+        Returns dv's distance-two ball before the step, the one ``d2``
+        kept if dv was the last vertex it counted, and the vertices
         within reach of any change for detection: distance two of a
         patched rotation, which covers every vertex whose d2 changed,
         and distance one of a vertex whose corner data changed.
@@ -174,23 +183,24 @@ class WorkingGraph:
         rot = self.rotations
         ring = rot[dv]
         d = len(ring)
-        # chord targets of each ring vertex, in the order they fan out
-        order: dict[int, list[int]] = {w: [] for w in ring}
+        fan: dict[int, list[int]] = {}  # chord targets of a ring vertex
         for a, b in chords:
-            if a not in order or b not in order:
+            if a not in ring or b not in ring:
                 raise ValueError(
                     f"rule {rule}: a chord end is not a neighbour of {dv}"
                 )
-            order[a].append(b)
-            order[b].append(a)
+            fan.setdefault(a, []).append(b)
+            fan.setdefault(b, []).append(a)
         new: dict[int, list[int]] = {}
-        slot: dict[int, int] = {}
-        for w, targets in order.items():
-            if len(targets) > 1:
-                targets = order[w] = _targets_in_order(ring, w, targets)
-            row = list(rot[w])
-            i = slot[w] = row.index(dv)
+        slot: dict[int, tuple[int, int]] = {}  # dv's slot, the targets there
+        for w in ring:
+            targets = fan.get(w, ())
+            if len(targets) > 1:  # in the order they fan out
+                targets = _targets_in_order(ring, w, targets)
+            row = rot[w].copy()
+            i = row.index(dv)
             row[i : i + 1] = targets
+            slot[w] = i, len(targets)
             new[w] = row
 
         # paths of length <= 2 that avoid dv survive and chords only add
@@ -216,10 +226,13 @@ class WorkingGraph:
             if len(new[w]) > 5:
                 raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
 
-        # each new row is w's old row with dv replaced by ring vertices,
-        # so the rows and the ring together are dv's distance-two ball
-        ball = set(chain.from_iterable(new.values()))
-        ball.update(ring)
+        held, ball = self._ball
+        if held != dv:
+            # each new row is w's old row with dv replaced by ring vertices,
+            # so the rows and the ring together are dv's distance-two ball
+            ball = set(chain.from_iterable(new.values()))
+            ball.update(ring)
+        self._ball = _NO_BALL
         clen = self._clen
         changed = set(ring)
         # a triangle at dv has its other corners next to dv's slots, and
@@ -240,9 +253,9 @@ class WorkingGraph:
             # splice w's corner lengths as its rotation was spliced:
             # corners away from the slot keep their lengths, the k + 1
             # around it are walked again
-            s = slot[w]
+            s, k = slot[w]
             lens = clen[w]
-            lens[s : s + 1] = [None] * len(order[w])
+            lens[s : s + 1] = [None] * k
             if lens:
                 lens[s - 1] = None
             rot[w] = row
@@ -265,11 +278,13 @@ class WorkingGraph:
             for i, ln in enumerate(lens):
                 if ln is None:
                     ln, corners = self._walk(w, i)
-                    for y, j in corners:
-                        clen[y][j] = ln
                     if ln < _CAP:
-                        changed.update(y for y, _ in corners)
+                        for y, j in corners:
+                            clen[y][j] = ln
+                            changed.add(y)
                         continue
+                    for y, j in corners:
+                        clen[y][j] = _CAP
                     # the corners passed took length 5; so do the 4 before
                     # (w, i) on this long face, so that no walk starts there
                     # (the face reaches corner (y, j) from rot[y][j])

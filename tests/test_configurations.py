@@ -210,7 +210,7 @@ def test_first_heap_is_the_eager_heap_at_current_degree(n, seed, monkeypatch):
         original(queue, r)
         k, deg = _PRIORITY[r].degree, queue._ctx.deg
         eager = {v for v, d in enumerate(start) if d == k}
-        eager.update(v for v in queue._log[: queue._read[r]] if deg[v] == k)
+        eager.update(v for v in queue._logs[k][: queue._read[r]] if deg[v] == k)
         want = sorted(v for v in eager if deg[v] == k)
         assert queue._heaps[r] == want and queue._queued[r] == set(want)
         built.append(want != [v for v, d in enumerate(start) if d == k])
@@ -469,21 +469,49 @@ def assert_frames_match_formula(g, live) -> None:
     assert checked or not any(g.deg)
 
 
-def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
-    """A working graph after the first ``steps`` steps of ``color16``."""
+def color16_steps(g: PlaneGraph):
+    """Take the steps of ``color16`` on a working graph of g, yielding
+    the graph and its match queue before each step and after the last."""
     wg = WorkingGraph(g)
     queue = MatchQueue(wg)
-    for _ in range(steps):
-        matches = queue.matches()
-        for m in matches:
+    while True:
+        yield wg, queue
+        if wg.n <= PALETTE:
+            return
+        for m in queue.matches():
             try:
                 _, _, reach = reducer._step(wg, m)
             except (EmbeddingBroken, DegreeOverflow):
                 continue
             break
-        matches.close()
         queue.touch(reach)
-    return wg
+
+
+def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
+    """A working graph after the first ``steps`` steps of ``color16``."""
+    for done, (wg, _) in enumerate(color16_steps(g)):
+        if done == steps:
+            return wg
+    raise ValueError(f"color16 takes fewer than {steps} steps")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda i=i: random_plane(20 + i, seed=i) for i in range(0, 36, 7)]
+    + [lambda: medial_plus(40, 0, extra=30)],
+    ids=[f"random_plane({20 + i}, {i})" for i in range(0, 36, 7)]
+    + ["medial_plus(40, 0)"],
+)
+def test_incremental_queue_is_a_fresh_queue_at_every_step(make):
+    """The queue ``color16`` keeps across its steps yields what a queue
+    made afresh on the current graph yields, at every step: the logs by
+    degree lose no centre, and a search read to the end loses none of the
+    centres it put back."""
+    steps = 0
+    for wg, queue in color16_steps(make()):
+        assert list(queue.matches()) == list(MatchQueue(wg).matches()), steps
+        steps += 1
+    assert steps > 1
 
 
 FRAME_GRAPHS = {

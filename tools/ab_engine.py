@@ -4,8 +4,9 @@
 
 Loads ``src/planecolor`` of each checkout under its own module name and
 asserts that both give equal colorings, traces and audits on the inputs
-of perfbench's ``batch-sweep`` and ``color-large`` workloads (default
-seed), made by ``perfbench/run.py`` of this repository.  Then it times
+of perfbench's ``batch-sweep`` and ``color-large`` workloads, and equal
+``chi2_exact`` values on those of ``chi2-small`` (default seed), made by
+``perfbench/run.py`` of this repository.  Then it times
 ``ROUNDS`` whole rounds of each workload, A and B in turn, the first
 side swapping every round, and prints the time of B's round over A's:
 the median with its quartiles, and in how many rounds B was faster.  Both
@@ -22,9 +23,9 @@ from pathlib import Path
 from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from run import make_inputs  # noqa: E402
+from run import CHI2_BUDGET, make_inputs  # noqa: E402
 
-WORKLOADS = ("batch-sweep", "color-large")
+WORKLOADS = ("batch-sweep", "color-large", "chi2-small")
 ROUNDS = 20
 
 
@@ -40,6 +41,8 @@ def load(checkout: str, name: str):
 
 
 def run(pc, workload: str, graphs) -> list:
+    if workload == "chi2-small":
+        return [pc.chi2_exact(g, budget=CHI2_BUDGET) for g in graphs]
     out = []
     for g in graphs:
         coloring, steps = pc.color16(g)
