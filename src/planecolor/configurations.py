@@ -884,8 +884,7 @@ class MatchQueue:
     degree changes only on a step's ring, which is within its reach, so
     a vertex's last entry is in the log of its current degree.  A step
     touches a bounded ball, so the logs stay within a constant times the
-    number of vertices.  A centre popped with a match goes back on its
-    heap when the next search starts, so a search needs no closing.
+    number of vertices.
 
     A rank's heap is built when a search first reaches it, from the
     vertices of the rank's degree at that time, with its log read up to
@@ -902,7 +901,6 @@ class MatchQueue:
         top = max(5, max(g.deg, default=0))
         self._logs: list[list[int]] = [[] for _ in range(top + 1)]
         self._read = [0] * len(_PRIORITY)
-        self._kept: list[tuple[list[int], int]] = []  # (heap, centre)
 
     def _first_visit(self, r: int) -> None:
         k = _PRIORITY[r].degree
@@ -917,12 +915,9 @@ class MatchQueue:
             logs[deg[v]].append(v)
 
     def matches(self) -> Iterator[ConfigMatch]:
-        """Matches in priority order.  Read no further once the graph
-        changes; the next call starts the search over."""
+        """Matches in priority order.  Close the iterator before the
+        graph changes."""
         ctx, deg = self._ctx, self._ctx.deg
-        for heap, v in self._kept:
-            heapq.heappush(heap, v)
-        kept = self._kept = []
         for r, rule in enumerate(_PRIORITY):
             k = rule.degree
             if self._heaps[r] is None:
@@ -933,17 +928,22 @@ class MatchQueue:
                     queued.add(v)
                     heapq.heappush(heap, v)
             self._read[r] = len(log)
-            while heap:
-                v = heapq.heappop(heap)
-                found = False
-                if deg[v] == k:
-                    for m in _center_matches(ctx, rule, v):
-                        if not found:
-                            found = True
-                            kept.append((heap, v))
-                        yield m
-                if not found:
-                    queued.discard(v)
+            kept: list[int] = []
+            try:
+                while heap:
+                    v = heapq.heappop(heap)
+                    found = False
+                    if deg[v] == k:
+                        for m in _center_matches(ctx, rule, v):
+                            if not found:
+                                found = True
+                                kept.append(v)
+                            yield m
+                    if not found:
+                        queued.discard(v)
+            finally:
+                for v in kept:
+                    heapq.heappush(heap, v)
 
 
 def detect(g: PlaneGraph) -> Optional[ConfigMatch]:

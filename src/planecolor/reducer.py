@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .configurations import _BY_ID, ConfigMatch, MatchQueue
+from .configurations import ConfigMatch, MatchQueue
 from .conflict import Coloring, validate
 from .errors import (
     AnomalyNoConfiguration,
@@ -87,22 +87,24 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
             disconnected, not smaller, or lose a distance-two pair.
         DegreeOverflow: a chord endpoint would pass degree 5.
     """
-    rule, binding = _BY_ID[match.rule_id], match.binding
-    dv = binding[rule.delete]
+    dv = match.deleted
     rot, label = wg.rotations, wg.label
     adds, added = [], []  # ``added_edges`` the graph lacks, and their labels
-    for x, y in rule.add_edges:
-        a, b = binding[x], binding[y]
+    for a, b in match.added_edges():
         if b not in rot[a]:
-            if a > b:
-                a, b = b, a
             adds.append((a, b))
             added.append((label(a), label(b)))
     before = wg.n + wg.m
     deleted = label(dv)
-    ball, reach = wg.delete(dv, adds, rule.id)
+    ball, reach = wg.delete(dv, adds, match.rule_id)
     trace = ReductionTrace(
-        step, rule.id, deleted, tuple(added), before, wg.n + wg.m, match.observed_d2
+        step,
+        match.rule_id,
+        deleted,
+        tuple(added),
+        before,
+        wg.n + wg.m,
+        match.observed_d2,
     )
     return trace, (dv, tuple(ball)), reach
 
@@ -176,7 +178,8 @@ def color16(
     traces: list[ReductionTrace] = []
     balls: list[tuple[int, tuple[int, ...]]] = []
     while wg.n > PALETTE:
-        for match in queue.matches():
+        matches = queue.matches()
+        for match in matches:
             try:
                 trace, record, reach = _step(wg, match, len(traces))
             except (EmbeddingBroken, DegreeOverflow):
@@ -201,6 +204,7 @@ def color16(
                 observed_d2=-1,
             )
             return _unwind(g, traces + [sentinel], balls, colors)
+        matches.close()
         queue.touch(reach)
         traces.append(trace)
         balls.append(record)

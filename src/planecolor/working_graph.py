@@ -7,9 +7,7 @@ with an empty rotation.  A step touches only the hole:
 
 * the rotations of the deleted vertex's neighbours are patched;
 * degrees are updated on the ring of the hole; d2 is not stored but
-  counted from the rotations when detection asks for it.  ``d2`` keeps
-  the ball it counted, for the vertex of the match detection verified
-  last, and ``delete`` of that vertex takes it; a step drops it;
+  counted from the rotations when detection asks for it;
 * corner data is re-walked only around the hole: the corners next to
   the deleted vertex's slot in each patched rotation, and the corners
   of the 4-faces the deleted vertex was on.  Every other corner of a
@@ -41,7 +39,6 @@ from .plane_graph import PlaneGraph, two_hop
 __all__ = ["WorkingGraph"]
 
 _CAP = 5  # face lengths are kept up to this value
-_NO_BALL: tuple[int, frozenset] = (-1, frozenset())
 
 
 def _targets_in_order(ring, u: int, targets) -> list[int]:
@@ -79,7 +76,6 @@ class WorkingGraph:
         "_alive",
         "_dead_tree",
         "_clen",
-        "_ball",
     )
 
     def __init__(self, g: PlaneGraph) -> None:
@@ -91,7 +87,6 @@ class WorkingGraph:
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
         self._clen = self._initial_corner_lens(g)
-        self._ball = _NO_BALL
 
     @staticmethod
     def _initial_corner_lens(g: PlaneGraph) -> list[list[int]]:
@@ -108,10 +103,7 @@ class WorkingGraph:
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        # kept for ``delete`` (module docstring)
-        ball = two_hop(self.rotations, v)
-        self._ball = (v, ball)
-        return len(ball)
+        return len(two_hop(self.rotations, v))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
@@ -168,8 +160,7 @@ class WorkingGraph:
         pass degree 5 at a patched vertex.  A refused step leaves the
         graph unchanged.
 
-        Returns dv's distance-two ball before the step, the one ``d2``
-        kept if dv was the last vertex it counted, and the vertices
+        Returns dv's distance-two ball before the step and the vertices
         within reach of any change for detection: distance two of a
         patched rotation, which covers every vertex whose d2 changed,
         and distance one of a vertex whose corner data changed.
@@ -226,13 +217,10 @@ class WorkingGraph:
             if len(new[w]) > 5:
                 raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
 
-        held, ball = self._ball
-        if held != dv:
-            # each new row is w's old row with dv replaced by ring vertices,
-            # so the rows and the ring together are dv's distance-two ball
-            ball = set(chain.from_iterable(new.values()))
-            ball.update(ring)
-        self._ball = _NO_BALL
+        # each new row is w's old row with dv replaced by ring vertices,
+        # so the rows and the ring together are dv's distance-two ball
+        ball = set(chain.from_iterable(new.values()))
+        ball.update(ring)
         clen = self._clen
         changed = set(ring)
         # a triangle at dv has its other corners next to dv's slots, and

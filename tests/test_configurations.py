@@ -478,12 +478,14 @@ def color16_steps(g: PlaneGraph):
         yield wg, queue
         if wg.n <= PALETTE:
             return
-        for m in queue.matches():
+        matches = queue.matches()
+        for m in matches:
             try:
                 _, _, reach = reducer._step(wg, m)
             except (EmbeddingBroken, DegreeOverflow):
                 continue
             break
+        matches.close()
         queue.touch(reach)
 
 
