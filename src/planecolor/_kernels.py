@@ -1,11 +1,15 @@
 """The exact k-coloring search over conflict rows.
 
-``rows[v]`` lists the neighbours of v in the conflict graph.  For the
-distance-two problem that is ``PlaneGraph.n2(v)``.
+``rows[v]`` lists the neighbours of v in the conflict graph, without v
+and without repeats.  For the distance-two problem that is
+``PlaneGraph.n2(v)``.
 
 Static variable order, ascending colors, first vertex pinned to the
-first color, forward checking with bitmask domains.  The budget counts
-assignments; hitting it yields SOLVE_UNKNOWN.
+first color, forward checking with bitmask domains.  In a static order
+the neighbours still uncolored at depth d are those deeper in the
+order, so each depth forward-checks a list built once per call, and a
+node's work is proportional to its vertex's degree in the conflict
+graph.  The budget counts assignments; passing it yields SOLVE_UNKNOWN.
 """
 
 from __future__ import annotations
@@ -33,59 +37,55 @@ def solve_k_coloring(rows, order, k: int, budget: int):
         return SOLVE_FOUND, [], 0
     if k <= 0:
         return SOLVE_INFEASIBLE, [-1] * n, 0
-    domain = [(1 << k) - 1] * n
-    color = [-1] * n
-    trail: list[tuple[int, int]] = []
-    frame_start = [0] * (n + 1)
-    tried = [-1] * n
+    depth_of = [0] * n
+    for d, v in enumerate(order):
+        depth_of[v] = d
+    fwd = [[u for u in rows[v] if depth_of[u] > d] for d, v in enumerate(order)]
+    # with k >= n no domain can empty and the lowest free color is
+    # below n, so colors past n change neither the tree nor the result
+    domain = [(1 << min(k, n)) - 1] * n
+    left = [0] * n  # per depth: the free colors not yet tried
+    left[0] = 1  # pin the root color
+    bit = [0] * n  # per depth: the color placed
+    trail = [None] * n  # per depth: the vertices that color was removed from
     nodes = 0
     depth = 0
     while True:
-        if depth == n:
-            return SOLVE_FOUND, color, nodes
-        v = order[depth]
-        limit = 0 if depth == 0 else k - 1  # pin the root color
-        c = tried[depth] + 1
-        placed = False
-        while c <= limit:
-            if (domain[v] >> c) & 1:
-                nodes += 1
-                if nodes > budget:
-                    return SOLVE_UNKNOWN, color, nodes
-                # forward-check neighbours still unassigned
-                ok = True
-                frame_start[depth] = len(trail)
-                for u in rows[v]:
-                    if color[u] >= 0:
-                        continue
-                    if (domain[u] >> c) & 1:
-                        domain[u] &= ~(1 << c)
-                        trail.append((u, c))
-                        if domain[u] == 0:
-                            ok = False
-                            break
-                if ok:
-                    color[v] = c
-                    tried[depth] = c
-                    placed = True
-                    break
-                # wipeout: undo this attempt, try next color
-                while len(trail) > frame_start[depth]:
-                    u, b = trail.pop()
-                    domain[u] |= 1 << b
-            c += 1
-        if placed:
-            depth += 1
-            if depth < n:
-                tried[depth] = -1
-            continue
-        # no color fits at this depth: backtrack
-        tried[depth] = -1
-        depth -= 1
-        if depth < 0:
-            return SOLVE_INFEASIBLE, color, nodes
-        v = order[depth]
-        color[v] = -1
-        while len(trail) > frame_start[depth]:
-            u, b = trail.pop()
-            domain[u] |= 1 << b
+        free = left[depth]
+        f = fwd[depth]
+        while free:
+            b = free & -free
+            free ^= b
+            nodes += 1
+            if nodes > budget:
+                return SOLVE_UNKNOWN, [-1] * n, nodes
+            hit = []
+            for u in f:
+                x = domain[u]
+                if x & b:
+                    if x == b:  # wipeout: undo this attempt, try the next color
+                        for w in hit:
+                            domain[w] |= b
+                        break
+                    domain[u] = x ^ b
+                    hit.append(u)
+            else:
+                left[depth] = free
+                bit[depth] = b
+                trail[depth] = hit
+                depth += 1
+                if depth == n:
+                    colors = [0] * n
+                    for d, v in enumerate(order):
+                        colors[v] = bit[d].bit_length() - 1
+                    return SOLVE_FOUND, colors, nodes
+                left[depth] = domain[order[depth]]
+                break
+        else:
+            # no color fits at this depth: backtrack
+            depth -= 1
+            if depth < 0:
+                return SOLVE_INFEASIBLE, [-1] * n, nodes
+            b = bit[depth]
+            for u in trail[depth]:
+                domain[u] |= b

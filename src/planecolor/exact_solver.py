@@ -3,8 +3,11 @@
 The search runs on the conflict graph (vertices at distance <= 2 are
 adjacent, so v's row is ``PlaneGraph.n2(v)``), with a static variable
 order, ascending color choice, the first vertex pinned to color 1, and
-forward checking.  A node budget caps the number of assignments tried;
-hitting it returns UNKNOWN rather than a wrong answer.
+forward checking of the vertices deeper in the order
+(``_kernels.solve_k_coloring``).  A node budget caps the number of
+assignments tried; passing it returns UNKNOWN rather than a wrong
+answer.  A palette larger than the graph is searched as n colors, which
+visits the same nodes and finds the same coloring.
 """
 
 from __future__ import annotations

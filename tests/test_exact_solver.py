@@ -59,6 +59,15 @@ def test_solution_is_validated():
     assert col.colors[0] == 1  # first vertex pinned
 
 
+def test_palette_past_n_is_searched_as_n():
+    # a palette of k >= n never empties a domain, so the search stops at
+    # n colors: no domain of 2**k bits is built
+    g = named("icosahedron")
+    wide = color_with_k(g, 10**12)
+    assert wide.palette == 10**12
+    assert wide.colors == color_with_k(g, g.n).colors
+
+
 def test_unknown_on_tiny_budget():
     g = random_plane(150, seed=3)
     result = color_with_k(g, 8, budget=5)

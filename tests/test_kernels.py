@@ -3,8 +3,9 @@
 Face tracing and two-hop rows are checked against walks written out
 here, and the constructor against the duals built from those walks.
 The k-coloring search is checked against what the numpy build of the
-package returned on the same inputs: status, node count and the
-coloring found, so the search itself is pinned, not only its answers.
+package returned on the same inputs, and against the search as first
+written, kept here: status, node count and the coloring found, so the
+search itself is pinned, not only its answers.
 """
 
 import hashlib
@@ -12,7 +13,12 @@ import json
 
 import pytest
 
-from planecolor._kernels import SOLVE_FOUND, SOLVE_INFEASIBLE, solve_k_coloring
+from planecolor._kernels import (
+    SOLVE_FOUND,
+    SOLVE_INFEASIBLE,
+    SOLVE_UNKNOWN,
+    solve_k_coloring,
+)
 from planecolor.errors import ParseError
 from planecolor.exact_solver import _static_order
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
@@ -47,6 +53,74 @@ SOLVER_PINS = {
         16: (SOLVE_FOUND, 120, "e29d2ff171ccff7bf54bc5f3a29b9f76499317df98dc626ac0a3946a504165ae"),
     },
 }
+
+
+def reference_solve_k_coloring(rows, order, k: int, budget: int):
+    """The search as first written: every neighbour tested for a color,
+    every color up to k - 1 tested for membership, (vertex, color) pairs
+    on the trail.  Returns (status, colors, nodes) as the kernel does.
+    """
+    n = len(rows)
+    if n == 0:
+        return SOLVE_FOUND, [], 0
+    if k <= 0:
+        return SOLVE_INFEASIBLE, [-1] * n, 0
+    domain = [(1 << k) - 1] * n
+    color = [-1] * n
+    trail: list[tuple[int, int]] = []
+    frame_start = [0] * (n + 1)
+    tried = [-1] * n
+    nodes = 0
+    depth = 0
+    while True:
+        if depth == n:
+            return SOLVE_FOUND, color, nodes
+        v = order[depth]
+        limit = 0 if depth == 0 else k - 1  # pin the root color
+        c = tried[depth] + 1
+        placed = False
+        while c <= limit:
+            if (domain[v] >> c) & 1:
+                nodes += 1
+                if nodes > budget:
+                    return SOLVE_UNKNOWN, color, nodes
+                # forward-check neighbours still unassigned
+                ok = True
+                frame_start[depth] = len(trail)
+                for u in rows[v]:
+                    if color[u] >= 0:
+                        continue
+                    if (domain[u] >> c) & 1:
+                        domain[u] &= ~(1 << c)
+                        trail.append((u, c))
+                        if domain[u] == 0:
+                            ok = False
+                            break
+                if ok:
+                    color[v] = c
+                    tried[depth] = c
+                    placed = True
+                    break
+                # wipeout: undo this attempt, try next color
+                while len(trail) > frame_start[depth]:
+                    u, b = trail.pop()
+                    domain[u] |= 1 << b
+            c += 1
+        if placed:
+            depth += 1
+            if depth < n:
+                tried[depth] = -1
+            continue
+        # no color fits at this depth: backtrack
+        tried[depth] = -1
+        depth -= 1
+        if depth < 0:
+            return SOLVE_INFEASIBLE, color, nodes
+        v = order[depth]
+        color[v] = -1
+        while len(trail) > frame_start[depth]:
+            u, b = trail.pop()
+            domain[u] |= 1 << b
 
 
 def graph_id(g) -> str:
@@ -168,3 +242,21 @@ def test_search_node_counts(n, seed, chi, nodes):
         total += spent
         assert (status == SOLVE_FOUND) == (k == chi)
     assert total == nodes
+
+
+@pytest.mark.parametrize("n", range(4, 33))
+def test_search_tree_matches_reference(n):
+    """Every palette from 1 to past n, under a budget that cuts some
+    searches short and one that lets most finish: the same status,
+    node count and coloring as the reference search."""
+    for seed in (0, 1):
+        g = random_plane(n, seed=seed)
+        rows = [g.n2(v) for v in range(g.n)]
+        order = _static_order(rows)
+        for k in range(1, min(g.n, 17) + 2):
+            for budget in (40, 4000):
+                want = reference_solve_k_coloring(rows, order, k, budget)
+                got = solve_k_coloring(rows, order, k, budget)
+                assert (got[0], got[2]) == (want[0], want[2]), (seed, k, budget)
+                if want[0] == SOLVE_FOUND:
+                    assert got[1] == want[1], (seed, k, budget)

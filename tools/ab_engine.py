@@ -6,7 +6,9 @@ Loads ``src/planecolor`` of each checkout under its own module name and
 asserts that both give equal colorings, traces and audits on the inputs
 of perfbench's ``batch-sweep`` and ``color-large`` workloads, and equal
 ``chi2_exact`` values on those of ``chi2-small`` (default seed), made by
-``perfbench/run.py`` of this repository.  Then it times
+``perfbench/run.py`` of this repository; on ``chi2-small`` every search
+``chi2_exact`` runs must also end with the same status after the same
+number of nodes.  Then it times
 ``ROUNDS`` whole rounds of each workload, A and B in turn, the first
 side swapping every round, and prints the time of B's round over A's:
 the median with its quartiles, and in how many rounds B was faster.  Both
@@ -53,6 +55,25 @@ def run(pc, workload: str, graphs) -> list:
     return out
 
 
+def searches(pc, graphs) -> list:
+    """(status, nodes) of each search ``chi2_exact`` runs on ``graphs``."""
+    kernels = pc._kernels
+    solve = kernels.solve_k_coloring
+    seen = []
+
+    def record(*args):
+        out = solve(*args)
+        seen.append((out[0], out[2]))
+        return out
+
+    kernels.solve_k_coloring = record
+    try:
+        run(pc, "chi2-small", graphs)
+    finally:
+        kernels.solve_k_coloring = solve
+    return seen
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("a")
@@ -62,6 +83,9 @@ def main() -> None:
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
         assert run(sides[0], w, inputs[0]) == run(sides[1], w, inputs[1]), w
+        if w == "chi2-small":
+            trees = [searches(pc, graphs) for pc, graphs in zip(sides, inputs)]
+            assert trees[0] == trees[1], "chi2-small search trees"
         ratios = []
         for r in range(ROUNDS):
             took = [0.0, 0.0]
