@@ -17,9 +17,6 @@ from pathlib import Path
 from typing import Optional
 
 from .conflict import Coloring, validate
-from .configurations import detect
-from . import discharging
-from .discharging import apply_rules, audit
 from .errors import (
     AnomalyNoConfiguration,
     EngineError,
@@ -29,7 +26,8 @@ from .errors import (
 from .exact_solver import DEFAULT_BUDGET, UNKNOWN, chi2_exact
 from .generators import NAMED_GRAPHS, named, random_plane
 from .plane_graph import PlaneGraph, from_rotation_text
-from .reducer import color16
+# reducer, configurations and discharging are imported inside the handlers
+# that use them, so that gen, chi2 and validate never compile the engine
 
 log = logging.getLogger("planecolor")
 
@@ -89,6 +87,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .reducer import color16
+
     g = _read_graph(args.infile)
     try:
         coloring, traces = color16(g, budget=args.budget)
@@ -114,6 +114,8 @@ def _cmd_chi2(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from .configurations import detect
+
     g = _read_graph(args.infile)
     match = detect(g)
     _emit({"configuration": match.to_json() if match else None}, args.format)
@@ -121,9 +123,11 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_discharge(args) -> int:
+    from . import discharging
+
     g = _read_graph(args.infile)
     # one transfer pass gives both the audit and the transfer list
-    after, records = apply_rules(g)
+    after, records = discharging.apply_rules(g)
     report = discharging._report(g, after, records)
     if args.transfers:
         report["transfer_list"] = [r.to_json() for r in records]
@@ -149,6 +153,9 @@ def _cmd_gen(args) -> int:
 
 
 def _batch_one(g: PlaneGraph, index: int, seed: Optional[int], budget: int) -> dict:
+    from .discharging import audit
+    from .reducer import color16
+
     row: dict = {"index": index, "n": g.n, "m": g.m}
     if seed is not None:
         row["seed"] = seed

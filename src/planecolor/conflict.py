@@ -32,9 +32,9 @@ class Coloring(NamedTuple):
 
     @classmethod
     def from_json(cls, obj) -> "Coloring":
-        if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
         try:
+            if isinstance(obj, (str, bytes)):
+                obj = json.loads(obj)
             palette, colors = obj["palette"], obj["colors"]
             out = {int(k): c for k, c in colors.items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -215,13 +215,13 @@ class PlaneGraph:
 
     @classmethod
     def from_json(cls, obj) -> "PlaneGraph":
-        if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
         try:
+            if isinstance(obj, (str, bytes)):
+                obj = json.loads(obj)
             n = obj["n"]
             m = obj["m"]
             rots = obj["rotations"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad graph JSON: {exc}") from exc
         g = cls(rots)
         if type(n) is not int or type(m) is not int or (g.n, g.m) != (n, m):

@@ -25,6 +25,7 @@ from .errors import (
     EmbeddingBroken,
     InvalidColoring,
     NoAvailableColor,
+    require_int,
 )
 from .exact_solver import DEFAULT_BUDGET, color_with_k
 from .plane_graph import PlaneGraph
@@ -165,12 +166,14 @@ def color16(
     stack, outermost step first.
 
     Raises:
+        BadArgument: budget is not an int.
         DegreeTooHigh: g has more than 16 vertices and a degree above 5.
         AnomalyNoConfiguration: no configuration matched and the exact
             fallback found nothing; the engine's claim failed on g.
         NoAvailableColor: a deleted vertex sees all 16 colors.
         InvalidColoring: the unwound coloring fails ``validate``.
     """
+    require_int(budget=budget)
     wg = WorkingGraph(g)
     if wg.n > PALETTE and max(wg.deg) > 5:
         raise DegreeTooHigh(f"max degree {max(wg.deg)} > 5")

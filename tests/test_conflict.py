@@ -89,6 +89,11 @@ def test_negative_key_rejected(key):
         Coloring.from_json({"palette": 16, "colors": {"0": 1, key: 2}})
 
 
+def test_malformed_json_text_rejected():
+    with pytest.raises(ParseError):
+        Coloring.from_json("{")
+
+
 def test_coloring_json_round_trip():
     col = Coloring(palette=16, colors={0: 3, 5: 1, 2: 16})
     again = Coloring.from_json(json.loads(json.dumps(col.to_json())))

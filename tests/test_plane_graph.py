@@ -201,6 +201,10 @@ class TestSerialization:
         with pytest.raises(ParseError):
             PlaneGraph.from_json(json.dumps(doc))
 
+    def test_json_rejects_malformed_text(self):
+        with pytest.raises(ParseError):
+            PlaneGraph.from_json("{")
+
     def test_parse_with_comments(self):
         text = "# a triangle\n3 3\n0: 1 2\n1: 2 0\n2: 0 1\n"
         g = from_rotation_text(text)

@@ -2,15 +2,21 @@
 
 The exports and ``PlaneGraph``'s public attributes are pinned as lists,
 so a name that is added or removed shows up as a diff to this file.
+The package loads its submodules on first use; each name it resolves is
+pinned to the module that defines it, which is where the package
+imported it from when it loaded every submodule up front.
 ``perfbench/tracer.py`` wraps functions inside the package by name; the
 last test installs it, runs the traced entry points and uninstalls it,
 so a rename there breaks here and not only in
 ``perfbench/run.py --trace 1``.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import planecolor
 from planecolor.generators import random_plane
@@ -69,12 +75,107 @@ PLANE_GRAPH_PUBLIC = [
     "to_rotation_text",
 ]
 
+# each export, under the submodule that defines it
+HOMES = {
+    "PlaneGraph": "plane_graph",
+    "from_rotation_text": "plane_graph",
+    "Coloring": "conflict",
+    "ConflictReport": "conflict",
+    "conflict_sets": "conflict",
+    "validate": "conflict",
+    "color_with_k": "exact_solver",
+    "chi2_exact": "exact_solver",
+    "INFEASIBLE": "exact_solver",
+    "UNKNOWN": "exact_solver",
+    "ConfigMatch": "configurations",
+    "ReductionRule": "configurations",
+    "SpecialClass": "configurations",
+    "classify_special": "configurations",
+    "detect": "configurations",
+    "iter_matches": "configurations",
+    "rule_table": "configurations",
+    "color16": "reducer",
+    "PALETTE": "reducer",
+    "ReductionTrace": "reducer",
+    "ChargeLedger": "discharging",
+    "TransferRecord": "discharging",
+    "initial_charges": "discharging",
+    "apply_rules": "discharging",
+    "audit": "discharging",
+    "named": "generators",
+    "random_plane": "generators",
+    "NAMED_GRAPHS": "generators",
+}
+
+# the submodules that are attributes of the package without being named
+# in an import of their own
+SUBMODULES = [
+    "_kernels",
+    "configurations",
+    "conflict",
+    "discharging",
+    "errors",
+    "exact_solver",
+    "generators",
+    "plane_graph",
+    "reducer",
+    "working_graph",
+]
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_exports():
     assert planecolor.__all__ == EXPORTS
     assert all(hasattr(planecolor, name) for name in EXPORTS)
+    assert planecolor.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_the_defining_modules_object(name):
+    home = importlib.import_module(f"planecolor.{HOMES[name]}")
+    assert getattr(planecolor, name) is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_is_reachable_from_the_package(name):
+    assert getattr(planecolor, name) is importlib.import_module(f"planecolor.{name}")
+
+
+def test_dir_lists_exports_and_submodules():
+    assert set(EXPORTS) | set(SUBMODULES) <= set(dir(planecolor))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from planecolor import *", namespace)
+    assert all(namespace[name] is getattr(planecolor, name) for name in EXPORTS)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        planecolor.no_such_name
+    assert not hasattr(planecolor, "Color16")
+
+
+def test_package_keeps_no_resolved_export():
+    for name in EXPORTS:
+        getattr(planecolor, name)
+    assert set(EXPORTS).isdisjoint(vars(planecolor))
+
+
+def test_patch_of_the_defining_module_shows_through(monkeypatch):
+    from planecolor import reducer
+
+    original = reducer.color16
+
+    def stub(g, budget=0):
+        raise AssertionError("stub")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reducer, "color16", stub)
+        assert planecolor.color16 is stub
+    assert planecolor.color16 is original
 
 
 def test_plane_graph_public_attributes():
@@ -96,12 +197,16 @@ def test_perfbench_tracer_wraps_and_restores():
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
 
+    # the package loads its layers on first use: load every one install
+    # wraps before the snapshot, so only what the tracer does can differ
+    color16 = planecolor.color16
+    importlib.import_module("planecolor.discharging")
     before = package_namespaces()
     init = planecolor.PlaneGraph.__init__
     tracer = tracer_module.Tracer()
     tracer.install(planecolor)
     try:
-        assert planecolor.color16 is not before["planecolor"]["color16"]
+        assert planecolor.color16 is not color16
         g = random_plane(60, seed=1)
         coloring, _ = planecolor.color16(g)
         assert planecolor.validate(g, coloring).valid

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from planecolor.configurations import iter_matches
 from planecolor.conflict import validate
-from planecolor.errors import DegreeOverflow, EmbeddingBroken, NoAvailableColor
+from planecolor.errors import (
+    BadArgument,
+    DegreeOverflow,
+    EmbeddingBroken,
+    NoAvailableColor,
+)
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
 from planecolor.plane_graph import PlaneGraph
 from planecolor.reducer import (
@@ -23,6 +28,14 @@ from test_configurations import CROSSING_CHORD_RULES
 from test_working_graph import rebuild_apply
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("budget", ["x", 1.5, True])
+def test_color16_budget_must_be_an_int(budget):
+    # the icosahedron reduces without the exact fallback, so the check
+    # must come before any reduction
+    with pytest.raises(BadArgument):
+        color16(named("icosahedron"), budget=budget)
 
 
 class TestIsProperWrt:
