@@ -11,7 +11,8 @@ labeling w0..w(d-1) of a candidate vertex, taken from the stored
 rotation at every offset and in both directions, so each written
 pattern covers all rotations and mirror images of the drawn shape.
 Corner i of a frame is the face between w_i and w_(i+1).  A rule asks
-for the frames that show its corners, and only those are built.
+for the frames that show its corners, and each is built when the loop
+reaches it.
 
 The corners a frame must show are data: ``ReductionRule.corners`` is
 the set of corner-length tuples, lengths capped at 5 so that 5 reads
@@ -164,18 +165,6 @@ def _frame_corners(cl: tuple) -> list[tuple]:
     return out
 
 
-def _labelings(rot, shown) -> list[_Frame]:
-    """The frames of a vertex with rotation ``rot`` at the (index, corner
-    lengths) pairs ``shown``: frame k < d runs forward from rot[k], frame
-    d + o backward from rot[o]."""
-    d = len(rot)
-    out = []
-    for k, c in shown:
-        w = rot[k:] + rot[:k] if k < d else rot[k - d :: -1] + rot[: k - d : -1]
-        out.append(_Frame(tuple(w), c))
-    return out
-
-
 # a rule's or class's corners -> a centre's corner lengths -> the (index,
 # corner lengths) of its frames that show them; filled on demand, one
 # entry per corner set of the table, each keyed by 364 tuples at most
@@ -197,25 +186,38 @@ class _Ctx:
         self.g = g
         self.deg = g.deg
 
-    def showing(self, v: int, corners) -> list[_Frame]:
-        """The labelings of v whose corner lengths lie in ``corners``, in
-        frame order.  v's corner lengths say which they are, so only
-        those frames are built."""
+    def shown(self, v: int, corners) -> tuple:
+        """The (index, corner lengths) pairs of v's frames whose corner
+        lengths lie in ``corners``, in frame order; v's corner lengths
+        say which they are."""
         cl = self.g.corner_lens(v)
         table = _SHOWN.get(corners)
         if table is None:
             table = _SHOWN[corners] = {}
-        shown = table.get(cl)
-        if shown is None:
-            shown = table[cl] = tuple(
+        pairs = table.get(cl)
+        if pairs is None:
+            pairs = table[cl] = tuple(
                 (k, c) for k, c in enumerate(_frame_corners(cl)) if c in corners
             )
-        return _labelings(self.g.rotations[v], shown)
+        return pairs
+
+    def frame(self, v: int, k: int, cfl: tuple) -> _Frame:
+        """Frame k of v, with corner lengths ``cfl``: frame k < d runs
+        forward from rot[k], frame d + o backward from rot[o]."""
+        rot = self.g.rotations[v]
+        d = len(rot)
+        w = rot[k:] + rot[:k] if k < d else rot[k - d :: -1] + rot[: k - d : -1]
+        return _Frame(tuple(w), cfl)
+
+    def showing(self, v: int, corners) -> list[_Frame]:
+        """The frames of v whose corner lengths lie in ``corners``, in
+        frame order."""
+        return [self.frame(v, k, c) for k, c in self.shown(v, corners)]
 
     def frames(self, v: int) -> list[_Frame]:
         """Every labeling of v; the first is the rotation itself."""
         cl = self.g.corner_lens(v)
-        return _labelings(self.g.rotations[v], enumerate(_frame_corners(cl)))
+        return [self.frame(v, k, c) for k, c in enumerate(_frame_corners(cl))]
 
     def in2(self, a: int, b: int) -> bool:
         """Edge ab exists and lies in two distinct 3-faces."""
@@ -843,9 +845,11 @@ def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
     # the hottest loop of detection, so without a generator between
-    # the frames and _make_match
+    # the frames and _make_match; a frame is built only when reached,
+    # so a search that stops at the first match builds no other
     pred, bind = rule.pred, rule.bind
-    for fr in ctx.showing(v, rule.corners):
+    for k, c in ctx.shown(v, rule.corners):
+        fr = ctx.frame(v, k, c)
         if pred is None or pred(ctx, fr):
             if bind is None:
                 bindings = (dict(zip(_FRAME_ROLES, (v, *fr.w))),)

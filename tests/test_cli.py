@@ -257,6 +257,9 @@ class TestGen:
         assert code == EXIT_OK
         assert rows[0]["valid"] is True
 
+    def test_impossible_size_exits_at_once(self, capsys):
+        assert run(["gen", "--n", "1000000000"]) == EXIT_INPUT
+
     def test_gen_is_deterministic(self, capsys):
         run(["gen", "--n", "30", "--seed", "9"])
         first = capsys.readouterr().out

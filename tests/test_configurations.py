@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecolor import reducer
+from planecolor import configurations, reducer
 from planecolor.configurations import (
     _FAMILIES,
     _PRIORITY,
@@ -456,17 +456,26 @@ def frames_by_formula(g, v: int) -> list[tuple]:
     return out
 
 
+def assert_pairs_index_formula(ctx, v: int, ref: list, corners) -> None:
+    """The pair query names, in frame order, the formula's frames that
+    show ``corners``, and the frame query builds each of them."""
+    pairs = ctx.shown(v, corners)
+    assert list(pairs) == [(k, c) for k, (_, c) in enumerate(ref) if c in corners], v
+    assert [(ctx.frame(v, k, c).w, c) for k, c in pairs] == [ref[k] for k, _ in pairs]
+
+
 def assert_frames_match_formula(g, live) -> None:
     ctx = _Ctx(g)
-    checked = 0
+    refs = {v: frames_by_formula(g, v) for v in live if 1 <= g.deg[v] <= 5}
     tables = set(_SHOWN)
-    for v in live:
-        if 1 <= g.deg[v] <= 5:
-            got = [(f.w, f.cfl) for f in ctx.frames(v)]
-            assert got == frames_by_formula(g, v), v
-            checked += 1
+    for v, ref in refs.items():
+        assert [(f.w, f.cfl) for f in ctx.frames(v)] == ref, v
     assert set(_SHOWN) == tables  # frames() leaves the query's table alone
-    assert checked or not any(g.deg)
+    assert refs or not any(g.deg)
+    for v, ref in refs.items():
+        for rule in _PRIORITY:
+            if rule.degree == g.deg[v]:
+                assert_pairs_index_formula(ctx, v, ref, rule.corners)
 
 
 def color16_steps(g: PlaneGraph):
@@ -539,9 +548,9 @@ class TestFrames:
 def assert_query_matches_reference(g, live) -> None:
     """Asked for a rule's corners, or a degree-5 class's, at a live
     centre, the frame query returns the centre's frames that show them,
-    in frame order.  The queries run in turn, so a centre's frame indices
-    kept for one rule's corners serve every later centre with the same
-    corner lengths."""
+    in frame order, and the pair query their indices.  The queries run in
+    turn, so a centre's frame indices kept for one rule's corners serve
+    every later centre with the same corner lengths."""
     ctx = _Ctx(g)
     frames = {v: frames_by_formula(g, v) for v in live if 1 <= g.deg[v] <= 5}
     sets = [r.corners for r in _PRIORITY] + [c for c, _ in _FAMILIES.values()]
@@ -550,6 +559,7 @@ def assert_query_matches_reference(g, live) -> None:
         for v, ref in frames.items():
             got = [(f.w, f.cfl) for f in ctx.showing(v, corners)]
             assert got == [(w, c) for w, c in ref if c in corners], v
+            assert_pairs_index_formula(ctx, v, ref, corners)
             shown += len(got)
     assert shown or not frames
     assert set(_SHOWN) <= set(sets)  # one table per corner set of the rules
@@ -576,3 +586,42 @@ class TestFrameQuery:
         g = QUERY_GRAPHS[name]()
         wg = reduced(g, (g.n - PALETTE) // 2)
         assert_query_matches_reference(wg, wg.alive())
+
+
+def count_frames(monkeypatch) -> list:
+    """The rings of the frames detection builds from now on."""
+    built = []
+
+    class Counted(configurations._Frame):
+        __slots__ = ()
+
+        def __init__(self, w, cfl):
+            built.append(w)
+            super().__init__(w, cfl)
+
+    monkeypatch.setattr(configurations, "_Frame", Counted)
+    return built
+
+
+class TestFramesBuilt:
+    def test_color16_builds_one_frame_per_step(self, monkeypatch):
+        # on these inputs every step's match is the first frame its
+        # search reaches, and a search stops at its first match
+        built = count_frames(monkeypatch)
+        steps = sum(
+            len(color16(random_plane(20 + 13 * i, seed=i))[1]) for i in range(10)
+        )
+        assert len(built) == steps > 0
+
+    @pytest.mark.parametrize("name", ["cube", "random_plane(120, 3)"])
+    def test_refused_corners_build_no_frame(self, name, monkeypatch):
+        g = FRAME_GRAPHS[name]()
+        ctx = _Ctx(g)
+        built = count_frames(monkeypatch)
+        refused = 0
+        for rule in _PRIORITY:
+            for v in range(g.n):
+                if g.deg[v] == rule.degree and not ctx.shown(v, rule.corners):
+                    assert list(_center_matches(ctx, rule, v)) == []
+                    refused += 1
+        assert built == [] and refused

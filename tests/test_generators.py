@@ -3,12 +3,13 @@
 import hashlib
 import json
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecolor.errors import BadArgument, UnknownName
+from planecolor.errors import BadArgument, GenerationFailed, UnknownName
 from planecolor.generators import (
     NAMED_GRAPHS,
     _grow_triangulation,
@@ -83,6 +84,13 @@ class TestRandomPlane:
         assert random_plane(1, seed=0).n == 1
         g2 = random_plane(2, seed=0)
         assert g2.n == 2 and g2.m == 1
+
+    @pytest.mark.parametrize("n", [10**9, 2**18 + 1])
+    def test_impossible_size_refused_at_once(self, n):
+        start = perf_counter()
+        with pytest.raises(GenerationFailed):
+            random_plane(n, seed=0)
+        assert perf_counter() - start < 1.0
 
     def test_deterministic(self):
         a = random_plane(64, seed=77)

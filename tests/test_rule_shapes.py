@@ -79,8 +79,11 @@ class WorldCtx:
         ]
         self._in2, self._bad = WORLDS[world]
 
-    def showing(self, v, corners):
-        return [fr for fr in self._frames if fr.cfl in corners]
+    def shown(self, v, corners):
+        return [(k, fr.cfl) for k, fr in enumerate(self._frames) if fr.cfl in corners]
+
+    def frame(self, v, k, cfl):
+        return self._frames[k]
 
     def in2(self, a, b):
         pa, pb = (a - 1) % self.d, (b - 1) % self.d
