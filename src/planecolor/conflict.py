@@ -12,7 +12,7 @@ import json
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import BadArgument, ParseError, require_int
 from .plane_graph import PlaneGraph
 
 __all__ = ["Coloring", "ConflictReport", "conflict_sets", "validate"]
@@ -99,8 +99,19 @@ def conflict_sets(g: PlaneGraph, coloring: Coloring) -> list[tuple[int, int, int
 
 
 def validate(g: PlaneGraph, coloring: Coloring) -> ConflictReport:
-    """Full conflict report for a coloring."""
+    """Full conflict report for a coloring.
+
+    Raises:
+        BadArgument: the palette, a vertex id or a color is not an int;
+            a bool is not an int here, as in ``Coloring.from_json``.
+    """
     colors = coloring.colors
+    require_int(palette=coloring.palette)
+    if not {*map(type, colors), *map(type, colors.values())} <= {int}:
+        v, c = next(
+            (v, c) for v, c in colors.items() if type(v) is not int or type(c) is not int
+        )
+        raise BadArgument(f"vertex {v!r} and its color {c!r} must both be ints")
     violations = tuple(conflict_sets(g, coloring))
     uncolored = tuple(v for v in range(g.n) if v not in colors)
     # every id of the graph that is not uncolored is colored, so any

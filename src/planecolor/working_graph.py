@@ -8,21 +8,31 @@ with an empty rotation.  A step touches only the hole:
 * the rotations of the deleted vertex's neighbours are patched;
 * degrees are updated on the ring of the hole; d2 is not stored but
   counted from the rotations when detection asks for it;
-* corner data is re-walked only around the hole: the corners next to
-  the deleted vertex's slot in each patched rotation, and the corners
-  of the 4-faces the deleted vertex was on.  Every other corner of a
-  patched vertex is spliced along with its rotation, because a face
-  the step did not touch keeps its length.
+* faces are merged, not walked.
 
-A corner holds the length of its face capped at 5: detection asks for
-3-faces, 4-faces and 5+-faces, so no walk goes further than 5 darts, and
-a walk that finds a longer face gives the length 5 to every corner it
-passed and to the 4 before its start, so a long face through the hole is
-usually walked once (a ring corner more than 4 corners back on the face
-starts its own walk).  Lengths also settle the two questions of face
-identity that detection asks: a vertex of degree at least 3 meets a face
-of length at most 4 at one corner only, and the one face of a bridge is
-never a triangle.
+A corner holds the id of its face, and a union-find table holds each
+face's exact length at its root: ``array('i')`` of parents and of
+lengths, and an ``array('b')`` of the lengths capped at 5, which reads
+0 away from a root.  Every face that met the deleted vertex ends up
+whole inside one new face, so a step only unites face ids and sets the
+new lengths, which it works out from the deleted vertex's corner faces
+and the chords alone: the chords cut the hole into regions, nested as
+intervals over the deleted vertex's corners, and a region's face has
+the length of its old faces together, less 2 for each of its corners,
+plus 1 for each chord side it has.  A region of chords alone is a new
+face; regions that share an old face (at a cut vertex) are one face.
+A patched rotation splices its corner ids as it splices its
+neighbours: the corners beside the deleted vertex's slot take the id
+of their new face, and the corners between two chords at one vertex
+are new.  Every other corner keeps its id and reads the new length
+through the table; a corner whose id is no longer a root is pointed
+at the root when it is next read.
+
+Detection asks for 3-faces, 4-faces and 5+-faces, so ``corner_lens``
+reads the capped lengths.  Lengths also settle the two questions of face
+identity that detection asks: a vertex of degree at least 3 meets a
+face of length at most 4 at one corner only, and the one face of a
+bridge is never a triangle.
 
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 ``rotations``, ``corner_lens``, ``has_edge``, ``edge_in_two_triangles``,
@@ -31,14 +41,13 @@ It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 
 from .errors import DegreeOverflow, EmbeddingBroken
 from .plane_graph import PlaneGraph, two_hop
 
 __all__ = ["WorkingGraph"]
-
-_CAP = 5  # face lengths are kept up to this value
 
 
 def _targets_in_order(ring, u: int, targets) -> list[int]:
@@ -64,6 +73,33 @@ def _crossing(chords, pos: dict[int, int]) -> bool:
     return False
 
 
+def _root(up, f: int) -> int:
+    """The root of face id f, halving the path to it."""
+    while up[f] != f:
+        up[f] = f = up[up[f]]
+    return f
+
+
+def _merge(up, flen, cap, faces, cut: int) -> int:
+    """Unite the distinct roots ``faces`` into one face, ``cut`` shorter
+    than they are together.  The longest keeps its id, which is
+    returned, so that the corners far from the hole, most of them on
+    long faces, still read a root."""
+    root = faces[0]
+    total = flen[root] - cut
+    if len(faces) > 1:
+        for f in faces[1:]:
+            total += flen[f]
+            if flen[f] > flen[root]:
+                root = f
+        for f in faces:
+            up[f] = root
+            cap[f] = 0
+    flen[root] = total
+    cap[root] = total if total < 5 else 5
+    return root
+
+
 class WorkingGraph:
     """A plane graph with stable vertex ids, reduced one vertex at a time."""
 
@@ -75,7 +111,12 @@ class WorkingGraph:
         "_size",
         "_alive",
         "_dead_tree",
-        "_clen",
+        "_faces",
+        "_up",
+        "_flen",
+        "_cap",
+        "_ball_of",
+        "_ball",
     )
 
     def __init__(self, g: PlaneGraph) -> None:
@@ -86,41 +127,58 @@ class WorkingGraph:
         self.n, self.m = g.n, g.m
         self._alive = bytearray(b"\x01") * size
         self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
-        self._clen = self._initial_corner_lens(g)
-
-    @staticmethod
-    def _initial_corner_lens(g: PlaneGraph) -> list[list[int]]:
         face, rs = g.face_of_dart, g.rot_start
-        flen = [min(ln, _CAP) for ln in g.face_lens]
         # corner i of v is traced by the dart v -> rot[v][i + 1]
-        return [
-            [flen[f] for f in face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1]]
-            for v in range(g.n)
+        self._faces = [
+            list(face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1])
+            for v in range(size)
         ]
+        self._up = array("i", range(len(g.face_lens)))
+        self._flen = array("i", g.face_lens)
+        # the length capped at 5 at a root, 0 elsewhere
+        self._cap = array("b", [ln if ln < 5 else 5 for ln in g.face_lens])
+        # the vertex of the last d2 asked, and its distance-two ball
+        self._ball_of, self._ball = -1, set()
 
     # ==================================================================
     # queries made by detection
     # ==================================================================
 
     def d2(self, v: int) -> int:
-        return len(two_hop(self.rotations, v))
+        # kept, so that deleting v next reuses the ball detection counted
+        self._ball_of = v
+        self._ball = ball = two_hop(self.rotations, v)
+        return len(ball)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rotations[u]
 
     def corner_lens(self, v: int) -> tuple[int, ...]:
         """Face length in each corner of v, capped at 5."""
-        return tuple(self._clen[v])
+        cap, faces = self._cap, self._faces[v]
+        lens = tuple([cap[f] for f in faces])
+        if 0 in lens:  # a corner whose face was merged: point it at the root
+            up = self._up
+            faces[:] = [f if cap[f] else _root(up, f) for f in faces]
+            lens = tuple([cap[f] for f in faces])
+        return lens
 
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
         # the dart u -> rot[u][i] traces the face of corner i - 1; a
         # bridge's one face is never a triangle, so two 3-sides are two faces
-        clen, rot = self._clen, self.rotations
-        return clen[u][rot[u].index(v) - 1] == 3 and clen[v][rot[v].index(u) - 1] == 3
+        faces, rot, up, cap = self._faces, self.rotations, self._up, self._cap
+        fu = faces[u][rot[u].index(v) - 1]
+        fv = faces[v][rot[v].index(u) - 1]
+        return (cap[fu] or cap[_root(up, fu)]) == 3 == (cap[fv] or cap[_root(up, fv)])
 
     # ==================================================================
     # other queries
     # ==================================================================
+
+    def corner_face_lens(self, v: int) -> list[int]:
+        """Exact face length in each corner of v."""
+        up, flen = self._up, self._flen
+        return [flen[_root(up, f)] for f in self._faces[v]]
 
     def n2(self, v: int) -> set[int]:
         """Vertices within distance two of v, v excluded."""
@@ -160,10 +218,19 @@ class WorkingGraph:
         pass degree 5 at a patched vertex.  A refused step leaves the
         graph unchanged.
 
-        Returns dv's distance-two ball before the step and the vertices
-        within reach of any change for detection: distance two of a
-        patched rotation, which covers every vertex whose d2 changed,
-        and distance one of a vertex whose corner data changed.
+        The faces at dv are merged into the faces of the hole without a
+        walk (module docstring).  Only the face of a deleted leaf is
+        walked, and only when it comes out of length at most 4.
+
+        Returns dv's distance-two ball before the step (the set ``d2(dv)``
+        counted, when that was the last ``d2`` asked) and the vertices
+        within reach of any change for detection: the ball and its
+        neighbours.  A d2 changes only within distance two of a patched
+        rotation, which is in the ball.  A capped corner length changes
+        only in the ball too, but for the face of a deleted leaf: a face
+        of length 6 there becomes a 4-face through a vertex three steps
+        from dv, so such a face's vertices and their neighbours are
+        added.
 
         Raises:
             EmbeddingBroken: a pair of dv's neighbours ends up more
@@ -182,8 +249,8 @@ class WorkingGraph:
                 )
             fan.setdefault(a, []).append(b)
             fan.setdefault(b, []).append(a)
-        new: dict[int, list[int]] = {}
-        slot: dict[int, tuple[int, int]] = {}  # dv's slot, the targets there
+        rows, slots = [], []  # per ring vertex: its patched row; dv's slot, targets
+        over = None  # the first ring vertex to pass degree 5
         for w in ring:
             targets = fan.get(w, ())
             if len(targets) > 1:  # in the order they fan out
@@ -191,120 +258,176 @@ class WorkingGraph:
             row = rot[w].copy()
             i = row.index(dv)
             row[i : i + 1] = targets
-            slot[w] = i, len(targets)
-            new[w] = row
+            rows.append(row)
+            slots.append((i, targets))
+            if len(row) > 5 and over is None:
+                over = w
 
         # paths of length <= 2 that avoid dv survive and chords only add
         # paths, so only pairs of dv's neighbours can fall apart; once
         # they all stay within two, the reduced graph is also connected
-        for i, a in enumerate(ring):
-            row = new[a]
+        for i, row in enumerate(rows):
             near = None
-            for b in ring[i + 1 :]:
-                if b in row:
+            for j in range(i + 1, d):
+                if ring[j] in row:
                     continue
                 if near is None:
                     near = set(row)
-                if near.isdisjoint(new[b]):
+                if near.isdisjoint(rows[j]):
                     raise EmbeddingBroken(
                         f"rule {rule}: a distance-two pair fell apart"
                     )
-        if len(chords) > 1 and _crossing(chords, {w: i for i, w in enumerate(ring)}):
-            raise EmbeddingBroken(f"rule {rule} at {dv}: the chords cross")
+        pos = None
+        if len(chords) > 1:
+            pos = {w: i for i, w in enumerate(ring)}
+            if _crossing(chords, pos):
+                raise EmbeddingBroken(f"rule {rule} at {dv}: the chords cross")
         if len(chords) > d:
             raise EmbeddingBroken(f"rule {rule}: size did not drop")
-        for w in ring:
-            if len(new[w]) > 5:
-                raise DegreeOverflow(f"rule {rule}: vertex {w} would pass degree 5")
+        if over is not None:
+            raise DegreeOverflow(f"rule {rule}: vertex {over} would pass degree 5")
 
-        # each new row is w's old row with dv replaced by ring vertices,
-        # so the rows and the ring together are dv's distance-two ball
-        ball = set(chain.from_iterable(new.values()))
-        ball.update(ring)
-        clen = self._clen
-        changed = set(ring)
-        # a triangle at dv has its other corners next to dv's slots, and
-        # a longer face has length 5 at every corner, so only the 4-faces
-        # at dv leave short lengths elsewhere: on the ring they are walked
-        # again, and off it they take length 5 unless a walk below finds
-        # a short face
-        for i, ln in enumerate(clen[dv]):
-            if ln == 4:
-                for y, j in self._walk(dv, i)[1]:
-                    if y in slot:
-                        clen[y][j] = None
-                    elif y != dv:
-                        clen[y][j] = _CAP
-                        changed.add(y)
+        ball = self._ball if self._ball_of == dv else two_hop(rot, dv)
+        self._ball_of = -1
 
-        for w, row in new.items():
-            # splice w's corner lengths as its rotation was spliced:
-            # corners away from the slot keep their lengths, the k + 1
-            # around it are walked again
-            s, k = slot[w]
-            lens = clen[w]
-            lens[s : s + 1] = [None] * k
-            if lens:
-                lens[s - 1] = None
+        # corner i of dv lies on the face between ring[i] and ring[i + 1]
+        up, flen, cap, faces = self._up, self._flen, self._cap, self._faces
+        roots = faces[dv]
+        for f in roots:
+            if not cap[f]:  # a face merged since dv's corners were read
+                roots = [f if cap[f] else _root(up, f) for f in roots]
+                break
+        side, short = None, 0
+        if len(chords) > 1:
+            side, into = self._split_hole(roots, chords, pos)
+        elif len(set(roots)) < d:
+            # dv is a cut vertex; with at most one chord its hole is one
+            # face, as Euler's formula leaves c + 1 - (d - k) faces there
+            # for c chords and k distinct faces at dv
+            root = _merge(up, flen, cap, list(set(roots)), 2 * (d - len(chords)))
+            into = [root] * d
+        elif chords:
+            # two regions: dv's corners p..q-1, and the others
+            a, b = chords[0]
+            p, q = ring.index(a), ring.index(b)
+            if p > q:
+                p, q = q, p
+            inner, outer = roots[p:q], roots[q:] + roots[:p]
+            ra = _merge(up, flen, cap, inner, 2 * len(inner) - 1)
+            rb = _merge(up, flen, cap, outer, 2 * len(outer) - 1)
+            if d == 2:  # no face was united
+                into = roots
+            else:
+                into = [rb] * d
+                into[p:q] = [ra] * (q - p)
+        elif d:  # an isolated dv (a one-vertex graph) meets no face
+            root = _merge(up, flen, cap, roots, 2 * d)
+            into = [root] * d
+            if d == 1 and flen[root] <= 4:
+                short = flen[root]
+
+        deg = self.deg
+        for i, w in enumerate(ring):
+            # splice w's corner ids as its rotation was spliced, giving
+            # the corners on each side of dv's slot the face that took in
+            # dv's corner there: corner i - 1 of dv lies past the slot and
+            # corner i before it; the corners between two chords are new
+            row, fw = rows[i], faces[w]
+            s, targets = slots[i]
+            if targets:
+                fw[s - 1], fw[s] = into[i], into[i - 1]
+                if len(targets) > 1:
+                    fw[s:s] = [side[i, pos[t]] for t in targets[1:]]
+            else:
+                del fw[s]
+                if fw:
+                    fw[s - 1] = into[i]
             rot[w] = row
-            self.deg[w] = len(row)
+            deg[w] = len(row)
         rot[dv] = []
-        clen[dv] = []
-        self.deg[dv] = 0
+        faces[dv] = []
+        deg[dv] = 0
         self._alive[dv] = 0
+        tree, size = self._dead_tree, self._size
         i = dv + 1
-        while i <= self._size:
-            self._dead_tree[i] += 1
+        while i <= size:
+            tree[i] += 1
             i += i & -i
         self.n -= 1
         self.m += len(chords) - d
 
-        # every corner of a long face already has length 5, so only a
-        # short face changes a vertex
-        for w in ring:
-            lens = clen[w]
-            for i, ln in enumerate(lens):
-                if ln is None:
-                    ln, corners = self._walk(w, i)
-                    if ln < _CAP:
-                        for y, j in corners:
-                            clen[y][j] = ln
-                            changed.add(y)
-                        continue
-                    for y, j in corners:
-                        clen[y][j] = _CAP
-                    # the corners passed took length 5; so do the 4 before
-                    # (w, i) on this long face, so that no walk starts there
-                    # (the face reaches corner (y, j) from rot[y][j])
-                    y, j = w, i
-                    for _ in range(_CAP - 1):
-                        x = rot[y][j]
-                        r = rot[x]
-                        y, j = x, (r.index(y) - 1) % len(r)
-                        clen[y][j] = _CAP
-        # N2[ring] | N1[changed], as N1[N1(ring) | changed]
-        near = ball | changed
-        reach = set(chain.from_iterable(map(rot.__getitem__, near)))
-        reach |= near
+        reach = set(chain.from_iterable(map(rot.__getitem__, ball)))
+        reach |= ball  # N1[ball]
+        if short:
+            # walk the leaf's face from the corner its neighbour merged
+            x = ring[0]
+            r = rot[x]
+            y = r[slots[0][0] % len(r)]
+            for _ in range(short):
+                r = rot[y]
+                reach.add(y)
+                reach.update(r)
+                x, y = y, r[(r.index(x) + 1) % len(r)]
         return ball, reach
 
-    def _walk(self, v: int, i: int):
-        """Walk the face of corner i at v for at most 5 corners.
+    def _split_hole(self, roots, chords, pos) -> tuple[dict, list[int]]:
+        """Merge the faces at dv into the faces of the regions that two or
+        more chords, which do not cross, cut its hole into.
 
-        Returns the face's length capped at 5 and the corners passed, as
-        (vertex, index) pairs: every corner of a face of length at most
-        4, and the first 5 of a longer one.
+        A chord between the ring positions p < q spans dv's corners p to
+        q - 1; spans nest, so each is the region inside it less its
+        children's, and the corners no span holds, with the outer sides
+        of the top spans, are one more region.  Returns the face id on
+        each side of each chord, keyed ``(x, y)`` for the side that faces
+        the corners from x forward to y, and the face id that each of
+        dv's corners went into.
         """
-        rot = self.rotations
-        r = rot[v]
-        x, y = v, r[(i + 1) % len(r)]
-        corners = [(v, i)]
-        while True:
-            r = rot[y]
-            j = r.index(x)
-            if y == v and j == i:
-                return len(corners), corners
-            corners.append((y, j))
-            if len(corners) == _CAP:
-                return _CAP, corners
-            x, y = y, r[(j + 1) % len(r)]
+        up, flen, cap = self._up, self._flen, self._cap
+        d = len(roots)
+        spans = sorted(
+            (sorted((pos[a], pos[b])) for a, b in chords), key=lambda s: (s[0], -s[1])
+        )
+        top = len(spans)  # the region outside every span
+        parent, stack = [], []
+        for p, q in spans:
+            while stack and spans[stack[-1]][1] <= p:
+                stack.pop()
+            parent.append(stack[-1] if stack else top)
+            stack.append(len(parent) - 1)
+        # a corner lies in the last span holding it, which is the innermost
+        region = [top] * d
+        for k, (p, q) in enumerate(spans):
+            region[p:q] = [k] * (q - p)
+        cut = [-1] * top + [0]  # the inside of a span is one chord side
+        for k in parent:
+            cut[k] -= 1
+        held: list[set] = [set() for _ in cut]
+        for c, k in enumerate(region):
+            held[k].add(roots[c])
+            cut[k] += 2
+        # regions that share an old face are one face
+        groups: list[tuple[set, set, int]] = []
+        for k, fs in enumerate(held):
+            if not fs:
+                continue
+            ks, total = {k}, cut[k]
+            for g in [g for g in groups if not g[0].isdisjoint(fs)]:
+                groups.remove(g)
+                fs, ks, total = fs | g[0], ks | g[1], total + g[2]
+            groups.append((fs, ks, total))
+        ids = [0] * len(cut)
+        for fs, ks, total in groups:
+            root = _merge(up, flen, cap, list(fs), total)
+            for k in ks:
+                ids[k] = root
+        for k, fs in enumerate(held):
+            if not fs:  # a region of chords alone: a new face
+                ids[k] = len(up)
+                up.append(len(up))
+                flen.append(-cut[k])
+                cap.append(min(-cut[k], 5))
+        side = {}
+        for k, (p, q) in enumerate(spans):
+            side[p, q] = ids[k]
+            side[q, p] = ids[parent[k]]
+        return side, [ids[k] for k in region]

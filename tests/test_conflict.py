@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecolor.conflict import Coloring, conflict_sets, validate
-from planecolor.errors import ParseError
+from planecolor.errors import BadArgument, ParseError
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
 from test_plane_graph import distances
 
@@ -81,6 +81,23 @@ def test_outside_ids_reported_beside_uncolored():
     rep = validate(named("k4"), Coloring(palette=16, colors={0: 1, 1: 2, 4: 3, 7: 4}))
     assert rep.uncolored == (2, 3)
     assert rep.not_in_graph == (4, 7)
+
+
+@pytest.mark.parametrize(
+    "palette,colors",
+    [
+        (16, {"x": 1}),
+        (16, {0: "1"}),
+        (16, {0: 1, 1: 2.0}),
+        (16, {True: 1}),
+        (16, {0: 1, 1: False}),
+        ("16", {0: 1}),
+        (True, {0: 1}),
+    ],
+)
+def test_validate_rejects_ids_and_colors_that_are_not_ints(palette, colors):
+    with pytest.raises(BadArgument):
+        validate(named("k4"), Coloring(palette=palette, colors=colors))
 
 
 @pytest.mark.parametrize("key", ["-1", "-0", "-12"])

@@ -150,7 +150,8 @@ def color_large_input() -> PlaneGraph:
 
 def assert_matches_rebuild(wg: WorkingGraph) -> None:
     """The working graph agrees with a PlaneGraph built from scratch on
-    its rotations: sizes, labels, d2, degrees and capped corner lengths."""
+    its rotations: sizes, labels, d2, degrees, and the exact and the
+    capped length of the face in every corner."""
     h = wg.to_plane_graph()
     live = wg.alive()
     assert [[live[u] for u in row] for row in h.rotations] == [
@@ -162,6 +163,10 @@ def assert_matches_rebuild(wg: WorkingGraph) -> None:
         assert wg.label(v) == i
         assert wg.d2(v) == h.d2(i)
         assert wg.deg[v] == h.degree(i)
+        # corner i of v is traced by the dart v -> rot[v][i + 1]
+        lo, hi = h.rot_start[i], h.rot_start[i + 1]
+        faces = h.face_of_dart[lo + 1 : hi] + h.face_of_dart[lo : min(lo + 1, hi)]
+        assert wg.corner_face_lens(v) == [h.face_lens[f] for f in faces]
         assert wg.corner_lens(v) == tuple(min(ln, 5) for ln in h.corner_lens(i))
 
 
@@ -442,8 +447,40 @@ def delete_and_check(wg: WorkingGraph, dv: int, chords) -> None:
     assert_matches_rebuild(wg)
 
 
+def cycle(k: int) -> list[list[int]]:
+    """Rotations of the k-cycle 0, 1, ..., k - 1, which walks a face."""
+    return [[(i + 1) % k, (i - 1) % k] for i in range(k)]
+
+
+def drop_edges(rows: list[list[int]], v: int, gone) -> list[list[int]]:
+    for u in gone:
+        rows[v].remove(u)
+        rows[u].remove(v)
+    return rows
+
+
+# a hub, the last vertex, inside a cycle: joined to the even vertices of
+# a hexagon and of a 10-cycle, and to every vertex of the path 0..4
+HEX_HUB = drop_edges(split_face(cycle(6), list(range(6))), 6, [1, 3, 5])
+DECAGON_HUB = drop_edges(split_face(cycle(10), list(range(10))), 10, [1, 3, 5, 7, 9])
+FAN = drop_edges(split_face(cycle(5), list(range(5))), 0, [4])
+
+
+class RowReads(list):
+    """Rotations that note which rows are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return super().__getitem__(v)
+
+
 class TestSplice:
-    """Hand-built steps at the places where corner keys are spliced."""
+    """Hand-built steps at the places where corner ids are spliced
+    and faces merged."""
 
     @pytest.mark.parametrize("chords", [[], [(1, 2)], [(1, 2), (4, 5)]])
     def test_four_face_whose_far_corner_is_on_the_ring(self, chords):
@@ -476,30 +513,71 @@ class TestSplice:
         assert snapshot(wg) == before
         delete_and_check(wg, 6, [(1, 3)])
 
-    def test_long_face_is_walked_once(self, monkeypatch):
+    def test_long_faces_are_merged_not_walked(self):
         # the 10-cycle with the chord 0-5 drawn through vertex 10: faces
         # of length 7, 7 and 10
-        rows = [[(i + 1) % 10, (i - 1) % 10] for i in range(10)]
+        rows = cycle(10)
         rows[0].insert(1, 10)
         rows[5].insert(1, 10)
         wg = WorkingGraph(PlaneGraph(rows + [[0, 5]]))
         m = next(MatchQueue(wg).matches())
         assert (m.rule_id, m.binding) == ("R-2v", {"v": 1, "v1": 2, "v2": 0})
-        walks = []
-        walk = WorkingGraph._walk
-        monkeypatch.setattr(
-            WorkingGraph, "_walk", lambda g, v, i: walks.append(v) or walk(g, v, i)
-        )
+        near = wg.n2(1) | {1}
+        wg.rotations = RowReads(wg.rotations)
         reducer._step(wg, m)
-        # the chord 0-2 closes two faces longer than 5; the first walk
-        # from each reaches or fills every other corner of the hole
-        h = wg.to_plane_graph()
-        assert sorted(h.face_lens) == [6, 7, 9]
-        assert len(walks) == 2
-        fresh = WorkingGraph(h)
-        assert [wg.corner_lens(v) for v in wg.alive()] == [
-            fresh.corner_lens(v) for v in range(h.n)
-        ]
+        # the chord 0-2 closes faces of length 6 and 9, each through a
+        # vertex three steps from 1, so a walk of either would read a
+        # row outside 1's distance-two ball
+        assert wg.rotations.read <= near
+        assert sorted(wg.to_plane_graph().face_lens) == [6, 7, 9]
+        assert_matches_rebuild(wg)
+
+    @pytest.mark.parametrize(
+        "rows,dv,chords,lens",
+        [
+            # R-3adj4 at hub 6 of a hexagon, v1 = 2 in the middle of its
+            # ring 4, 2, 0: the wedge at 2 between its two chords lies
+            # outside both, on the face 0, 2, 4, 5
+            (HEX_HUB, 6, ("R-3adj4", 2), [3, 3, 4, 6]),
+            # chords 0-2, 2-4, 4-0 at the hub of a fan: the triangle
+            # they close holds no old face
+            (FAN, 5, [(0, 2), (2, 4), (4, 0)], [3, 3, 3, 5]),
+            # R-5n5 at hub 10 of a 10-cycle: the pentagon of its chords
+            (DECAGON_HUB, 10, ("R-5n5", 8), [3, 3, 3, 3, 3, 5, 10]),
+            # the cut vertex 0 between a triangle and the path 0-3-4:
+            # the chord 2-3 is a bridge, so its two sides are one face
+            ([[1, 2, 3], [2, 0], [0, 1], [0, 4], [3]], 0, [(2, 3)], [6]),
+        ],
+        ids=["3adj4-wedge", "chord-triangle", "5n5-pentagon", "cut-vertex-bridge"],
+    )
+    def test_hole_faces(self, rows, dv, chords, lens):
+        g = PlaneGraph(rows)
+        if isinstance(chords, tuple):  # the chords of a match at dv
+            rule_id, v1 = chords
+            rule = next(r for r in _PRIORITY if r.id == rule_id)
+            chords = next(
+                m.added_edges()
+                for m in _center_matches(_Ctx(g), rule, dv)
+                if m.binding["v1"] == v1
+            )
+        wg = WorkingGraph(g)
+        delete_and_check(wg, dv, chords)
+        assert sorted(wg.to_plane_graph().face_lens) == lens
+
+    def test_leaf_face_reaches_past_the_ball(self):
+        # the 4-cycle 0, 1, 2, 3 with a leaf 4 at 0 inside it and a leaf
+        # 5 at 2 outside it: deleting 4 turns a 6-face into a 4-face
+        # through 2, three steps from 4, so the centres next to 2 are
+        # examined again, 5 too, four steps from 4
+        rows = cycle(4)
+        rows[0].insert(1, 4)
+        rows[2].insert(0, 5)
+        wg = WorkingGraph(PlaneGraph(rows + [[0], [2]]))
+        assert wg.corner_lens(2) == (5, 5, 5)
+        ball, reach = wg.delete(4, [])
+        assert ball == {0, 1, 3} and reach >= {2, 5}
+        assert wg.corner_lens(2) == (5, 4, 5)
+        assert_matches_rebuild(wg)
 
 
 def all_matches(ctx: _Ctx, wg: WorkingGraph) -> dict:

@@ -1,6 +1,6 @@
 """Compare the engines of two checkouts in one process.
 
-    python3 tools/ab_engine.py CHECKOUT_A CHECKOUT_B
+    python3 tools/ab_engine.py CHECKOUT_A CHECKOUT_B [--rounds N]
 
 Loads ``src/planecolor`` of each checkout under its own module name and
 asserts that both give equal colorings, traces and audits on the inputs
@@ -8,13 +8,15 @@ of perfbench's ``batch-sweep`` and ``color-large`` workloads, and equal
 ``chi2_exact`` values on those of ``chi2-small`` (default seed), made by
 ``perfbench/run.py`` of this repository; on ``chi2-small`` every search
 ``chi2_exact`` runs must also end with the same status after the same
-number of nodes.  Then it times
-``ROUNDS`` whole rounds of each workload, A and B in turn, the first
-side swapping every round, and prints the time of B's round over A's:
-the median with its quartiles, and in how many rounds B was faster.  Both
+number of nodes.  Then it times ``--rounds`` whole rounds of each
+workload (20 by default, at least 2), A and B in turn, the first side
+swapping every round, and prints the time of B's round over A's: the
+median with its quartiles, and in how many rounds B was faster.  Both
 sides of a pair run at the same host speed, so the ratio shows a layer's
 change where separate benchmark runs see the host's speed changes;
-claims of a gain still come from perfbench.
+claims of a gain still come from perfbench.  Any failed assert exits
+non-zero, so ``--rounds 2`` serves as a check that a change keeps every
+output of the base checkout.
 """
 
 import argparse
@@ -28,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import CHI2_BUDGET, make_inputs  # noqa: E402
 
 WORKLOADS = ("batch-sweep", "color-large", "chi2-small")
-ROUNDS = 20
 
 
 def load(checkout: str, name: str):
@@ -78,7 +79,10 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("a")
     p.add_argument("b")
+    p.add_argument("--rounds", type=int, default=20, help="timed rounds per workload")
     args = p.parse_args()
+    if args.rounds < 2:
+        p.error("--rounds must be at least 2")
     sides = (load(args.a, "planecolor_a"), load(args.b, "planecolor_b"))
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
@@ -87,7 +91,7 @@ def main() -> None:
             trees = [searches(pc, graphs) for pc, graphs in zip(sides, inputs)]
             assert trees[0] == trees[1], "chi2-small search trees"
         ratios = []
-        for r in range(ROUNDS):
+        for r in range(args.rounds):
             took = [0.0, 0.0]
             for s in ((0, 1) if r % 2 == 0 else (1, 0)):
                 t0 = perf_counter()
