@@ -9,7 +9,7 @@ is always left over when 16 are available.
 Patterns are matched against *frames*: a frame fixes one neighbour
 labeling w0..w(d-1) of a candidate vertex, taken from the stored
 rotation at every offset and in both directions, so each written
-pattern covers all rotations and mirror images of the drawn shape.
+pattern covers all rotations and reflections of the drawn shape.
 Corner i of a frame is the face between w_i and w_(i+1).  A rule asks
 for the frames that show its corners, and each is built when the loop
 reaches it.

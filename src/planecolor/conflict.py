@@ -102,11 +102,14 @@ def validate(g: PlaneGraph, coloring: Coloring) -> ConflictReport:
     """Full conflict report for a coloring.
 
     Raises:
-        BadArgument: the palette, a vertex id or a color is not an int;
-            a bool is not an int here, as in ``Coloring.from_json``.
+        BadArgument: the colors are not a dict, or the palette, a vertex
+            id or a color is not an int; a bool is not an int here, as
+            in ``Coloring.from_json``.
     """
     colors = coloring.colors
     require_int(palette=coloring.palette)
+    if not isinstance(colors, dict):
+        raise BadArgument(f"colors must be a dict, not {type(colors).__name__}")
     if not {*map(type, colors), *map(type, colors.values())} <= {int}:
         v, c = next(
             (v, c) for v, c in colors.items() if type(v) is not int or type(c) is not int

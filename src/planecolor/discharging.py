@@ -132,29 +132,30 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
     deg = g.deg
     flen = g.face_lens
 
-    tail, head, fod = g.dart_tail, g.rot_flat, g.face_of_dart
-    rs, mirror = g.rot_start, g.mirror
+    rots, rs, fod = g.rotations, g.rot_start, g.face_of_dart
 
     # R1: every vertex pays 1/3 to each incident 3-face.  Faces are
     # numbered by their least dart, so in dart order each face first
-    # shows up in id order, at the dart p its walk starts from; the
-    # walk goes on along the dart after p's reverse at p's head.
+    # shows up in id order, at the dart v -> u its walk starts from;
+    # the walk goes on to the neighbour after v in u's rotation.
     nxt_face = 0
-    for p, f in enumerate(fod):
-        if f != nxt_face:
-            continue
-        nxt_face += 1
-        if flen[f] == 3:
-            u = head[p]
-            w = head[rs[u] + (mirror[p] - rs[u] + 1) % deg[u]]
-            for v in sorted((tail[p], u, w)):
-                move(("R1", v, n + f, THIRD))
+    for v, row in enumerate(rots):
+        for p, u in enumerate(row, rs[v]):
+            f = fod[p]
+            if f != nxt_face:
+                continue
+            nxt_face += 1
+            if flen[f] == 3:
+                r = rots[u]
+                w = r[(r.index(v) + 1) % deg[u]]
+                for x in sorted((v, u, w)):
+                    move(("R1", x, n + f, THIRD))
 
     # R2: every 5-vertex pays 1/9 to each 3-neighbour
     for v in range(n):
         if deg[v] != 3:
             continue
-        for u in sorted(g.rotations[v]):
+        for u in sorted(rots[v]):
             if deg[u] == 5:
                 move(("R2", u, v, NINTH))
 
@@ -177,7 +178,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
     for v in range(n):
         if deg[v] != 5:
             continue
-        small_nbrs = [u for u in g.rotations[v] if deg[u] == 3]
+        small_nbrs = [u for u in rots[v] if deg[u] == 3]
         for fid in faces_at[v]:
             if flen[fid] < 5:
                 continue
@@ -187,16 +188,16 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
                 move(("R5", n + fid, v, FIFTH))
 
     # R7: a 5-vertex with at most three incident 3-faces pays each
-    # 4-neighbour per big face along their shared edge, the dart
-    # v -> u and its mirror (one face for a bridge)
+    # 4-neighbour per big face along their shared edge, the darts
+    # v -> u and u -> v (one face for a bridge)
     for v in range(n):
         if deg[v] != 5 or sum(flen[f] == 3 for f in faces_at[v]) > 3:
             continue
-        for p in sorted(range(rs[v], rs[v + 1]), key=head.__getitem__):
-            u = head[p]
+        for u in sorted(rots[v]):
             if deg[u] != 4:
                 continue
-            f1, f2 = fod[p], fod[mirror[p]]
+            f1 = fod[rs[v] + rots[v].index(u)]
+            f2 = fod[rs[u] + rots[u].index(v)]
             big = (flen[f1] >= 5) + (f2 != f1 and flen[f2] >= 5)
             if big == 1:
                 move(("R7a", v, u, FIFTEENTH))
@@ -222,7 +223,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             if ctx.bad_kind(w[2]) == "semi-bad":
                 move(("R9", v, w[2], FIFTH))
         elif sc.kind == "support":
-            for u in sorted(g.rotations[v]):
+            for u in sorted(rots[v]):
                 if ctx.bad_kind(u) is not None and ctx.in2(v, u):
                     move(("R10", v, u, THIRD))
 

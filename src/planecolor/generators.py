@@ -14,6 +14,8 @@ byte-identical graph.
 from __future__ import annotations
 
 import random
+from functools import partial
+from typing import Callable
 
 from .errors import GenerationFailed, UnknownName, require_int
 from .plane_graph import PlaneGraph
@@ -71,8 +73,8 @@ _DODECAHEDRON = [
 ]
 
 
-def _delete_edges(rots: list[list[int]], edges) -> list[list[int]]:
-    out = [list(r) for r in rots]
+def _icosahedron_without(edges) -> list[list[int]]:
+    out = _icosahedron()
     for u, v in edges:
         out[u].remove(v)
         out[v].remove(u)
@@ -101,49 +103,27 @@ DESIGNATED_VERTEX: dict[str, int] = {
 }
 
 
-def _build(name: str) -> PlaneGraph:
-    if name == "k1":
-        return PlaneGraph([[]])
-    if name == "k2":
-        return PlaneGraph([[1], [0]])
-    if name == "k4":
-        return PlaneGraph([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
-    if name == "c5":
-        return PlaneGraph(_cycle(5))
-    if name == "c6":
-        return PlaneGraph(_cycle(6))
-    if name == "cube":
-        return PlaneGraph(_prism(4))
-    if name == "pentagonal_prism":
-        return PlaneGraph(_prism(5))
-    if name == "icosahedron":
-        return PlaneGraph(_icosahedron())
-    if name == "dodecahedron":
-        return PlaneGraph(_DODECAHEDRON)
-    if name == "star5":
-        return PlaneGraph([[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]])
-    if name in _FIG_SURGERY:
-        return PlaneGraph(_delete_edges(_icosahedron(), _FIG_SURGERY[name]))
-    raise UnknownName(f"no graph named {name!r}")
+# name -> builder of its rotations, called only when the graph is asked for
+_BUILDERS: dict[str, Callable[[], list[list[int]]]] = {
+    "k1": lambda: [[]],
+    "k2": lambda: [[1], [0]],
+    "k4": lambda: [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]],
+    "c5": lambda: _cycle(5),
+    "c6": lambda: _cycle(6),
+    "cube": lambda: _prism(4),
+    "dodecahedron": lambda: _DODECAHEDRON,
+    "icosahedron": _icosahedron,
+    "pentagonal_prism": lambda: _prism(5),
+    "star5": lambda: [[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]],
+    **{
+        name: partial(_icosahedron_without, edges)
+        for name, edges in _FIG_SURGERY.items()
+    },
+}
 
-
-NAMED_GRAPHS: tuple[str, ...] = (
-    "k1",
-    "k2",
-    "k4",
-    "c5",
-    "c6",
-    "cube",
-    "dodecahedron",
-    "icosahedron",
-    "pentagonal_prism",
-    "star5",
-    "fig1a",
-    "fig1b",
-    "fig2a",
-    "fig2b",
-    "fig2c",
-)
+# the CLI's --name choices, the batch corpus and the pinned outputs
+# follow this order
+NAMED_GRAPHS: tuple[str, ...] = tuple(_BUILDERS)
 
 
 def named(name: str) -> PlaneGraph:
@@ -152,9 +132,11 @@ def named(name: str) -> PlaneGraph:
     Raises:
         UnknownName: name not in NAMED_GRAPHS.
     """
-    if name not in NAMED_GRAPHS:
-        raise UnknownName(f"no graph named {name!r}")
-    return _build(name)
+    try:
+        build = _BUILDERS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnknownName(f"no graph named {name!r}") from None
+    return PlaneGraph(build())
 
 
 # ======================================================================

@@ -22,7 +22,7 @@ one line per vertex, neighbours in clockwise order.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 
 from .errors import (
     AsymmetricRotation,
@@ -43,12 +43,14 @@ __all__ = ["PlaneGraph", "from_rotation_text"]
 class PlaneGraph:
     """Immutable plane graph defined by clockwise rotations.
 
-    The tables are tuples of ints.  Dart p is the arc
-    ``dart_tail[p] -> rot_flat[p]``; the darts leaving v are
-    ``rot_start[v]`` to ``rot_start[v + 1]`` in rotation order.
-    ``mirror[p]`` is the reverse dart and ``face_of_dart[p]`` the face
-    whose boundary walk contains p; faces are numbered in the order of
-    their least dart.
+    The rotation system is stored once, as ``rotations``; the other
+    tables are tuples of ints over it.  Dart ``rot_start[v] + i`` is the
+    arc ``v -> rotations[v][i]``, so the darts leaving v are
+    ``rot_start[v]`` to ``rot_start[v + 1]`` in rotation order, and the
+    reverse of that dart is ``rot_start[u] + rotations[u].index(v)``
+    with u its head.  ``face_of_dart[p]`` is the face whose boundary
+    walk contains p; faces are numbered in the order of their least
+    dart, and ``face_lens`` gives their lengths.
     """
 
     __slots__ = (
@@ -57,9 +59,6 @@ class PlaneGraph:
         "rotations",
         "deg",
         "rot_start",
-        "rot_flat",
-        "dart_tail",
-        "mirror",
         "face_of_dart",
         "face_lens",
         "num_faces",
@@ -98,15 +97,13 @@ class PlaneGraph:
                         f"{v} lists {u} but {u} does not list {v}"
                     )
                 mirror.append(rot_start[u] + i)
+        del pos  # the face trace below needs only mirror
 
         self.n = n
         self.m = len(mirror) // 2
         self.rotations = rots
         self.deg = deg
         self.rot_start = rot_start
-        self.rot_flat = tuple(chain.from_iterable(rots))
-        self.dart_tail = tuple(chain.from_iterable(map(repeat, range(n), deg)))
-        self.mirror = tuple(mirror)
         self._check_connected()
 
         if self.m == 0:
@@ -114,7 +111,7 @@ class PlaneGraph:
             self.face_of_dart = ()
             self.face_lens = (0,)
         else:
-            face_of, lens = _trace(self._successors())
+            face_of, lens = _trace(_successors(rot_start, mirror))
             self.face_of_dart = tuple(face_of)
             self.face_lens = tuple(lens)
         self.num_faces = len(self.face_lens)
@@ -135,18 +132,6 @@ class PlaneGraph:
                     stack.append(u)
         if not all(seen):
             raise Disconnected(f"{seen.count(False)} vertices unreachable from 0")
-
-    def _successors(self) -> list[int]:
-        """Next dart along the face boundary, for every dart: the walk
-        arrives at u along v -> u and leaves along the dart after
-        u -> v in u's rotation."""
-        # after[q]: the dart after q in its tail's rotation
-        after = list(range(1, len(self.mirror) + 1))
-        rs = self.rot_start
-        for lo, hi in zip(rs, rs[1:]):
-            if lo < hi:
-                after[hi - 1] = lo
-        return list(map(after.__getitem__, self.mirror))
 
     # ==================================================================
     # basic queries
@@ -179,10 +164,12 @@ class PlaneGraph:
     def edge_in_two_triangles(self, u: int, v: int) -> bool:
         if not self.has_edge(u, v):
             raise UnknownVertex(f"no edge {u!r}-{v!r}")
-        p = self.rot_start[u] + self.rotations[u].index(v)
+        rots, rs = self.rotations, self.rot_start
         fo, fl = self.face_of_dart, self.face_lens
-        # a bridge's one face is never a triangle, so two 3-sides are two faces
-        return fl[fo[p]] == 3 and fl[fo[self.mirror[p]]] == 3
+        # the darts u -> v and v -> u; a bridge's one face is never a
+        # triangle, so two 3-sides are two faces
+        p, q = rs[u] + rots[u].index(v), rs[v] + rots[v].index(u)
+        return fl[fo[p]] == 3 and fl[fo[q]] == 3
 
     # ==================================================================
     # distance structure
@@ -254,6 +241,18 @@ def two_hop(rots, v: int) -> set[int]:
     return near
 
 
+def _successors(rot_start, mirror: list[int]) -> list[int]:
+    """Next dart along the face boundary, for every dart: the walk
+    arrives at u along v -> u and leaves along the dart after u -> v in
+    u's rotation.  ``mirror[p]`` is the reverse of dart p."""
+    # after[q]: the dart after q in its tail's rotation
+    after = list(range(1, len(mirror) + 1))
+    for lo, hi in zip(rot_start, rot_start[1:]):
+        if lo < hi:
+            after[hi - 1] = lo
+    return list(map(after.__getitem__, mirror))
+
+
 def _trace(succ: list[int]) -> tuple[list[int], list[int]]:
     """Walk the cycles of the dart successor permutation, each from its
     least dart, in the order of those darts: the faces by id.
@@ -278,11 +277,13 @@ def from_rotation_text(text: str) -> PlaneGraph:
     """Parse the rotation text format.
 
     Raises:
-        ParseError: malformed document.
+        ParseError: malformed document, or text that is not a str.
         AsymmetricRotation: one-sided adjacency.
         Disconnected: more than one component.
         NotPlanarEmbedding: Euler check failed.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"rotation text must be a str, not {type(text).__name__}")
     lines = []
     for raw in text.splitlines():
         s = raw.split("#", 1)[0].strip()

@@ -93,6 +93,8 @@ def test_outside_ids_reported_beside_uncolored():
         (16, {0: 1, 1: False}),
         ("16", {0: 1}),
         (True, {0: 1}),
+        (16, [1, 2]),
+        (16, None),
     ],
 )
 def test_validate_rejects_ids_and_colors_that_are_not_ints(palette, colors):

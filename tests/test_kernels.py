@@ -22,7 +22,7 @@ from planecolor._kernels import (
 from planecolor.errors import ParseError
 from planecolor.exact_solver import _static_order
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
-from planecolor.plane_graph import PlaneGraph
+from planecolor.plane_graph import PlaneGraph, _successors
 
 SAMPLE_GRAPHS = [named("cube"), named("icosahedron")] + [
     random_plane(n, seed=s) for n, s in [(30, 1), (77, 2), (120, 3)]
@@ -167,7 +167,9 @@ class TestFaces:
     def test_successor_walks(self, g):
         # _trace's input: each face walked from its least dart along
         # the successors, as (tail, head) pairs
-        succ = g._successors()
+        darts = [(v, u) for v, row in enumerate(g.rotations) for u in row]
+        mirror = [g.rot_start[u] + g.rotations[u].index(v) for v, u in darts]
+        succ = _successors(g.rot_start, mirror)
         walks = []
         seen = set()
         for p0 in range(len(succ)):
@@ -177,7 +179,7 @@ class TestFaces:
             p = p0
             while p not in seen:
                 seen.add(p)
-                walks[-1].append((g.dart_tail[p], g.rot_flat[p]))
+                walks[-1].append(darts[p])
                 p = succ[p]
             assert p == p0  # the walk closes where it began
         assert walks == reference_walks(g)[1]

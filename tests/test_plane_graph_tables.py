@@ -1,16 +1,18 @@
 """PlaneGraph's tables, pinned by digest.
 
 ``plane_graph_tables.json`` holds, per graph, the sha256 of the JSON of
-every table a ``PlaneGraph`` exposes: the rotation CSR, mirrors, face
-ids and lengths, two-hop rows and d2, and two things derived from them:
-the face in each corner of each vertex, and per vertex the counts of
-neighbours of degree 3, 4 and 5 and of distinct faces of length 3, 4
-and at least 5.  The digests were written by the numpy build of
-``PlaneGraph`` that came before the plain-Python one, with
-``python3 tests/test_plane_graph_tables.py`` and ``src`` on the path,
-when the package still had ``corner_faces`` and ``metrics`` queries for
-the derived fields; the test now derives them from the tables itself.
-So any change to a face id, a dart order or a two-hop row shows here.
+the rotation CSR (degrees, row starts, each dart's head and tail), each
+dart's reverse, the face ids and lengths, the two-hop rows and d2, and
+two things derived from them: the face in each corner of each vertex,
+and per vertex the counts of neighbours of degree 3, 4 and 5 and of
+distinct faces of length 3, 4 and at least 5.  The digests were written
+by the numpy build of ``PlaneGraph`` that came before the plain-Python
+one, with ``python3 tests/test_plane_graph_tables.py`` and ``src`` on
+the path, when ``PlaneGraph`` still stored the flat heads, tails and
+reverses as tables and had ``corner_faces`` and ``metrics`` queries;
+the test now derives all of those from ``rotations`` and the tables
+that remain.  So any change to a face id, a dart order or a two-hop row
+shows here.
 """
 
 import hashlib
@@ -31,13 +33,17 @@ def sweep_graph(i: int):
 
 def tables(g) -> dict:
     ints = lambda xs: [int(x) for x in xs]  # noqa: E731
+    rots, rs = g.rotations, g.rot_start
+    # dart rs[v] + i is v -> rots[v][i]; its reverse is u -> v
+    heads = [u for row in rots for u in row]
+    tails = [v for v, row in enumerate(rots) for _ in row]
+    mirror = [rs[u] + rots[u].index(v) for v, u in zip(tails, heads)]
     corner_faces, counts = [], []
-    for v in range(g.n):
-        lo, hi = g.rot_start[v], g.rot_start[v + 1]
+    for v, row in enumerate(rots):
         # corner i of v is traced by the dart v -> rot[v][i + 1]
-        faces = g.face_of_dart[lo:hi]
+        faces = g.face_of_dart[rs[v] : rs[v + 1]]
         corner_faces.append(ints(faces[1:] + faces[:1]))
-        near = [g.deg[u] for u in g.rot_flat[lo:hi]]
+        near = [g.deg[u] for u in row]
         lens = [g.face_lens[f] for f in set(faces)]
         counts.append([
             near.count(3), near.count(4), near.count(5),
@@ -46,9 +52,9 @@ def tables(g) -> dict:
     return {
         "deg": ints(g.deg),
         "rot_start": ints(g.rot_start),
-        "rot_flat": ints(g.rot_flat),
-        "dart_tail": ints(g.dart_tail),
-        "mirror": ints(g.mirror),
+        "rot_flat": heads,
+        "dart_tail": tails,
+        "mirror": mirror,
         "face_of_dart": ints(g.face_of_dart),
         "face_lens": ints(g.face_lens),
         "corner_faces": corner_faces,

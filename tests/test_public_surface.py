@@ -55,7 +55,6 @@ EXPORTS = [
 PLANE_GRAPH_PUBLIC = [
     "corner_lens",
     "d2",
-    "dart_tail",
     "deg",
     "degree",
     "edge_in_two_triangles",
@@ -64,11 +63,9 @@ PLANE_GRAPH_PUBLIC = [
     "from_json",
     "has_edge",
     "m",
-    "mirror",
     "n",
     "n2",
     "num_faces",
-    "rot_flat",
     "rot_start",
     "rotations",
     "to_json",

@@ -734,10 +734,12 @@ def assert_short_faces_meet_once(g: PlaneGraph) -> None:
             faces = g.face_of_dart[g.rot_start[v] : g.rot_start[v + 1]]
             short = [f for f in faces if g.face_lens[f] <= 4]
             assert len(set(short)) == len(short), v
-    for p, q in enumerate(g.mirror):
-        f1, f2 = g.face_of_dart[p], g.face_of_dart[q]
-        if g.face_lens[f1] == g.face_lens[f2] == 3:
-            assert f1 != f2, (g.dart_tail[p], g.rot_flat[p])
+    rots, rs = g.rotations, g.rot_start
+    for v, row in enumerate(rots):
+        for p, u in enumerate(row, rs[v]):
+            f1, f2 = g.face_of_dart[p], g.face_of_dart[rs[u] + rots[u].index(v)]
+            if g.face_lens[f1] == g.face_lens[f2] == 3:
+                assert f1 != f2, (v, u)
 
 
 SHORT_FACE_INPUTS = {

@@ -8,9 +8,11 @@ of perfbench's ``batch-sweep`` and ``color-large`` workloads, and equal
 ``chi2_exact`` values on those of ``chi2-small`` (default seed), made by
 ``perfbench/run.py`` of this repository; on ``chi2-small`` every search
 ``chi2_exact`` runs must also end with the same status after the same
-number of nodes.  Then it times ``--rounds`` whole rounds of each
-workload (20 by default, at least 2), A and B in turn, the first side
-swapping every round, and prints the time of B's round over A's: the
+number of nodes, and on ``batch-sweep`` ``apply_rules`` must give the
+same ledger and the same transfer records, in order (the audits carry
+only the number of transfers).  Then it times ``--rounds`` whole rounds
+of each workload (20 by default, at least 2), A and B in turn, the first
+side swapping every round, and prints the time of B's round over A's: the
 median with its quartiles, and in how many rounds B was faster.  Both
 sides of a pair run at the same host speed, so the ratio shows a layer's
 change where separate benchmark runs see the host's speed changes;
@@ -75,6 +77,16 @@ def searches(pc, graphs) -> list:
     return seen
 
 
+def transfers(pc, graphs) -> list:
+    """The final ledger and every transfer record of ``apply_rules`` on
+    each of ``graphs``, as JSON."""
+    out = []
+    for g in graphs:
+        ledger, records = pc.apply_rules(g)
+        out.append((ledger.to_json(), [r.to_json() for r in records]))
+    return out
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("a")
@@ -90,6 +102,9 @@ def main() -> None:
         if w == "chi2-small":
             trees = [searches(pc, graphs) for pc, graphs in zip(sides, inputs)]
             assert trees[0] == trees[1], "chi2-small search trees"
+        if w == "batch-sweep":
+            moves = [transfers(pc, graphs) for pc, graphs in zip(sides, inputs)]
+            assert moves[0] == moves[1], "batch-sweep transfer records"
         ratios = []
         for r in range(args.rounds):
             took = [0.0, 0.0]
