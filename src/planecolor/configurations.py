@@ -40,7 +40,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DegreeTooHigh
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, require_graph
 
 __all__ = [
     "ReductionRule",
@@ -288,8 +288,10 @@ def classify_special(g: PlaneGraph, v: int):
     cannot occur.
 
     Raises:
+        BadArgument: g is not a PlaneGraph.
         UnknownVertex: v is not a vertex of g.
     """
+    require_graph(g)
     if g.degree(v) != 5:
         return None
     ctx = _Ctx(g)
@@ -811,6 +813,13 @@ _PRIORITY: tuple[ReductionRule, ...] = tuple(
     sorted(_TABLE, key=lambda r: r.claimed_d2_bound)
 )
 
+# per rank: does the rule read past the centre's ring?  A binding reads
+# a ring vertex's rotation, and a class's neighbour test its bad_kind
+_FAR: tuple[bool, ...] = tuple(
+    r.bind is not None or (r.family != "degree" and _FAMILIES[r.family][1] is not None)
+    for r in _PRIORITY
+)
+
 
 def rule_table() -> tuple[ReductionRule, ...]:
     """The full reducible-configuration table, in table order."""
@@ -864,14 +873,16 @@ def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
 def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
     """All verified matches, in detection priority order: rule rank,
     then centre vertex id, then frame.  This is a fresh ``MatchQueue``
-    read to the end.
+    read to the end.  g is checked on the call, before the first match.
 
     Raises:
+        BadArgument: g is not a PlaneGraph.
         DegreeTooHigh: some vertex has degree above 5.
     """
+    require_graph(g)
     if g.n > 1 and max(g.deg) > 5:
         raise DegreeTooHigh(f"max degree {max(g.deg)} > 5")
-    yield from MatchQueue(g).matches()
+    return MatchQueue(g).matches()
 
 
 class MatchQueue:
@@ -882,13 +893,32 @@ class MatchQueue:
     Each rule rank keeps a heap of centres still to examine.  A centre
     examined without a match leaves the heap until ``touch`` reports it
     within reach of a change; a centre whose matches were all refused
-    stays.  ``touch`` logs the reported vertices by degree, and a rank
-    reads the log of its degree only when a search reaches it, so ranks
-    past the first applicable match cost nothing.  This is exact: a
-    degree changes only on a step's ring, which is within its reach, so
-    a vertex's last entry is in the log of its current degree.  A step
-    touches a bounded ball, so the logs stay within a constant times the
-    number of vertices.
+    stays.  A rank reads the log of its degree only when a search
+    reaches it, so ranks past the first applicable match cost nothing.
+
+    A rule's matches at a centre read the centre's corners, its ring,
+    ring degrees, ``in2`` of ring pairs and the centre's d2: all of it
+    changes only at the centres of a step's reach (``WorkingGraph.delete``).
+    So ``touch`` logs the reach by degree in the near logs, which the
+    *near* ranks read: the rules with no binding and no neighbour test.
+    The *far* ranks, R-deg, R-degmid and the strong, good and support
+    classes, also read a ring vertex's ``bad_kind``, or its rotation,
+    corners, d2 and neighbours' degrees, which change only where that
+    ring vertex is in the reach; so their centres lie in the reach or
+    next to it.  They read far logs, filled when a search reaches a far
+    rank after a step: a fill logs the near logs' entries since the last
+    fill and each entry's neighbours under the current rotations.  That
+    is exact although the rotations may have moved on since the entry
+    was logged: an edge vanishes only with a deleted endpoint, and that
+    deletion logged its own ball, which holds the other endpoint.  A
+    fill runs at most once per step, and the far logs stay empty while
+    no search goes past the near ranks.
+
+    Logging by degree is exact: a degree changes only on a step's ring,
+    which is within its reach, so a vertex's last entry is in the near
+    log of its current degree, and in the far log of its current degree
+    once filled.  A step touches a bounded ball, so the logs stay within
+    a constant times the number of vertices.
 
     A rank's heap is built when a search first reaches it, from the
     vertices of the rank's degree at that time, with its log read up to
@@ -904,19 +934,43 @@ class MatchQueue:
         # by degree; no step takes a degree past 5 or the input's maximum
         top = max(5, max(g.deg, default=0))
         self._logs: list[list[int]] = [[] for _ in range(top + 1)]
+        self._far: list[list[int]] = [[] for _ in range(top + 1)]
+        self._rank_log = [
+            (self._far if far else self._logs)[rule.degree]
+            for rule, far in zip(_PRIORITY, _FAR)
+        ]
         self._read = [0] * len(_PRIORITY)
+        self._filled = [0] * (top + 1)  # near log entries already filled
+        self._stale = False  # a step was touched since the last fill
 
     def _first_visit(self, r: int) -> None:
         k = _PRIORITY[r].degree
         heap = [v for v, d in enumerate(self._ctx.deg) if d == k]  # sorted: a heap
         self._heaps[r], self._queued[r] = heap, set(heap)
-        self._read[r] = len(self._logs[k])
+        self._read[r] = len(self._rank_log[r])
+
+    def _fill(self) -> None:
+        """Log the near logs' entries since the last fill, and their
+        neighbours under the current rotations, in the far logs."""
+        rot, deg, filled = self._ctx.g.rotations, self._ctx.deg, self._filled
+        wide: set[int] = set()
+        for k, log in enumerate(self._logs):
+            for v in log[filled[k] :]:
+                wide.add(v)
+                wide.update(rot[v])
+            filled[k] = len(log)
+        far = self._far
+        for v in wide:
+            far[deg[v]].append(v)
+        self._stale = False
 
     def touch(self, reach) -> None:
-        """Report a step: the ``reach`` vertices are examined again."""
+        """Report a step: the ``reach`` vertices are examined again, and
+        their neighbours too by the far ranks."""
         logs, deg = self._logs, self._ctx.deg
         for v in reach:
             logs[deg[v]].append(v)
+        self._stale = True
 
     def matches(self) -> Iterator[ConfigMatch]:
         """Matches in priority order.  Close the iterator before the
@@ -924,9 +978,11 @@ class MatchQueue:
         ctx, deg = self._ctx, self._ctx.deg
         for r, rule in enumerate(_PRIORITY):
             k = rule.degree
+            if self._stale and _FAR[r]:
+                self._fill()
             if self._heaps[r] is None:
                 self._first_visit(r)
-            heap, queued, log = self._heaps[r], self._queued[r], self._logs[k]
+            heap, queued, log = self._heaps[r], self._queued[r], self._rank_log[r]
             for v in log[self._read[r] :]:
                 if deg[v] == k and v not in queued:
                     queued.add(v)
@@ -955,6 +1011,10 @@ def detect(g: PlaneGraph) -> Optional[ConfigMatch]:
 
     Every returned match already passed the degree guard and the
     claimed d2 bound on the vertex to be deleted.
+
+    Raises:
+        BadArgument: g is not a PlaneGraph.
+        DegreeTooHigh: some vertex has degree above 5.
     """
     return next(iter_matches(g), None)
 

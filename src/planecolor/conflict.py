@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import BadArgument, ParseError, require_int
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, require_graph
 
 __all__ = ["Coloring", "ConflictReport", "conflict_sets", "validate"]
 
@@ -102,10 +102,11 @@ def validate(g: PlaneGraph, coloring: Coloring) -> ConflictReport:
     """Full conflict report for a coloring.
 
     Raises:
-        BadArgument: the colors are not a dict, or the palette, a vertex
-            id or a color is not an int; a bool is not an int here, as
-            in ``Coloring.from_json``.
+        BadArgument: g is not a PlaneGraph, the colors are not a dict,
+            or the palette, a vertex id or a color is not an int; a bool
+            is not an int here, as in ``Coloring.from_json``.
     """
+    require_graph(g)
     colors = coloring.colors
     require_int(palette=coloring.palette)
     if not isinstance(colors, dict):

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .configurations import _Ctx, classify_special, detect
 from .errors import EulerIdentityViolated
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, require_graph
 
 __all__ = [
     "DENOM",
@@ -91,9 +91,11 @@ def initial_charges(g: PlaneGraph) -> ChargeLedger:
     """d-4 per vertex, len-4 per face, scaled by 45.
 
     Raises:
+        BadArgument: g is not a PlaneGraph.
         EulerIdentityViolated: the grand total is not exactly -8, which
             a plane graph cannot produce.
     """
+    require_graph(g)
     verts = tuple(DENOM * (d - 4) for d in g.deg)
     faces = tuple(DENOM * (ln - 4) for ln in g.face_lens)
     led = ChargeLedger(vertices=verts, faces=faces)
@@ -113,6 +115,9 @@ def apply_rules(
     complete; order is rule-major with ascending ids purely to make the
     record list deterministic.  Returns the final ledger and every
     transfer made.
+
+    Raises:
+        BadArgument: g is not a PlaneGraph (from ``initial_charges``).
     """
     after, moves = _transfer_pass(g)
     keys = [("vertex", v) for v in range(g.n)]
@@ -247,6 +252,9 @@ def audit(g: PlaneGraph) -> dict:
     face ends negative AND no reducible configuration exists; a single
     such graph would disprove the engine's claim, so callers should
     treat it as a hard failure.
+
+    Raises:
+        BadArgument: g is not a PlaneGraph (from ``initial_charges``).
     """
     return _report(g, *_transfer_pass(g))
 

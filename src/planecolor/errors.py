@@ -28,7 +28,9 @@ class Disconnected(EngineError):
 
 
 class BadArgument(EngineError):
-    """An argument that must be an int is not one; a bool is not an int."""
+    """An argument of the wrong type: a graph that is not a PlaneGraph,
+    or an id, color, palette, budget or k that is not an int (a bool is
+    not an int), or colors that are not a dict."""
 
 
 def require_int(**args) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import _kernels
 from .conflict import Coloring, validate
 from .errors import require_int
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, require_graph
 
 __all__ = [
     "INFEASIBLE",
@@ -55,8 +55,9 @@ def color_with_k(g: PlaneGraph, k: int, budget: int = DEFAULT_BUDGET):
         is exhausted, UNKNOWN when the node budget runs out first.
 
     Raises:
-        BadArgument: k or budget is not an int.
+        BadArgument: g is not a PlaneGraph, or k or budget is not an int.
     """
+    require_graph(g)
     require_int(k=k, budget=budget)
     rows = [g.n2(v) for v in range(g.n)]
     status, colors, _nodes = _kernels.solve_k_coloring(
@@ -81,8 +82,9 @@ def chi2_exact(g: PlaneGraph, budget: int = DEFAULT_BUDGET):
     before a feasible k is found.
 
     Raises:
-        BadArgument: budget is not an int.
+        BadArgument: g is not a PlaneGraph, or budget is not an int.
     """
+    require_graph(g)
     require_int(budget=budget)
     if g.n == 1:
         return 1

@@ -26,6 +26,7 @@ from itertools import accumulate
 
 from .errors import (
     AsymmetricRotation,
+    BadArgument,
     Disconnected,
     NotPlanarEmbedding,
     ParseError,
@@ -230,6 +231,12 @@ class PlaneGraph:
 # ======================================================================
 # module-level helpers
 # ======================================================================
+
+
+def require_graph(g) -> None:
+    """Raise BadArgument unless g is a PlaneGraph."""
+    if not isinstance(g, PlaneGraph):
+        raise BadArgument(f"graph must be a PlaneGraph, got {type(g).__name__}")
 
 
 def two_hop(rots, v: int) -> set[int]:

@@ -28,7 +28,7 @@ from .errors import (
     require_int,
 )
 from .exact_solver import DEFAULT_BUDGET, color_with_k
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, require_graph
 from .working_graph import WorkingGraph
 
 __all__ = ["ReductionTrace", "color16", "PALETTE"]
@@ -81,7 +81,13 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     Returns the trace, numbered ``step`` and in the dense labels of the
     graph before the step; the unwinding record ``(dv, ball)``, with
     dv's distance-two ball as ``WorkingGraph.delete`` reports it; and
-    the vertices within reach of a change, for ``MatchQueue.touch``.
+    the step's reach, for ``MatchQueue.touch``.  The reach is that ball
+    (with a deleted leaf's shortened face and its neighbours): the
+    centres where a rule that reads only its centre's corners, ring,
+    ring degrees, ring ``in2`` and d2 can change its matches.  A rule
+    that also reads a ring vertex's corners or rotation can change
+    them one step further out, and the queue widens the reach for
+    those rules alone.
 
     Raises:
         EmbeddingBroken: the patched graph would come out non-planar,
@@ -166,13 +172,14 @@ def color16(
     stack, outermost step first.
 
     Raises:
-        BadArgument: budget is not an int.
+        BadArgument: g is not a PlaneGraph, or budget is not an int.
         DegreeTooHigh: g has more than 16 vertices and a degree above 5.
         AnomalyNoConfiguration: no configuration matched and the exact
             fallback found nothing; the engine's claim failed on g.
         NoAvailableColor: a deleted vertex sees all 16 colors.
         InvalidColoring: the unwound coloring fails ``validate``.
     """
+    require_graph(g)
     require_int(budget=budget)
     wg = WorkingGraph(g)
     if wg.n > PALETTE and max(wg.deg) > 5:

@@ -37,12 +37,17 @@ bridge is never a triangle.
 It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 ``rotations``, ``corner_lens``, ``has_edge``, ``edge_in_two_triangles``,
 ``d2``), so the predicates in ``configurations`` run on it unchanged.
+A step reports as its reach the deleted vertex's distance-two ball,
+which it already holds: every centre whose own corners, ring, ring
+degrees, ring ``in2`` or d2 can change lies in it, but for the
+vertices near a deleted leaf's shortened face, which the step adds.
+The rules that also read a ring vertex's corners or rotation look one
+step further, and the match queue widens the reach for them alone.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 
 from .errors import DegreeOverflow, EmbeddingBroken
 from .plane_graph import PlaneGraph, two_hop
@@ -223,14 +228,23 @@ class WorkingGraph:
         walked, and only when it comes out of length at most 4.
 
         Returns dv's distance-two ball before the step (the set ``d2(dv)``
-        counted, when that was the last ``d2`` asked) and the vertices
-        within reach of any change for detection: the ball and its
-        neighbours.  A d2 changes only within distance two of a patched
-        rotation, which is in the ball.  A capped corner length changes
-        only in the ball too, but for the face of a deleted leaf: a face
-        of length 6 there becomes a 4-face through a vertex three steps
-        from dv, so such a face's vertices and their neighbours are
-        added.
+        counted, when that was the last ``d2`` asked) and the step's
+        reach: the ball itself, which holds every vertex whose rotation,
+        degree, d2, capped corner lengths or neighbours' degrees can
+        change, and every vertex with two neighbours whose edge changed
+        its ``in2``.  Rotations and degrees change only on dv's ring, and
+        paths of length at most 2 are lost only through dv and gained
+        only through a chord, so a d2 changes only in the ball.  An edge
+        changes ``in2`` only when it or a triangle beside it comes or
+        goes: a triangle that goes had dv on it, and one that comes in
+        the hole has at least two of its three vertices on the ring when
+        d > 1, so the edge has an end on the ring.  A capped corner length
+        changes only in the ball too.  The face of a deleted leaf is the
+        exception to both: a face of length 6 there becomes a 4-face
+        through a vertex three steps from dv, so a leaf's face that comes
+        out of length at most 4 adds its vertices and their neighbours.
+        Reads past a neighbour's edges (its corners, its rotation) are
+        ``MatchQueue``'s to widen.
 
         Raises:
             EmbeddingBroken: a pair of dv's neighbours ends up more
@@ -356,10 +370,10 @@ class WorkingGraph:
         self.n -= 1
         self.m += len(chords) - d
 
-        reach = set(chain.from_iterable(map(rot.__getitem__, ball)))
-        reach |= ball  # N1[ball]
+        reach = ball
         if short:
             # walk the leaf's face from the corner its neighbour merged
+            reach = set(ball)
             x = ring[0]
             r = rot[x]
             y = r[slots[0][0] % len(r)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from planecolor import configurations, reducer
 from planecolor.configurations import (
     _FAMILIES,
+    _FAR,
     _PRIORITY,
     _SHOWN,
     SPECIAL_KINDS,
@@ -31,7 +32,7 @@ from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random
 from planecolor.plane_graph import PlaneGraph
 from planecolor.reducer import PALETTE, color16
 from planecolor.working_graph import WorkingGraph, _crossing
-from test_working_graph import SNUB_GRAPHS, medial_plus, snub
+from test_working_graph import SNUB_GRAPHS, medial_plus, snub, snub_rotations
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -509,9 +510,10 @@ def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
 @pytest.mark.parametrize(
     "make",
     [lambda i=i: random_plane(20 + i, seed=i) for i in range(0, 36, 7)]
-    + [lambda: medial_plus(40, 0, extra=30)],
+    + [lambda: medial_plus(40, 0, extra=30)]
+    + [lambda: PlaneGraph(snub_rotations(named("icosahedron").rotations))],
     ids=[f"random_plane({20 + i}, {i})" for i in range(0, 36, 7)]
-    + ["medial_plus(40, 0)"],
+    + ["medial_plus(40, 0)", "snub(icosahedron)"],
 )
 def test_incremental_queue_is_a_fresh_queue_at_every_step(make):
     """The queue ``color16`` keeps across its steps yields what a queue
@@ -625,3 +627,102 @@ class TestFramesBuilt:
                     assert list(_center_matches(ctx, rule, v)) == []
                     refused += 1
         assert built == [] and refused
+
+    def test_color16_examines_few_centres(self, monkeypatch):
+        # a step's reach is its distance-two ball, and only the ranks
+        # that read past a centre's ring look one step further; when
+        # every rank also read the ball's neighbours, these inputs made
+        # 1,113 examinations for 625 steps
+        examined = []
+
+        def counted(ctx, rule, v):
+            examined.append(v)
+            return center_matches(ctx, rule, v)
+
+        center_matches = configurations._center_matches
+        monkeypatch.setattr(configurations, "_center_matches", counted)
+        steps = sum(
+            len(color16(random_plane(20 + 13 * i, seed=i))[1]) for i in range(10)
+        )
+        assert steps == 625 and len(examined) <= 930
+
+
+# ======================================================================
+# how far each rule reads
+# ======================================================================
+
+
+class ReadPastRing(Exception):
+    """Detection read past a centre's ring."""
+
+
+class CentreRows:
+    def __init__(self, view):
+        self.view = view
+
+    def __getitem__(self, v):
+        return self.view.g.rotations[self.view.own(v)]
+
+
+class CentreView:
+    """A graph that answers a centre's rotation, corners and d2, every
+    degree and which edges exist and lie in two triangles, and raises
+    ``ReadPastRing`` for the rotation, corners or d2 of any other vertex."""
+
+    def __init__(self, g, centre: int):
+        self.g, self.centre, self.deg = g, centre, g.deg
+        self.rotations = CentreRows(self)
+
+    def own(self, v: int) -> int:
+        if v != self.centre:
+            raise ReadPastRing(v)
+        return v
+
+    def corner_lens(self, v: int):
+        return self.g.corner_lens(self.own(v))
+
+    def d2(self, v: int) -> int:
+        return self.g.d2(self.own(v))
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return self.g.has_edge(a, b)
+
+    def edge_in_two_triangles(self, a: int, b: int) -> bool:
+        return self.g.edge_in_two_triangles(a, b)
+
+
+RADIUS_GRAPHS = {
+    **{name: lambda name=name: named(name) for name in NAMED_GRAPHS},
+    **{f"snub({name})": lambda name=name: snub(name) for name in SNUB_GRAPHS},
+    **{f"medial_plus(40, {s})": lambda s=s: medial_plus(40, s, extra=30) for s in range(6)},
+    # the one input here whose frames show R-supp-b1's and R-supp-b2's corners
+    "random_plane(150, 1)": lambda: random_plane(150, seed=1),
+}
+
+
+def test_near_rules_read_nothing_past_the_ring(monkeypatch):
+    """``MatchQueue`` gives the near ranks a step's reach alone, which
+    holds every centre whose corners, ring, ring degrees, ring ``in2`` or
+    d2 can change.  So a near rule must read nothing else: with
+    ``bad_kind`` and every other vertex's rotation, corners and d2
+    raising, it runs at every centre of these graphs.  Every far rule
+    reads past the ring somewhere, so the guard bites."""
+
+    def bad_kind(ctx, v):
+        raise ReadPastRing(v)
+
+    monkeypatch.setattr(_Ctx, "bad_kind", bad_kind)
+    far = set()
+    for name, make in RADIUS_GRAPHS.items():
+        g = make()
+        for r, rule in enumerate(_PRIORITY):
+            for v in range(g.n):
+                if g.deg[v] != rule.degree:
+                    continue
+                try:
+                    list(_center_matches(_Ctx(CentreView(g, v)), rule, v))
+                except ReadPastRing:
+                    assert _FAR[r], (name, rule.id, v)
+                    far.add(rule.id)
+    assert far == {rule.id for rule, f in zip(_PRIORITY, _FAR) if f}
+    assert len(far) == 16

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import planecolor
+from planecolor.errors import BadArgument
 from planecolor.generators import random_plane
 
 EXPORTS = [
@@ -121,6 +122,20 @@ SUBMODULES = [
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
+# every export that takes a graph first, with the arguments after it
+GRAPH_TAKERS = {
+    "color16": (),
+    "audit": (),
+    "apply_rules": (),
+    "initial_charges": (),
+    "detect": (),
+    "iter_matches": (),
+    "classify_special": (0,),
+    "validate": ("coloring",),
+    "chi2_exact": (),
+    "color_with_k": (3,),
+}
+
 
 def test_exports():
     assert planecolor.__all__ == EXPORTS
@@ -173,6 +188,17 @@ def test_patch_of_the_defining_module_shows_through(monkeypatch):
         patch.setattr(reducer, "color16", stub)
         assert planecolor.color16 is stub
     assert planecolor.color16 is original
+
+
+@pytest.mark.parametrize("name", GRAPH_TAKERS)
+@pytest.mark.parametrize("g", ["x", None, [[1], [0]]], ids=["str", "None", "rows"])
+def test_graph_that_is_not_a_plane_graph_is_refused(name, g):
+    args = [
+        planecolor.Coloring(palette=16, colors={0: 1, 1: 2}) if a == "coloring" else a
+        for a in GRAPH_TAKERS[name]
+    ]
+    with pytest.raises(BadArgument, match="PlaneGraph"):
+        getattr(planecolor, name)(g, *args)
 
 
 def test_plane_graph_public_attributes():

@@ -10,10 +10,16 @@ of perfbench's ``batch-sweep`` and ``color-large`` workloads, and equal
 ``chi2_exact`` runs must also end with the same status after the same
 number of nodes, and on ``batch-sweep`` ``apply_rules`` must give the
 same ledger and the same transfer records, in order (the audits carry
-only the number of transfers).  Then it times ``--rounds`` whole rounds
-of each workload (20 by default, at least 2), A and B in turn, the first
-side swapping every round, and prints the time of B's round over A's: the
-median with its quartiles, and in how many rounds B was faster.  Both
+only the number of transfers).  It also asserts, untimed, equal
+colorings and traces on ``medial_plus(40, s, extra=30)`` for s < 3 and
+on the snubs of the icosahedron, dodecahedron and cube, built by this
+checkout's ``tests/test_working_graph.py`` (so pytest and hypothesis
+must be importable): these apply R-4three3f, R-4m2-4f-adj,
+R-4m2-n5-adj, R-5m34-c and R-5m34-d, which ``batch-sweep`` never does.
+Then it times ``--rounds`` whole rounds of each workload (20 by
+default, at least 2), A and B in turn, the first side swapping every
+round, and prints the time of B's round over A's: the median with its
+quartiles, and in how many rounds B was faster.  Both
 sides of a pair run at the same host speed, so the ratio shows a layer's
 change where separate benchmark runs see the host's speed changes;
 claims of a gain still come from perfbench.  Any failed assert exits
@@ -28,7 +34,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 from run import CHI2_BUDGET, make_inputs  # noqa: E402
 
 WORKLOADS = ("batch-sweep", "color-large", "chi2-small")
@@ -87,6 +94,17 @@ def transfers(pc, graphs) -> list:
     return out
 
 
+def rule_inputs() -> list:
+    """The rotations of the medial and snub inputs, as lists."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from planecolor.generators import named
+    from test_working_graph import medial_plus, snub_rotations
+
+    rows = [medial_plus(40, s, extra=30).rotations for s in range(3)]
+    rows += [snub_rotations(named(p).rotations) for p in ("icosahedron", "dodecahedron", "cube")]
+    return [[list(row) for row in g] for g in rows]
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("a")
@@ -96,6 +114,9 @@ def main() -> None:
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
     sides = (load(args.a, "planecolor_a"), load(args.b, "planecolor_b"))
+    rows = rule_inputs()
+    outs = [run(pc, "medial-snub", [pc.PlaneGraph(r) for r in rows]) for pc in sides]
+    assert outs[0] == outs[1], "medial and snub inputs"
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
         assert run(sides[0], w, inputs[0]) == run(sides[1], w, inputs[1]), w
