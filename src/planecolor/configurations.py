@@ -6,13 +6,13 @@ among its former neighbours, and the deleted vertex will see at most
 ``claimed_d2_bound`` distinct vertices within distance two, so a color
 is always left over when 16 are available.
 
-Patterns are matched against *frames*: a frame fixes one neighbour
-labeling w0..w(d-1) of a candidate vertex, taken from the stored
-rotation at every offset and in both directions, so each written
-pattern covers all rotations and reflections of the drawn shape.
-Corner i of a frame is the face between w_i and w_(i+1).  A rule asks
-for the frames that show its corners, and each is built when the loop
-reaches it.
+Patterns are matched against *frames*: a frame is one neighbour
+labeling, the ring tuple w = (w0..w(d-1)), of a candidate vertex, taken
+from the stored rotation at every offset and in both directions, so
+each written pattern covers all rotations and reflections of the drawn
+shape.  Corner i of a frame is the face between w_i and w_(i+1).  The
+centre's corner lengths tell which frames show a rule's corners, and
+each ring is built when the loop reaches it.
 
 The corners a frame must show are data: ``ReductionRule.corners`` is
 the set of corner-length tuples, lengths capped at 5 so that 5 reads
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegreeTooHigh
 from .plane_graph import PlaneGraph, require_graph
@@ -141,17 +141,6 @@ class SpecialClass(NamedTuple):
 # ======================================================================
 
 
-class _Frame:
-    """One neighbour labeling of a vertex: w tuple and corner lengths,
-    aligned so corner i sits between w_i and w_(i+1)."""
-
-    __slots__ = ("w", "cfl")
-
-    def __init__(self, w, cfl):
-        self.w = w
-        self.cfl = cfl
-
-
 def _frame_corners(cl: tuple) -> list[tuple]:
     """The corner lengths of each frame of a vertex with corners ``cl``,
     in frame order: forward from each offset o, then, from degree 3 on,
@@ -201,23 +190,18 @@ class _Ctx:
             )
         return pairs
 
-    def frame(self, v: int, k: int, cfl: tuple) -> _Frame:
-        """Frame k of v, with corner lengths ``cfl``: frame k < d runs
-        forward from rot[k], frame d + o backward from rot[o]."""
+    def frame(self, v: int, k: int) -> tuple[int, ...]:
+        """Frame k of v, as its ring: frame k < d runs forward from
+        rot[k], frame d + o backward from rot[o]."""
         rot = self.g.rotations[v]
         d = len(rot)
         w = rot[k:] + rot[:k] if k < d else rot[k - d :: -1] + rot[: k - d : -1]
-        return _Frame(tuple(w), cfl)
+        return tuple(w)
 
-    def showing(self, v: int, corners) -> list[_Frame]:
+    def showing(self, v: int, corners) -> list[tuple[int, ...]]:
         """The frames of v whose corner lengths lie in ``corners``, in
         frame order."""
-        return [self.frame(v, k, c) for k, c in self.shown(v, corners)]
-
-    def frames(self, v: int) -> list[_Frame]:
-        """Every labeling of v; the first is the rotation itself."""
-        cl = self.g.corner_lens(v)
-        return [self.frame(v, k, c) for k, c in enumerate(_frame_corners(cl))]
+        return [self.frame(v, k) for k, _ in self.shown(v, corners)]
 
     def in2(self, a: int, b: int) -> bool:
         """Edge ab exists and lies in two distinct 3-faces."""
@@ -252,12 +236,11 @@ def _corners(pattern: str) -> frozenset[tuple[int, ...]]:
     )
 
 
-def _bad_middle(ctx, fr):
-    return ctx.bad_kind(fr.w[1]) is not None
+def _bad_middle(ctx, w):
+    return ctx.bad_kind(w[1]) is not None
 
 
-def _good_middle(ctx, fr):
-    w = fr.w
+def _good_middle(ctx, w):
     return (
         ctx.bad_kind(w[1]) == "semi-bad"
         and ctx.in2(w[0], w[1])
@@ -294,9 +277,13 @@ def classify_special(g: PlaneGraph, v: int):
     require_graph(g)
     if g.degree(v) != 5:
         return None
-    ctx = _Ctx(g)
-    cl = g.corner_lens(v)
-    rot = g.rotations[v]
+    return _classify(_Ctx(g), v)
+
+
+def _classify(ctx: _Ctx, v: int):
+    """``classify_special`` of a 5-vertex v of the context's graph."""
+    cl = ctx.g.corner_lens(v)
+    rot = ctx.g.rotations[v]
     if cl.count(3) == 4:
         # bad or semi-bad: the first quad frame in frame order starts
         # after the one corner that is not a triangle
@@ -312,9 +299,9 @@ def classify_special(g: PlaneGraph, v: int):
         return None
     for kind in ("strong", "good", "support"):
         corners, test = _FAMILIES[kind]
-        for fr in ctx.showing(v, corners):
-            if test(ctx, fr):
-                return SpecialClass(kind, v, fr.w)
+        for w in ctx.showing(v, corners):
+            if test(ctx, w):
+                return SpecialClass(kind, v, w)
     return None
 
 
@@ -322,163 +309,162 @@ def classify_special(g: PlaneGraph, v: int):
 # rule predicates
 # ======================================================================
 #
-# Predicates receive (ctx, fr) where fr labels the candidate center and
-# already shows the rule's corners.  They must only read structure;
-# every consequence they promise is re-checked downstream.
+# Predicates receive (ctx, w), the ring w of a frame of the candidate
+# centre that already shows the rule's corners.  They must only read
+# structure; every consequence they promise is re-checked downstream.
 
 
-def _d(ctx, fr, i):
-    return ctx.deg[fr.w[i]]
+def _d(ctx, w, i):
+    return ctx.deg[w[i]]
 
 
-def _n3(ctx, fr):
-    return sum(1 for u in fr.w if ctx.deg[u] == 3)
+def _n3(ctx, w):
+    return sum(1 for u in w if ctx.deg[u] == 3)
 
 
-def _n4(ctx, fr):
-    return sum(1 for u in fr.w if ctx.deg[u] == 4)
+def _n4(ctx, w):
+    return sum(1 for u in w if ctx.deg[u] == 4)
 
 
-def _in2c(ctx, fr, i):
+def _in2c(ctx, w, i):
     # chord of corner i, between w_i and w_(i+1)
-    w = fr.w
     return ctx.in2(w[i], w[(i + 1) % len(w)])
 
 
-def _p_3adj4(ctx, fr):
-    return _d(ctx, fr, 0) <= 4
+def _p_3adj4(ctx, w):
+    return _d(ctx, w, 0) <= 4
 
 
-def _p_4m2_n5(ctx, fr):
-    return any(_d(ctx, fr, i) <= 4 for i in range(4))
+def _p_4m2_n5(ctx, w):
+    return any(_d(ctx, w, i) <= 4 for i in range(4))
 
 
-def _p_4comm_m1(ctx, fr):
-    return all(_d(ctx, fr, i) == 5 for i in range(4)) and _in2c(ctx, fr, 0)
+def _p_4comm_m1(ctx, w):
+    return all(_d(ctx, w, i) == 5 for i in range(4)) and _in2c(ctx, w, 0)
 
 
-def _p_4comm(ctx, fr):
-    return _in2c(ctx, fr, 0)
+def _p_4comm(ctx, w):
+    return _in2c(ctx, w, 0)
 
 
-def _p_444(ctx, fr):
-    return _d(ctx, fr, 0) == 4 and _d(ctx, fr, 1) >= 4
+def _p_444(ctx, w):
+    return _d(ctx, w, 0) == 4 and _d(ctx, w, 1) >= 4
 
 
-def _p_455(ctx, fr):
-    return _d(ctx, fr, 0) == 5 and _d(ctx, fr, 1) == 5
+def _p_455(ctx, w):
+    return _d(ctx, w, 0) == 5 and _d(ctx, w, 1) == 5
 
 
-def _p_455n4_adj(ctx, fr):
-    return _p_455(ctx, fr) and min(_d(ctx, fr, 2), _d(ctx, fr, 3)) <= 4
+def _p_455n4_adj(ctx, w):
+    return _p_455(ctx, w) and min(_d(ctx, w, 2), _d(ctx, w, 3)) <= 4
 
 
-def _p_455n4_non(ctx, fr):
-    return _p_455(ctx, fr) and _d(ctx, fr, 2) <= 4
+def _p_455n4_non(ctx, w):
+    return _p_455(ctx, w) and _d(ctx, w, 2) <= 4
 
 
-def _p_5n5(ctx, fr):
-    return all(ctx.deg[u] == 3 for u in fr.w)
+def _p_5n5(ctx, w):
+    return all(ctx.deg[u] == 3 for u in w)
 
 
-def _p_5two4(ctx, fr):
-    return _d(ctx, fr, 3) == 3 and _d(ctx, fr, 4) == 3 and _n4(ctx, fr) >= 2
+def _p_5two4(ctx, w):
+    return _d(ctx, w, 3) == 3 and _d(ctx, w, 4) == 3 and _n4(ctx, w) >= 2
 
 
-def _p_5t4n_a(ctx, fr):
-    return _d(ctx, fr, 4) == 3 and all(_d(ctx, fr, i) == 4 for i in range(4))
+def _p_5t4n_a(ctx, w):
+    return _d(ctx, w, 4) == 3 and all(_d(ctx, w, i) == 4 for i in range(4))
 
 
-def _p_far3(ctx, fr):
-    return _d(ctx, fr, 4) == 3
+def _p_far3(ctx, w):
+    return _d(ctx, w, 4) == 3
 
 
-def _p_far3_n4(ctx, fr):
-    return _d(ctx, fr, 4) == 3 and _n4(ctx, fr) >= 1
+def _p_far3_n4(ctx, w):
+    return _d(ctx, w, 4) == 3 and _n4(ctx, w) >= 1
 
 
-def _p_5t4n_c1(ctx, fr):
-    return _d(ctx, fr, 4) == 3 and _n4(ctx, fr) >= 2
+def _p_5t4n_c1(ctx, w):
+    return _d(ctx, w, 4) == 3 and _n4(ctx, w) >= 2
 
 
-def _p_5n30_a(ctx, fr):
-    return _n4(ctx, fr) == 5
+def _p_5n30_a(ctx, w):
+    return _n4(ctx, w) == 5
 
 
-def _p_5n30_b1(ctx, fr):
-    return _n3(ctx, fr) == 0 and _n4(ctx, fr) >= 4
+def _p_5n30_b1(ctx, w):
+    return _n3(ctx, w) == 0 and _n4(ctx, w) >= 4
 
 
-def _p_5n30_b2(ctx, fr):
-    return _p_5n30_b1(ctx, fr) and _d(ctx, fr, 1) == 4
+def _p_5n30_b2(ctx, w):
+    return _p_5n30_b1(ctx, w) and _d(ctx, w, 1) == 4
 
 
-def _p_5m34_a(ctx, fr):
-    return _n3(ctx, fr) == 0 and _n4(ctx, fr) >= 2
+def _p_5m34_a(ctx, w):
+    return _n3(ctx, w) == 0 and _n4(ctx, w) >= 2
 
 
-def _p_5m34_b(ctx, fr):
-    return _n3(ctx, fr) == 0 and _n4(ctx, fr) >= 1
+def _p_5m34_b(ctx, w):
+    return _n3(ctx, w) == 0 and _n4(ctx, w) >= 1
 
 
-def _p_5m34_c(ctx, fr):
-    return _n3(ctx, fr) == 0 and any(_in2c(ctx, fr, i) for i in range(4))
+def _p_5m34_c(ctx, w):
+    return _n3(ctx, w) == 0 and any(_in2c(ctx, w, i) for i in range(4))
 
 
-def _p_5m34_d(ctx, fr):
-    return _n3(ctx, fr) == 0 and sum(1 for i in range(4) if _in2c(ctx, fr, i)) >= 2
+def _p_5m34_d(ctx, w):
+    return _n3(ctx, w) == 0 and sum(1 for i in range(4) if _in2c(ctx, w, i)) >= 2
 
 
-def _p_5m34_e(ctx, fr):
-    return _p_5m34_b(ctx, fr) and any(_in2c(ctx, fr, i) for i in range(4))
+def _p_5m34_e(ctx, w):
+    return _p_5m34_b(ctx, w) and any(_in2c(ctx, w, i) for i in range(4))
 
 
-def _p_sb_a(ctx, fr):
-    return _n3(ctx, fr) >= 1
+def _p_sb_a(ctx, w):
+    return _n3(ctx, w) >= 1
 
 
-def _p_n4_2(ctx, fr):
-    return _n4(ctx, fr) >= 2
+def _p_n4_2(ctx, w):
+    return _n4(ctx, w) >= 2
 
 
-def _p_n4_1(ctx, fr):
-    return _n4(ctx, fr) >= 1
+def _p_n4_1(ctx, w):
+    return _n4(ctx, w) >= 1
 
 
-def _p_strong_b(ctx, fr):
-    return _in2c(ctx, fr, 0) and _in2c(ctx, fr, 1) and _n4(ctx, fr) >= 1
+def _p_strong_b(ctx, w):
+    return _in2c(ctx, w, 0) and _in2c(ctx, w, 1) and _n4(ctx, w) >= 1
 
 
-def _p_goodtwo(ctx, fr):
+def _p_goodtwo(ctx, w):
     return (
-        ctx.bad_kind(fr.w[2]) == "semi-bad"
-        and _n4(ctx, fr) == 1
-        and _d(ctx, fr, 4) == 4
+        ctx.bad_kind(w[2]) == "semi-bad"
+        and _n4(ctx, w) == 1
+        and _d(ctx, w, 4) == 4
     )
 
 
-def _p_good_b(ctx, fr):
-    return _d(ctx, fr, 3) == 4 and _d(ctx, fr, 4) == 4
+def _p_good_b(ctx, w):
+    return _d(ctx, w, 3) == 4 and _d(ctx, w, 4) == 4
 
 
-def _p_good_e(ctx, fr):
-    return ctx.bad_kind(fr.w[2]) == "semi-bad" and _in2c(ctx, fr, 2)
+def _p_good_e(ctx, w):
+    return ctx.bad_kind(w[2]) == "semi-bad" and _in2c(ctx, w, 2)
 
 
-def _p_supp_a(ctx, fr):
-    return _n3(ctx, fr) == 1
+def _p_supp_a(ctx, w):
+    return _n3(ctx, w) == 1
 
 
-def _p_supp_b(ctx, fr):
-    return _d(ctx, fr, 4) == 3 and _n4(ctx, fr) == 1
+def _p_supp_b(ctx, w):
+    return _d(ctx, w, 4) == 3 and _n4(ctx, w) == 1
 
 
-def _p_supp_c(ctx, fr):
-    return _d(ctx, fr, 4) == 3 and _n3(ctx, fr) == 1 and _n4(ctx, fr) == 2
+def _p_supp_c(ctx, w):
+    return _d(ctx, w, 4) == 3 and _n3(ctx, w) == 1 and _n4(ctx, w) == 2
 
 
-def _p_supp_d(ctx, fr):
-    return _d(ctx, fr, 3) == 3 and _d(ctx, fr, 4) == 3
+def _p_supp_d(ctx, w):
+    return _d(ctx, w, 3) == 3 and _d(ctx, w, 4) == 3
 
 
 # ======================================================================
@@ -486,10 +472,9 @@ def _p_supp_d(ctx, fr):
 # ======================================================================
 
 
-def _deg4_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
+def _deg4_bindings(ctx: _Ctx, v: int, w: tuple) -> Iterator[dict]:
     # delete a degree-4 neighbour u = w1/w2/w3, x is u's fourth
     # neighbour, chords close x to u's triangle mates
-    w = fr.w
     for i in (1, 2, 3):
         u = w[i]
         if ctx.deg[u] != 4:
@@ -500,11 +485,10 @@ def _deg4_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
         yield {"v": v, "v1": w[i - 1], "v2": u, "v3": w[i + 1], "x": rest[0]}
 
 
-def _degmid_bindings(ctx: _Ctx, v: int, fr: _Frame) -> Iterator[dict]:
+def _degmid_bindings(ctx: _Ctx, v: int, w: tuple) -> Iterator[dict]:
     # the middle neighbour u = w2 has degree 5 with rotation
     # (.., b, v, a, c, d ..) and {a, b} = {w1, w3}; the corner between
     # c and d must be a triangle, its flanks at most 4
-    w = fr.w
     u = w[2]
     if ctx.deg[u] != 5:
         return
@@ -548,7 +532,7 @@ def _rule(rid, bound, degree, corners, adds, pattern, pred=None):
 
 
 def _both(test, pred):
-    return lambda ctx, fr: test(ctx, fr) and pred(ctx, fr)
+    return lambda ctx, w: test(ctx, w) and pred(ctx, w)
 
 
 def _class_rule(rid, family, corners, adds, pattern, pred=None):
@@ -857,13 +841,13 @@ def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     # the frames and _make_match; a frame is built only when reached,
     # so a search that stops at the first match builds no other
     pred, bind = rule.pred, rule.bind
-    for k, c in ctx.shown(v, rule.corners):
-        fr = ctx.frame(v, k, c)
-        if pred is None or pred(ctx, fr):
+    for k, _ in ctx.shown(v, rule.corners):
+        w = ctx.frame(v, k)
+        if pred is None or pred(ctx, w):
             if bind is None:
-                bindings = (dict(zip(_FRAME_ROLES, (v, *fr.w))),)
+                bindings = (dict(zip(_FRAME_ROLES, (v, *w))),)
             else:
-                bindings = bind(ctx, v, fr)
+                bindings = bind(ctx, v, w)
             for binding in bindings:
                 m = _make_match(ctx, rule, binding)
                 if m is not None:
@@ -888,18 +872,19 @@ def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
 class MatchQueue:
     """Matches in detection priority order (rule rank, then centre id,
     then frame) on a graph that changes in place.  ``iter_matches`` is a
-    fresh queue read to the end.
+    fresh queue read to the end; ``color16`` resumes one search
+    (``matches``) across all its steps.
 
     Each rule rank keeps a heap of centres still to examine.  A centre
-    examined without a match leaves the heap until ``touch`` reports it
-    within reach of a change; a centre whose matches were all refused
-    stays.  A rank reads the log of its degree only when a search
-    reaches it, so ranks past the first applicable match cost nothing.
+    examined without a match leaves the heap until a step's reach holds
+    it; a centre with a match stays while it keeps its degree.  A rank
+    reads the log of its degree only when a search reaches it, so ranks
+    past the first applicable match cost nothing.
 
     A rule's matches at a centre read the centre's corners, its ring,
     ring degrees, ``in2`` of ring pairs and the centre's d2: all of it
     changes only at the centres of a step's reach (``WorkingGraph.delete``).
-    So ``touch`` logs the reach by degree in the near logs, which the
+    So a reported step logs its reach by degree in the near logs, which the
     *near* ranks read: the rules with no binding and no neighbour test.
     The *far* ranks, R-deg, R-degmid and the strong, good and support
     classes, also read a ring vertex's ``bad_kind``, or its rotation,
@@ -941,7 +926,7 @@ class MatchQueue:
         ]
         self._read = [0] * len(_PRIORITY)
         self._filled = [0] * (top + 1)  # near log entries already filled
-        self._stale = False  # a step was touched since the last fill
+        self._stale = False  # a step was reported since the last fill
 
     def _first_visit(self, r: int) -> None:
         k = _PRIORITY[r].degree
@@ -964,19 +949,16 @@ class MatchQueue:
             far[deg[v]].append(v)
         self._stale = False
 
-    def touch(self, reach) -> None:
-        """Report a step: the ``reach`` vertices are examined again, and
-        their neighbours too by the far ranks."""
-        logs, deg = self._logs, self._ctx.deg
-        for v in reach:
-            logs[deg[v]].append(v)
-        self._stale = True
-
-    def matches(self) -> Iterator[ConfigMatch]:
-        """Matches in priority order.  Close the iterator before the
-        graph changes."""
-        ctx, deg = self._ctx, self._ctx.deg
-        for r, rule in enumerate(_PRIORITY):
+    def matches(self) -> Generator[ConfigMatch, Optional[Iterable[int]], None]:
+        """One search: each match in priority order, for ``next``.  After
+        applying a match, and before anything else, a caller sends the
+        step's reach: the search puts back its kept centres, logs the
+        reach for the ranks to examine again, and returns the first match
+        from the first rank on.  The graph changes by such steps alone."""
+        ctx, deg, logs = self._ctx, self._ctx.deg, self._logs
+        r = 0
+        while r < len(_PRIORITY):
+            rule = _PRIORITY[r]
             k = rule.degree
             if self._stale and _FAR[r]:
                 self._fill()
@@ -989,8 +971,9 @@ class MatchQueue:
                     heapq.heappush(heap, v)
             self._read[r] = len(log)
             kept: list[int] = []
+            reach = None
             try:
-                while heap:
+                while reach is None and heap:
                     v = heapq.heappop(heap)
                     found = False
                     if deg[v] == k:
@@ -998,12 +981,24 @@ class MatchQueue:
                             if not found:
                                 found = True
                                 kept.append(v)
-                            yield m
+                            reach = yield m
+                            if reach is not None:
+                                break
                     if not found:
                         queued.discard(v)
             finally:
+                # a kept centre that left the degree was deleted, or is
+                # in the step's reach and so in the log of its new degree
                 for v in kept:
-                    heapq.heappush(heap, v)
+                    if deg[v] == k:
+                        heapq.heappush(heap, v)
+                    else:
+                        queued.discard(v)
+            r += 1
+            if reach is not None:
+                for v in reach:
+                    logs[deg[v]].append(v)
+                self._stale, r = True, 0
 
 
 def detect(g: PlaneGraph) -> Optional[ConfigMatch]:

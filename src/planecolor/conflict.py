@@ -83,8 +83,24 @@ def conflict_sets(g: PlaneGraph, coloring: Coloring) -> list[tuple[int, int, int
     Two vertices are within distance two exactly when some closed
     neighbourhood N[x] holds both, so a violation is a repeated color in
     some N[x].
+
+    Raises:
+        BadArgument: g is not a PlaneGraph, coloring not a ``Coloring``
+            whose colors are a dict, or the palette, a vertex id or a
+            color not an int; a bool is not an int here.
     """
+    require_graph(g)
+    if not isinstance(coloring, Coloring):
+        raise BadArgument(f"coloring must be a Coloring, not {type(coloring).__name__}")
     colors = coloring.colors
+    require_int(palette=coloring.palette)
+    if not isinstance(colors, dict):
+        raise BadArgument(f"colors must be a dict, not {type(colors).__name__}")
+    if not {*map(type, colors), *map(type, colors.values())} <= {int}:
+        v, c = next(
+            (v, c) for v, c in colors.items() if type(v) is not int or type(c) is not int
+        )
+        raise BadArgument(f"vertex {v!r} and its color {c!r} must both be ints")
     get = colors.get
     out: set[tuple[int, int, int]] = set()
     for x, row in enumerate(g.rotations):
@@ -102,32 +118,17 @@ def validate(g: PlaneGraph, coloring: Coloring) -> ConflictReport:
     """Full conflict report for a coloring.
 
     Raises:
-        BadArgument: g is not a PlaneGraph, the colors are not a dict,
-            or the palette, a vertex id or a color is not an int; a bool
-            is not an int here, as in ``Coloring.from_json``.
+        BadArgument: as ``conflict_sets``, which checks the arguments.
     """
-    require_graph(g)
-    colors = coloring.colors
-    require_int(palette=coloring.palette)
-    if not isinstance(colors, dict):
-        raise BadArgument(f"colors must be a dict, not {type(colors).__name__}")
-    if not {*map(type, colors), *map(type, colors.values())} <= {int}:
-        v, c = next(
-            (v, c) for v, c in colors.items() if type(v) is not int or type(c) is not int
-        )
-        raise BadArgument(f"vertex {v!r} and its color {c!r} must both be ints")
     violations = tuple(conflict_sets(g, coloring))
+    colors, palette = coloring.colors, coloring.palette
     uncolored = tuple(v for v in range(g.n) if v not in colors)
     # every id of the graph that is not uncolored is colored, so any
     # further key is an id the graph does not have
     extra = ()
     if len(colors) != g.n - len(uncolored):
         extra = tuple(sorted(v for v in colors if not 0 <= v < g.n))
-    over = tuple(
-        (v, c)
-        for v, c in sorted(colors.items())
-        if not 1 <= c <= coloring.palette
-    )
+    over = tuple(sorted((v, c) for v, c in colors.items() if not 1 <= c <= palette))
     return ConflictReport(
         valid=not violations and not uncolored and not extra,
         violations=violations,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .configurations import _Ctx, classify_special, detect
+from .configurations import _classify, _Ctx, detect
 from .errors import EulerIdentityViolated
 from .plane_graph import PlaneGraph, require_graph
 
@@ -213,7 +213,7 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
     for v in range(n):
         if deg[v] != 5:
             continue
-        sc = classify_special(g, v)
+        sc = _classify(ctx, v)
         if sc is None:
             continue
         w = sc.ring

@@ -6,17 +6,18 @@ the smallest color the deleted vertex cannot see.  Every step is
 re-verified on the concrete graph, never trusted from the table.
 
 ``color16`` reduces one ``WorkingGraph`` in place: each step patches
-and checks only the hole, and detection re-examines only the centres
-within reach of it.  ``apply`` runs the same step on a copy and returns
-the reduced graph rebuilt from scratch; with ``extend`` and
-``is_proper_wrt`` it is the tests' rebuild oracle, not exported.
+and checks only the hole, and one search of a ``MatchQueue``, resumed
+with each step's reach, re-examines only the centres within reach of
+it.  ``apply`` runs the same step on a copy and returns the reduced
+graph rebuilt from scratch; with ``extend`` and ``is_proper_wrt`` it
+is the tests' rebuild oracle, not exported.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .configurations import ConfigMatch, MatchQueue
+from .configurations import _BY_ID, ConfigMatch, MatchQueue
 from .conflict import Coloring, validate
 from .errors import (
     AnomalyNoConfiguration,
@@ -81,29 +82,33 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     Returns the trace, numbered ``step`` and in the dense labels of the
     graph before the step; the unwinding record ``(dv, ball)``, with
     dv's distance-two ball as ``WorkingGraph.delete`` reports it; and
-    the step's reach, for ``MatchQueue.touch``.  The reach is that ball
-    (with a deleted leaf's shortened face and its neighbours): the
-    centres where a rule that reads only its centre's corners, ring,
-    ring degrees, ring ``in2`` and d2 can change its matches.  A rule
-    that also reads a ring vertex's corners or rotation can change
-    them one step further out, and the queue widens the reach for
-    those rules alone.
+    the step's reach, for the ``MatchQueue`` search to be sent.  The
+    reach is that ball (with a deleted leaf's shortened face and its
+    neighbours): the centres where a rule that reads only its centre's
+    corners, ring, ring degrees, ring ``in2`` and d2 can change its
+    matches.  A rule that also reads a ring vertex's corners or
+    rotation can change them one step further out, and the queue
+    widens the reach for those rules alone.
 
     Raises:
         EmbeddingBroken: the patched graph would come out non-planar,
             disconnected, not smaller, or lose a distance-two pair.
         DegreeOverflow: a chord endpoint would pass degree 5.
     """
-    dv = match.deleted
+    rule, binding = _BY_ID[match.rule_id], match.binding
+    dv = binding[rule.delete]
     rot, label = wg.rotations, wg.label
     adds, added = [], []  # ``added_edges`` the graph lacks, and their labels
-    for a, b in match.added_edges():
+    for a, b in rule.add_edges:
+        a, b = binding[a], binding[b]
         if b not in rot[a]:
+            if a > b:
+                a, b = b, a
             adds.append((a, b))
             added.append((label(a), label(b)))
     before = wg.n + wg.m
     deleted = label(dv)
-    ball, reach = wg.delete(dv, adds, match.rule_id)
+    ball, reach = wg.delete(dv, adds, rule.id)
     trace = ReductionTrace(
         step,
         match.rule_id,
@@ -184,18 +189,14 @@ def color16(
     wg = WorkingGraph(g)
     if wg.n > PALETTE and max(wg.deg) > 5:
         raise DegreeTooHigh(f"max degree {max(wg.deg)} > 5")
-    queue = MatchQueue(wg)
+    search = MatchQueue(wg).matches()
     traces: list[ReductionTrace] = []
     balls: list[tuple[int, tuple[int, ...]]] = []
+    reach = None  # a step that landed sends its reach to the search
     while wg.n > PALETTE:
-        matches = queue.matches()
-        for match in matches:
-            try:
-                trace, record, reach = _step(wg, match, len(traces))
-            except (EmbeddingBroken, DegreeOverflow):
-                continue
-            break
-        else:
+        try:
+            match = next(search) if reach is None else search.send(reach)
+        except StopIteration:
             cur = wg.to_plane_graph()
             direct = color_with_k(cur, PALETTE, budget=budget)
             if not isinstance(direct, Coloring):
@@ -214,8 +215,11 @@ def color16(
                 observed_d2=-1,
             )
             return _unwind(g, traces + [sentinel], balls, colors)
-        matches.close()
-        queue.touch(reach)
+        try:
+            trace, record, reach = _step(wg, match, len(traces))
+        except (EmbeddingBroken, DegreeOverflow):
+            reach = None
+            continue
         traces.append(trace)
         balls.append(record)
     # at most 16 vertices left: give everyone a distinct color

@@ -17,6 +17,7 @@ from planecolor.configurations import (
     MatchQueue,
     _center_matches,
     _Ctx,
+    _frame_corners,
     classify_special,
     detect,
     iter_matches,
@@ -462,7 +463,7 @@ def assert_pairs_index_formula(ctx, v: int, ref: list, corners) -> None:
     show ``corners``, and the frame query builds each of them."""
     pairs = ctx.shown(v, corners)
     assert list(pairs) == [(k, c) for k, (_, c) in enumerate(ref) if c in corners], v
-    assert [(ctx.frame(v, k, c).w, c) for k, c in pairs] == [ref[k] for k, _ in pairs]
+    assert [(ctx.frame(v, k), c) for k, c in pairs] == [ref[k] for k, _ in pairs]
 
 
 def assert_frames_match_formula(g, live) -> None:
@@ -470,8 +471,9 @@ def assert_frames_match_formula(g, live) -> None:
     refs = {v: frames_by_formula(g, v) for v in live if 1 <= g.deg[v] <= 5}
     tables = set(_SHOWN)
     for v, ref in refs.items():
-        assert [(f.w, f.cfl) for f in ctx.frames(v)] == ref, v
-    assert set(_SHOWN) == tables  # frames() leaves the query's table alone
+        corners = enumerate(_frame_corners(g.corner_lens(v)))
+        assert [(ctx.frame(v, k), c) for k, c in corners] == ref, v
+    assert set(_SHOWN) == tables  # frames leave the query's table alone
     assert refs or not any(g.deg)
     for v, ref in refs.items():
         for rule in _PRIORITY:
@@ -480,28 +482,34 @@ def assert_frames_match_formula(g, live) -> None:
 
 
 def color16_steps(g: PlaneGraph):
-    """Take the steps of ``color16`` on a working graph of g, yielding
-    the graph and its match queue before each step and after the last."""
+    """Take the steps of ``color16`` on a working graph of g, through one
+    search sent each step's reach, the last step's too.  Before each
+    step and after the last, yields the graph, the search and the match
+    it returned last, or None once it ended.  A caller that reads the
+    search further ends the steps."""
     wg = WorkingGraph(g)
-    queue = MatchQueue(wg)
+    search = MatchQueue(wg).matches()
+    m = next(search, None)
     while True:
-        yield wg, queue
+        yield wg, search, m
         if wg.n <= PALETTE:
             return
-        matches = queue.matches()
-        for m in matches:
+        while True:
             try:
                 _, _, reach = reducer._step(wg, m)
             except (EmbeddingBroken, DegreeOverflow):
+                m = next(search)
                 continue
             break
-        matches.close()
-        queue.touch(reach)
+        try:
+            m = search.send(reach)
+        except StopIteration:
+            m = None
 
 
 def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
     """A working graph after the first ``steps`` steps of ``color16``."""
-    for done, (wg, _) in enumerate(color16_steps(g)):
+    for done, (wg, _, _) in enumerate(color16_steps(g)):
         if done == steps:
             return wg
     raise ValueError(f"color16 takes fewer than {steps} steps")
@@ -516,15 +524,73 @@ def reduced(g: PlaneGraph, steps: int) -> WorkingGraph:
     + ["medial_plus(40, 0)", "snub(icosahedron)"],
 )
 def test_incremental_queue_is_a_fresh_queue_at_every_step(make):
-    """The queue ``color16`` keeps across its steps yields what a queue
-    made afresh on the current graph yields, at every step: the logs by
-    degree lose no centre, and a search read to the end loses none of the
-    centres it put back."""
-    steps = 0
-    for wg, queue in color16_steps(make()):
-        assert list(queue.matches()) == list(MatchQueue(wg).matches()), steps
-        steps += 1
+    """The search ``color16`` resumes across its steps, read to the end
+    after any step, yields what a queue made afresh on the current graph
+    yields: the logs by degree lose no centre, and a resumed search loses
+    none of the centres it put back."""
+    g = make()
+    steps = sum(1 for _ in color16_steps(g))
+    for s in range(steps):
+        for done, (wg, search, first) in enumerate(color16_steps(g)):
+            if done == s:
+                rest = [] if first is None else [first, *search]
+                assert rest == list(MatchQueue(wg).matches()), s
+                break
     assert steps > 1
+
+
+@pytest.mark.parametrize("n,seed", [(150, 1), (120, 3), (100, 0)])
+def test_resumed_search_keeps_a_refused_centre(n, seed):
+    """No step of these inputs is refused, so one is made up: the first
+    centre's matches are passed over, a match elsewhere lands, and the
+    search it is sent to still holds the first centre."""
+    wg = WorkingGraph(random_plane(n, seed=seed))
+    search = MatchQueue(wg).matches()
+    m = next(search)
+    centre = m.binding["v"]
+    while m.binding["v"] == centre:
+        m = next(search)
+    _, _, reach = reducer._step(wg, m)
+    assert centre not in reach
+    rest = [search.send(reach), *search]
+    assert rest == list(MatchQueue(wg).matches())
+    assert any(m.binding["v"] == centre for m in rest)
+
+
+@pytest.mark.parametrize("n,seed", [(120, 3), (100, 0), (60, 2)])
+def test_resumed_search_drops_a_kept_centre_whose_degree_moved(n, seed):
+    """The first centre's match is passed over and a step next to it
+    changes its degree: once the search is sent that step, it no longer
+    counts the centre as queued at its old rank."""
+    wg = WorkingGraph(random_plane(n, seed=seed))
+    queue = MatchQueue(wg)
+    search = queue.matches()
+    centre = next(search).binding["v"]
+    degree = wg.deg[centre]
+    for m in MatchQueue(wg).matches():
+        chords = [e for e in m.added_edges() if centre in e and not wg.has_edge(*e)]
+        if m.deleted in wg.rotations[centre] and len(chords) != 1:
+            break
+    _, _, reach = reducer._step(wg, m)
+    assert wg.deg[centre] not in (0, degree)
+    rest = [search.send(reach), *search]
+    assert rest == list(MatchQueue(wg).matches())
+    built = [r for r, heap in enumerate(queue._heaps) if heap is not None]
+    assert all(queue._queued[r] == set(queue._heaps[r]) for r in built)
+
+
+def test_color16_opens_one_search(monkeypatch):
+    opened = []
+    matches = MatchQueue.matches
+
+    def counted(queue):
+        opened.append(queue)
+        return matches(queue)
+
+    monkeypatch.setattr(MatchQueue, "matches", counted)
+    graphs = [random_plane(20 + 13 * i, seed=i) for i in range(5)]
+    steps = [len(color16(g)[1]) for g in graphs]
+    assert len(opened) == len(graphs) and min(steps) > 1
 
 
 FRAME_GRAPHS = {
@@ -559,8 +625,8 @@ def assert_query_matches_reference(g, live) -> None:
     shown = 0
     for corners in sets:
         for v, ref in frames.items():
-            got = [(f.w, f.cfl) for f in ctx.showing(v, corners)]
-            assert got == [(w, c) for w, c in ref if c in corners], v
+            got = ctx.showing(v, corners)
+            assert got == [w for w, c in ref if c in corners], v
             assert_pairs_index_formula(ctx, v, ref, corners)
             shown += len(got)
     assert shown or not frames
@@ -593,15 +659,14 @@ class TestFrameQuery:
 def count_frames(monkeypatch) -> list:
     """The rings of the frames detection builds from now on."""
     built = []
+    frame = _Ctx.frame
 
-    class Counted(configurations._Frame):
-        __slots__ = ()
+    def counted(ctx, v, k):
+        w = frame(ctx, v, k)
+        built.append(w)
+        return w
 
-        def __init__(self, w, cfl):
-            built.append(w)
-            super().__init__(w, cfl)
-
-    monkeypatch.setattr(configurations, "_Frame", Counted)
+    monkeypatch.setattr(_Ctx, "frame", counted)
     return built
 
 

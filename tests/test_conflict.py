@@ -57,6 +57,12 @@ def test_over_palette_flagged_but_separate():
     assert rep.over_palette == ((1, 9),)
     # a too-big color is still a distinct color: no violation entry
     assert rep.violations == ()
+    # several out of the palette, keyed out of order: sorted by vertex
+    cube = named("cube")
+    colors = {6: 0, 1: 1, 7: 17, 0: 2, 3: -4, 2: 3, 5: 99, 4: 4}
+    rep = validate(cube, Coloring(palette=4, colors=colors))
+    assert rep.over_palette == ((3, -4), (5, 99), (6, 0), (7, 17))
+    assert rep.violations == () and rep.valid
 
 
 # a proper coloring of the cube: its distance-two pairs split into four
@@ -100,6 +106,30 @@ def test_outside_ids_reported_beside_uncolored():
 def test_validate_rejects_ids_and_colors_that_are_not_ints(palette, colors):
     with pytest.raises(BadArgument):
         validate(named("k4"), Coloring(palette=palette, colors=colors))
+    with pytest.raises(BadArgument):
+        conflict_sets(named("k4"), Coloring(palette=palette, colors=colors))
+
+
+@pytest.mark.parametrize("check", [validate, conflict_sets])
+@pytest.mark.parametrize("coloring", [None, {0: 1}, (16, {0: 1})], ids=["None", "dict", "tuple"])
+def test_coloring_that_is_not_a_coloring_is_refused(check, coloring):
+    with pytest.raises(BadArgument, match="Coloring"):
+        check(named("k4"), coloring)
+
+
+def test_validate_checks_its_arguments_once(monkeypatch):
+    from planecolor import conflict
+
+    calls = []
+    require_int = conflict.require_int
+
+    def counted(**named_ints):
+        calls.append(named_ints)
+        return require_int(**named_ints)
+
+    monkeypatch.setattr(conflict, "require_int", counted)
+    validate(named("k4"), Coloring(palette=16, colors={0: 1, 1: 2, 2: 3, 3: 4}))
+    assert calls == [{"palette": 16}]
 
 
 @pytest.mark.parametrize("key", ["-1", "-0", "-12"])

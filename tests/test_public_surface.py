@@ -132,6 +132,7 @@ GRAPH_TAKERS = {
     "iter_matches": (),
     "classify_special": (0,),
     "validate": ("coloring",),
+    "conflict_sets": ("coloring",),
     "chi2_exact": (),
     "color_with_k": (3,),
 }

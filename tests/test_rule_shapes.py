@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from planecolor import configurations
-from planecolor.configurations import _center_matches, _Frame, rule_table
+from planecolor.configurations import _center_matches, rule_table
 
 PINNED = Path(__file__).with_name("rule_shapes.json")
 LENGTHS = (3, 4, 5)
@@ -73,17 +73,14 @@ class WorldCtx:
         self.g = _EveryChord()
         self.d = d
         self.deg: list[int] = []
-        self._frames = [
-            _Frame(tuple(range(j * d + 1, j * d + d + 1)), c)
-            for j, c in enumerate(corner_tuples)
-        ]
+        self._corners = corner_tuples
         self._in2, self._bad = WORLDS[world]
 
     def shown(self, v, corners):
-        return [(k, fr.cfl) for k, fr in enumerate(self._frames) if fr.cfl in corners]
+        return [(k, c) for k, c in enumerate(self._corners) if c in corners]
 
-    def frame(self, v, k, cfl):
-        return self._frames[k]
+    def frame(self, v, k):
+        return tuple(range(k * self.d + 1, k * self.d + self.d + 1))
 
     def in2(self, a, b):
         pa, pb = (a - 1) % self.d, (b - 1) % self.d

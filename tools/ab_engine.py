@@ -16,6 +16,8 @@ on the snubs of the icosahedron, dodecahedron and cube, built by this
 checkout's ``tests/test_working_graph.py`` (so pytest and hypothesis
 must be importable): these apply R-4three3f, R-4m2-4f-adj,
 R-4m2-n5-adj, R-5m34-c and R-5m34-d, which ``batch-sweep`` never does.
+On those inputs and on ``batch-sweep``'s, every match ``iter_matches``
+yields must be equal too, in order, not only the ones the steps apply.
 Then it times ``--rounds`` whole rounds of each workload (20 by
 default, at least 2), A and B in turn, the first side swapping every
 round, and prints the time of B's round over A's: the median with its
@@ -94,6 +96,11 @@ def transfers(pc, graphs) -> list:
     return out
 
 
+def all_matches(pc, graphs) -> list:
+    """Every match of ``iter_matches`` on each of ``graphs``, in order."""
+    return [list(pc.iter_matches(g)) for g in graphs]
+
+
 def rule_inputs() -> list:
     """The rotations of the medial and snub inputs, as lists."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -115,8 +122,11 @@ def main() -> None:
         p.error("--rounds must be at least 2")
     sides = (load(args.a, "planecolor_a"), load(args.b, "planecolor_b"))
     rows = rule_inputs()
-    outs = [run(pc, "medial-snub", [pc.PlaneGraph(r) for r in rows]) for pc in sides]
+    graphs = [[pc.PlaneGraph(r) for r in rows] for pc in sides]
+    outs = [run(pc, "medial-snub", gs) for pc, gs in zip(sides, graphs)]
     assert outs[0] == outs[1], "medial and snub inputs"
+    found = [all_matches(pc, gs) for pc, gs in zip(sides, graphs)]
+    assert found[0] == found[1], "medial and snub matches"
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
         assert run(sides[0], w, inputs[0]) == run(sides[1], w, inputs[1]), w
@@ -126,6 +136,8 @@ def main() -> None:
         if w == "batch-sweep":
             moves = [transfers(pc, graphs) for pc, graphs in zip(sides, inputs)]
             assert moves[0] == moves[1], "batch-sweep transfer records"
+            found = [all_matches(pc, graphs) for pc, graphs in zip(sides, inputs)]
+            assert found[0] == found[1], "batch-sweep matches"
         ratios = []
         for r in range(args.rounds):
             took = [0.0, 0.0]
