@@ -128,7 +128,7 @@ def _cmd_discharge(args) -> int:
     g = _read_graph(args.infile)
     # one transfer pass gives both the audit and the transfer list
     after, records = discharging.apply_rules(g)
-    report = discharging._report(g, after, records)
+    report = discharging._report(g, after, len(records))
     if args.transfers:
         report["transfer_list"] = [r.to_json() for r in records]
     _emit(report, args.format)

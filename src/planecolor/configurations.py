@@ -154,9 +154,9 @@ def _frame_corners(cl: tuple) -> list[tuple]:
     return out
 
 
-# a rule's or class's corners -> a centre's corner lengths -> the (index,
-# corner lengths) of its frames that show them; filled on demand, one
-# entry per corner set of the table, each keyed by 364 tuples at most
+# a rule's or class's corners -> a centre's corner lengths -> the indices
+# of its frames that show them; filled on demand, one entry per corner
+# set of the table, each keyed by 364 tuples at most
 _SHOWN: dict[frozenset, dict[tuple, tuple]] = {}
 
 
@@ -175,20 +175,20 @@ class _Ctx:
         self.g = g
         self.deg = g.deg
 
-    def shown(self, v: int, corners) -> tuple:
-        """The (index, corner lengths) pairs of v's frames whose corner
-        lengths lie in ``corners``, in frame order; v's corner lengths
-        say which they are."""
+    def shown(self, v: int, corners) -> tuple[int, ...]:
+        """The indices of v's frames whose corner lengths lie in
+        ``corners``, in frame order; v's corner lengths say which they
+        are."""
         cl = self.g.corner_lens(v)
         table = _SHOWN.get(corners)
         if table is None:
             table = _SHOWN[corners] = {}
-        pairs = table.get(cl)
-        if pairs is None:
-            pairs = table[cl] = tuple(
-                (k, c) for k, c in enumerate(_frame_corners(cl)) if c in corners
+        ks = table.get(cl)
+        if ks is None:
+            ks = table[cl] = tuple(
+                k for k, c in enumerate(_frame_corners(cl)) if c in corners
             )
-        return pairs
+        return ks
 
     def frame(self, v: int, k: int) -> tuple[int, ...]:
         """Frame k of v, as its ring: frame k < d runs forward from
@@ -201,7 +201,7 @@ class _Ctx:
     def showing(self, v: int, corners) -> list[tuple[int, ...]]:
         """The frames of v whose corner lengths lie in ``corners``, in
         frame order."""
-        return [self.frame(v, k) for k, _ in self.shown(v, corners)]
+        return [self.frame(v, k) for k in self.shown(v, corners)]
 
     def in2(self, a: int, b: int) -> bool:
         """Edge ab exists and lies in two distinct 3-faces."""
@@ -835,23 +835,23 @@ def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
     return ConfigMatch(rule.id, binding, rule.claimed_d2_bound, observed)
 
 
+def _frame_matches(ctx: _Ctx, rule, v: int, k: int) -> tuple[ConfigMatch, ...]:
+    """Matches of one rule at frame k of v, a frame that shows the
+    rule's corners: none or one, but for a binding rule."""
+    w = ctx.frame(v, k)
+    if rule.pred is not None and not rule.pred(ctx, w):
+        return ()
+    if rule.bind is None:
+        m = _make_match(ctx, rule, dict(zip(_FRAME_ROLES, (v, *w))))
+        return () if m is None else (m,)
+    ms = [_make_match(ctx, rule, b) for b in rule.bind(ctx, v, w)]
+    return tuple([m for m in ms if m is not None])
+
+
 def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
     """Matches of one rule centred at v, in frame order."""
-    # the hottest loop of detection, so without a generator between
-    # the frames and _make_match; a frame is built only when reached,
-    # so a search that stops at the first match builds no other
-    pred, bind = rule.pred, rule.bind
-    for k, _ in ctx.shown(v, rule.corners):
-        w = ctx.frame(v, k)
-        if pred is None or pred(ctx, w):
-            if bind is None:
-                bindings = (dict(zip(_FRAME_ROLES, (v, *w))),)
-            else:
-                bindings = bind(ctx, v, w)
-            for binding in bindings:
-                m = _make_match(ctx, rule, binding)
-                if m is not None:
-                    yield m
+    for k in ctx.shown(v, rule.corners):
+        yield from _frame_matches(ctx, rule, v, k)
 
 
 def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
@@ -878,54 +878,47 @@ class MatchQueue:
     Each rule rank keeps a heap of centres still to examine.  A centre
     examined without a match leaves the heap until a step's reach holds
     it; a centre with a match stays while it keeps its degree.  A rank
-    reads the log of its degree only when a search reaches it, so ranks
-    past the first applicable match cost nothing.
+    reads its log only when a search reaches it, so ranks past the first
+    applicable match cost nothing.  It takes the log's entries of its
+    degree, read at the current degree; that is exact, since a degree
+    changes only on a step's ring, within its reach, so a vertex whose
+    degree moved since an entry has a later one.
 
     A rule's matches at a centre read the centre's corners, its ring,
     ring degrees, ``in2`` of ring pairs and the centre's d2: all of it
     changes only at the centres of a step's reach (``WorkingGraph.delete``).
-    So a reported step logs its reach by degree in the near logs, which the
+    So a reported step appends its reach to the near log, which the
     *near* ranks read: the rules with no binding and no neighbour test.
     The *far* ranks, R-deg, R-degmid and the strong, good and support
     classes, also read a ring vertex's ``bad_kind``, or its rotation,
     corners, d2 and neighbours' degrees, which change only where that
     ring vertex is in the reach; so their centres lie in the reach or
-    next to it.  They read far logs, filled when a search reaches a far
-    rank after a step: a fill logs the near logs' entries since the last
-    fill and each entry's neighbours under the current rotations.  That
-    is exact although the rotations may have moved on since the entry
-    was logged: an edge vanishes only with a deleted endpoint, and that
-    deletion logged its own ball, which holds the other endpoint.  A
-    fill runs at most once per step, and the far logs stay empty while
-    no search goes past the near ranks.
-
-    Logging by degree is exact: a degree changes only on a step's ring,
-    which is within its reach, so a vertex's last entry is in the near
-    log of its current degree, and in the far log of its current degree
-    once filled.  A step touches a bounded ball, so the logs stay within
-    a constant times the number of vertices.
+    next to it.  They read the far log, filled when a search reaches a
+    far rank after a step: a fill appends the near log's entries since
+    the last fill and each entry's neighbours under the current
+    rotations.  That is exact although the rotations may have moved on
+    since the entry was logged: an edge vanishes only with a deleted
+    endpoint, and that deletion logged its own ball, which holds the
+    other endpoint.  A fill runs at most once per step, and the far log
+    stays empty while no search goes past the near ranks.  A step
+    touches a bounded ball, so the logs stay within a constant times the
+    number of vertices.
 
     A rank's heap is built when a search first reaches it, from the
     vertices of the rank's degree at that time, with its log read up to
-    then.  A vertex whose degree changed since the queue was made is in
-    the log of its degree, so this is the heap the queue would hold had
-    it started with every rank filled.
+    then: the heap the queue would hold had it started with every rank
+    filled, since a vertex whose degree changed since then is logged.
     """
 
     def __init__(self, g) -> None:
         self._ctx = _Ctx(g)
         self._heaps: list[Optional[list[int]]] = [None] * len(_PRIORITY)
         self._queued: list[Optional[set[int]]] = [None] * len(_PRIORITY)
-        # by degree; no step takes a degree past 5 or the input's maximum
-        top = max(5, max(g.deg, default=0))
-        self._logs: list[list[int]] = [[] for _ in range(top + 1)]
-        self._far: list[list[int]] = [[] for _ in range(top + 1)]
-        self._rank_log = [
-            (self._far if far else self._logs)[rule.degree]
-            for rule, far in zip(_PRIORITY, _FAR)
-        ]
+        self._near: list[int] = []
+        self._far: list[int] = []
+        self._rank_log = [self._far if far else self._near for far in _FAR]
         self._read = [0] * len(_PRIORITY)
-        self._filled = [0] * (top + 1)  # near log entries already filled
+        self._filled = 0  # near log entries already filled
         self._stale = False  # a step was reported since the last fill
 
     def _first_visit(self, r: int) -> None:
@@ -935,18 +928,15 @@ class MatchQueue:
         self._read[r] = len(self._rank_log[r])
 
     def _fill(self) -> None:
-        """Log the near logs' entries since the last fill, and their
-        neighbours under the current rotations, in the far logs."""
-        rot, deg, filled = self._ctx.g.rotations, self._ctx.deg, self._filled
+        """Append the near log's entries since the last fill, and their
+        neighbours under the current rotations, to the far log."""
+        rot, near = self._ctx.g.rotations, self._near
         wide: set[int] = set()
-        for k, log in enumerate(self._logs):
-            for v in log[filled[k] :]:
-                wide.add(v)
-                wide.update(rot[v])
-            filled[k] = len(log)
-        far = self._far
-        for v in wide:
-            far[deg[v]].append(v)
+        for v in near[self._filled :]:
+            wide.add(v)
+            wide.update(rot[v])
+        self._filled = len(near)
+        self._far.extend(wide)
         self._stale = False
 
     def matches(self) -> Generator[ConfigMatch, Optional[Iterable[int]], None]:
@@ -954,12 +944,13 @@ class MatchQueue:
         applying a match, and before anything else, a caller sends the
         step's reach: the search puts back its kept centres, logs the
         reach for the ranks to examine again, and returns the first match
-        from the first rank on.  The graph changes by such steps alone."""
-        ctx, deg, logs = self._ctx, self._ctx.deg, self._logs
+        from the first rank on.  The graph changes by such steps alone.
+        A centre whose corners refuse the rule costs one ``shown``."""
+        ctx, deg, near = self._ctx, self._ctx.deg, self._near
         r = 0
         while r < len(_PRIORITY):
             rule = _PRIORITY[r]
-            k = rule.degree
+            k, corners = rule.degree, rule.corners
             if self._stale and _FAR[r]:
                 self._fill()
             if self._heaps[r] is None:
@@ -977,18 +968,21 @@ class MatchQueue:
                     v = heapq.heappop(heap)
                     found = False
                     if deg[v] == k:
-                        for m in _center_matches(ctx, rule, v):
-                            if not found:
-                                found = True
-                                kept.append(v)
-                            reach = yield m
+                        for f in ctx.shown(v, corners):
+                            for m in _frame_matches(ctx, rule, v, f):
+                                if not found:
+                                    found = True
+                                    kept.append(v)
+                                reach = yield m
+                                if reach is not None:
+                                    break
                             if reach is not None:
                                 break
                     if not found:
                         queued.discard(v)
             finally:
                 # a kept centre that left the degree was deleted, or is
-                # in the step's reach and so in the log of its new degree
+                # in the step's reach and so logged at its new degree
                 for v in kept:
                     if deg[v] == k:
                         heapq.heappush(heap, v)
@@ -996,8 +990,7 @@ class MatchQueue:
                         queued.discard(v)
             r += 1
             if reach is not None:
-                for v in reach:
-                    logs[deg[v]].append(v)
+                near.extend(reach)
                 self._stale, r = True, 0
 
 

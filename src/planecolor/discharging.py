@@ -41,6 +41,9 @@ TWO_FIFTEENTHS = 6
 
 AMOUNTS = frozenset({THIRD, NINTH, FIFTH, FIFTEENTH, TWO_FIFTEENTHS})
 
+# R3, R4 and R5: what a big face pays an incident vertex, by its degree
+_BIG_FACE_PAYS = {3: ("R3", THIRD), 4: ("R4", FIFTH), 5: ("R5", FIFTH)}
+
 
 def _fmt(p: int) -> str:
     return f"{p}/{DENOM}"
@@ -119,84 +122,82 @@ def apply_rules(
     Raises:
         BadArgument: g is not a PlaneGraph (from ``initial_charges``).
     """
-    after, moves = _transfer_pass(g)
+    moves: list[tuple] = []
+    after, _ = _transfer_pass(g, moves)
     keys = [("vertex", v) for v in range(g.n)]
     keys += [("face", f) for f in range(g.num_faces)]
     return after, [TransferRecord(r, keys[s], keys[t], a) for r, s, t, a in moves]
 
 
-def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
-    """The pass behind ``apply_rules``, with each transfer as a tuple
-    (rule, giver, taker, amount) whose giver and taker are vertex v as
-    v and face f as n + f."""
+def _transfer_pass(
+    g: PlaneGraph, moves: Optional[list] = None
+) -> tuple[ChargeLedger, int]:
+    """The pass behind ``apply_rules`` and ``audit``: the final ledger and
+    the number of transfers.  Each transfer moves its charge as it is
+    made; given a list ``moves``, it is also appended there as a tuple
+    (rule, giver, taker, amount) whose giver and taker are vertex v as v
+    and face f as n + f."""
     led = initial_charges(g)
-    n = g.n
-    moves: list[tuple] = []
-    move = moves.append
-    ctx = _Ctx(g)
-    deg = g.deg
-    flen = g.face_lens
-
+    n, keep, count = g.n, moves is not None, 0
+    # vertex v is entry v and face f entry n + f of the charges
+    charge = list(led.vertices) + list(led.faces)
+    ctx, deg, flen = _Ctx(g), g.deg, g.face_lens
     rots, rs, fod = g.rotations, g.rot_start, g.face_of_dart
-
-    # R1: every vertex pays 1/3 to each incident 3-face.  Faces are
-    # numbered by their least dart, so in dart order each face first
-    # shows up in id order, at the dart v -> u its walk starts from;
-    # the walk goes on to the neighbour after v in u's rotation.
-    nxt_face = 0
-    for v, row in enumerate(rots):
-        for p, u in enumerate(row, rs[v]):
-            f = fod[p]
-            if f != nxt_face:
-                continue
-            nxt_face += 1
-            if flen[f] == 3:
-                r = rots[u]
-                w = r[(r.index(v) + 1) % deg[u]]
-                for x in sorted((v, u, w)):
-                    move(("R1", x, n + f, THIRD))
-
-    # R2: every 5-vertex pays 1/9 to each 3-neighbour
-    for v in range(n):
-        if deg[v] != 3:
-            continue
-        for u in sorted(rots[v]):
-            if deg[u] == 5:
-                move(("R2", u, v, NINTH))
 
     # the distinct faces around each vertex, ascending
     faces_at = [sorted(set(fod[rs[v] : rs[v + 1]])) for v in range(n)]
 
-    # R3 / R4: big faces pay their small incident vertices
+    # R1: every vertex pays 1/3 to each incident 3-face, which it meets
+    # at one corner; recorded by face, then vertex
+    paid = []
+    for v in range(n):
+        for f in faces_at[v]:
+            if flen[f] == 3:
+                charge[v] -= THIRD
+                charge[n + f] += THIRD
+                count += 1
+                if keep:
+                    paid.append((f, v))
+    if keep:
+        moves += [("R1", v, n + f, THIRD) for f, v in sorted(paid)]
+
+    # R2: every 5-vertex pays 1/9 to each 3-neighbour
     for v in range(n):
         if deg[v] == 3:
-            for fid in faces_at[v]:
-                if flen[fid] >= 5:
-                    move(("R3", n + fid, v, THIRD))
-        elif deg[v] == 4:
-            for fid in faces_at[v]:
-                if flen[fid] >= 5:
-                    move(("R4", n + fid, v, FIFTH))
+            for u in sorted(rots[v]):
+                if deg[u] == 5:
+                    charge[u] -= NINTH
+                    charge[v] += NINTH
+                    count += 1
+                    if keep:
+                        moves.append(("R2", u, v, NINTH))
 
-    # R5 / R6: big faces pay incident 5-vertices, less when the face
-    # carries one of the vertex's 3-neighbours
-    for v in range(n):
-        if deg[v] != 5:
-            continue
-        small_nbrs = [u for u in rots[v] if deg[u] == 3]
+    # R3 / R4: big faces pay their small incident vertices; then R5 / R6:
+    # they pay incident 5-vertices, less when the face carries one of
+    # the vertex's 3-neighbours
+    fives = [v for v in range(n) if deg[v] == 5]
+    for v in [v for v in range(n) if deg[v] in (3, 4)] + fives:
+        near3 = deg[v] == 5 and {
+            f for u in rots[v] if deg[u] == 3 for f in faces_at[u]
+        }
         for fid in faces_at[v]:
             if flen[fid] < 5:
                 continue
-            if any(fid in faces_at[u] for u in small_nbrs):
-                move(("R6", n + fid, v, NINTH))
+            if near3 and fid in near3:
+                rule, amt = "R6", NINTH
             else:
-                move(("R5", n + fid, v, FIFTH))
+                rule, amt = _BIG_FACE_PAYS[deg[v]]
+            charge[n + fid] -= amt
+            charge[v] += amt
+            count += 1
+            if keep:
+                moves.append((rule, n + fid, v, amt))
 
     # R7: a 5-vertex with at most three incident 3-faces pays each
     # 4-neighbour per big face along their shared edge, the darts
     # v -> u and u -> v (one face for a bridge)
-    for v in range(n):
-        if deg[v] != 5 or sum(flen[f] == 3 for f in faces_at[v]) > 3:
+    for v in fives:
+        if sum(flen[f] == 3 for f in faces_at[v]) > 3:
             continue
         for u in sorted(rots[v]):
             if deg[u] != 4:
@@ -204,45 +205,51 @@ def _transfer_pass(g: PlaneGraph) -> tuple[ChargeLedger, list[tuple]]:
             f1 = fod[rs[v] + rots[v].index(u)]
             f2 = fod[rs[u] + rots[u].index(v)]
             big = (flen[f1] >= 5) + (f2 != f1 and flen[f2] >= 5)
-            if big == 1:
-                move(("R7a", v, u, FIFTEENTH))
-            elif big == 2:
-                move(("R7b", v, u, TWO_FIFTEENTHS))
+            if not big:
+                continue
+            rule, amt = ("R7a", FIFTEENTH) if big == 1 else ("R7b", TWO_FIFTEENTHS)
+            charge[v] -= amt
+            charge[u] += amt
+            count += 1
+            if keep:
+                moves.append((rule, v, u, amt))
 
     # R8-R10: the degree-5 taxonomy pays its bad or semi-bad charges
-    for v in range(n):
-        if deg[v] != 5:
-            continue
+    for v in fives:
         sc = _classify(ctx, v)
         if sc is None:
             continue
         w = sc.ring
+        pays = []  # (rule, taker, amount)
         if sc.kind == "strong":
             doubled = ctx.in2(w[0], w[1]) + ctx.in2(w[1], w[2])
             if doubled == 1:
-                move(("R8a", v, w[1], TWO_FIFTEENTHS))
+                pays.append(("R8a", w[1], TWO_FIFTEENTHS))
             elif doubled == 2:
-                move(("R8b", v, w[1], FIFTH))
+                pays.append(("R8b", w[1], FIFTH))
         elif sc.kind == "good":
-            move(("R9", v, w[1], FIFTH))
+            pays.append(("R9", w[1], FIFTH))
             if ctx.bad_kind(w[2]) == "semi-bad":
-                move(("R9", v, w[2], FIFTH))
+                pays.append(("R9", w[2], FIFTH))
         elif sc.kind == "support":
-            for u in sorted(rots[v]):
-                if ctx.bad_kind(u) is not None and ctx.in2(v, u):
-                    move(("R10", v, u, THIRD))
+            pays += [
+                ("R10", u, THIRD)
+                for u in sorted(rots[v])
+                if ctx.bad_kind(u) is not None and ctx.in2(v, u)
+            ]
+        for rule, u, amt in pays:
+            charge[v] -= amt
+            charge[u] += amt
+            count += 1
+            if keep:
+                moves.append((rule, v, u, amt))
 
-    # vertex v is entry v and face f entry n + f of the charges
-    charge = list(led.vertices) + list(led.faces)
-    for _, src, dst, amt in moves:
-        charge[src] -= amt
-        charge[dst] += amt
     after = ChargeLedger(vertices=tuple(charge[:n]), faces=tuple(charge[n:]))
     if after.total() != TOTAL:  # tripwire: moves cannot change the sum
         raise AssertionError(
             f"transfers broke conservation: {_fmt(after.total())}"
         )
-    return after, moves
+    return after, count
 
 
 def audit(g: PlaneGraph) -> dict:
@@ -259,8 +266,8 @@ def audit(g: PlaneGraph) -> dict:
     return _report(g, *_transfer_pass(g))
 
 
-def _report(g: PlaneGraph, after: ChargeLedger, transfers: list) -> dict:
-    """The audit of g, from its transfer pass."""
+def _report(g: PlaneGraph, after: ChargeLedger, transfers: int) -> dict:
+    """The audit of g, from its transfer pass: the ledger and the count."""
     match = detect(g)
     negatives = [
         {"kind": kind, "id": i, "charge": _fmt(c)}
@@ -273,7 +280,7 @@ def _report(g: PlaneGraph, after: ChargeLedger, transfers: list) -> dict:
         "initial_total": _fmt(TOTAL),
         "final_total": _fmt(after.total()),
         "conservation": "-8" if after.total() == TOTAL else _fmt(after.total()),
-        "transfers": len(transfers),
+        "transfers": transfers,
         "negatives": negatives,
         "configuration": match.to_json() if match is not None else None,
         "falsification": (match is None) and not negatives,

@@ -95,7 +95,8 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
             disconnected, not smaller, or lose a distance-two pair.
         DegreeOverflow: a chord endpoint would pass degree 5.
     """
-    rule, binding = _BY_ID[match.rule_id], match.binding
+    rule_id, binding, _, observed = match
+    rule = _BY_ID[rule_id]
     dv = binding[rule.delete]
     rot, label = wg.rotations, wg.label
     adds, added = [], []  # ``added_edges`` the graph lacks, and their labels
@@ -108,15 +109,9 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
             added.append((label(a), label(b)))
     before = wg.n + wg.m
     deleted = label(dv)
-    ball, reach = wg.delete(dv, adds, rule.id)
+    ball, reach = wg.delete(dv, adds, rule_id)
     trace = ReductionTrace(
-        step,
-        match.rule_id,
-        deleted,
-        tuple(added),
-        before,
-        wg.n + wg.m,
-        match.observed_d2,
+        step, rule_id, deleted, tuple(added), before, wg.n + wg.m, observed
     )
     return trace, (dv, tuple(ball)), reach
 

@@ -254,7 +254,7 @@ class WorkingGraph:
         """
         rot = self.rotations
         ring = rot[dv]
-        d = len(ring)
+        d, nc = len(ring), len(chords)
         fan: dict[int, list[int]] = {}  # chord targets of a ring vertex
         for a, b in chords:
             if a not in ring or b not in ring:
@@ -263,17 +263,20 @@ class WorkingGraph:
                 )
             fan.setdefault(a, []).append(b)
             fan.setdefault(b, []).append(a)
-        rows, slots = [], []  # per ring vertex: its patched row; dv's slot, targets
+        rows, slots = [], []  # per ring vertex: its patched row, dv's slot in it
         over = None  # the first ring vertex to pass degree 5
         for w in ring:
-            targets = fan.get(w, ())
-            if len(targets) > 1:  # in the order they fan out
-                targets = _targets_in_order(ring, w, targets)
             row = rot[w].copy()
             i = row.index(dv)
-            row[i : i + 1] = targets
+            if w in fan:
+                targets = fan[w]
+                if len(targets) > 1:  # in the order they fan out
+                    targets = _targets_in_order(ring, w, targets)
+                row[i : i + 1] = targets
+            else:
+                del row[i]
             rows.append(row)
-            slots.append((i, targets))
+            slots.append(i)
             if len(row) > 5 and over is None:
                 over = w
 
@@ -292,11 +295,11 @@ class WorkingGraph:
                         f"rule {rule}: a distance-two pair fell apart"
                     )
         pos = None
-        if len(chords) > 1:
+        if nc > 1:
             pos = {w: i for i, w in enumerate(ring)}
             if _crossing(chords, pos):
                 raise EmbeddingBroken(f"rule {rule} at {dv}: the chords cross")
-        if len(chords) > d:
+        if nc > d:
             raise EmbeddingBroken(f"rule {rule}: size did not drop")
         if over is not None:
             raise DegreeOverflow(f"rule {rule}: vertex {over} would pass degree 5")
@@ -312,15 +315,20 @@ class WorkingGraph:
                 roots = [f if cap[f] else _root(up, f) for f in roots]
                 break
         side, short = None, 0
-        if len(chords) > 1:
+        if nc > 1:
             side, into = self._split_hole(roots, chords, pos)
         elif len(set(roots)) < d:
             # dv is a cut vertex; with at most one chord its hole is one
             # face, as Euler's formula leaves c + 1 - (d - k) faces there
             # for c chords and k distinct faces at dv
-            root = _merge(up, flen, cap, list(set(roots)), 2 * (d - len(chords)))
+            root = _merge(up, flen, cap, list(set(roots)), 2 * (d - nc))
             into = [root] * d
-        elif chords:
+        elif nc and d == 2:  # the chord takes dv's place on both faces
+            for f in roots:
+                flen[f] -= 1
+                cap[f] = flen[f] if flen[f] < 5 else 5
+            into = roots
+        elif nc:
             # two regions: dv's corners p..q-1, and the others
             a, b = chords[0]
             p, q = ring.index(a), ring.index(b)
@@ -329,11 +337,8 @@ class WorkingGraph:
             inner, outer = roots[p:q], roots[q:] + roots[:p]
             ra = _merge(up, flen, cap, inner, 2 * len(inner) - 1)
             rb = _merge(up, flen, cap, outer, 2 * len(outer) - 1)
-            if d == 2:  # no face was united
-                into = roots
-            else:
-                into = [rb] * d
-                into[p:q] = [ra] * (q - p)
+            into = [rb] * d
+            into[p:q] = [ra] * (q - p)
         elif d:  # an isolated dv (a one-vertex graph) meets no face
             root = _merge(up, flen, cap, roots, 2 * d)
             into = [root] * d
@@ -346,12 +351,12 @@ class WorkingGraph:
             # the corners on each side of dv's slot the face that took in
             # dv's corner there: corner i - 1 of dv lies past the slot and
             # corner i before it; the corners between two chords are new
-            row, fw = rows[i], faces[w]
-            s, targets = slots[i]
-            if targets:
+            row, fw, s = rows[i], faces[w], slots[i]
+            t = len(row) - len(fw)  # the chord ends in dv's slot, less 1
+            if t >= 0:
                 fw[s - 1], fw[s] = into[i], into[i - 1]
-                if len(targets) > 1:
-                    fw[s:s] = [side[i, pos[t]] for t in targets[1:]]
+                if t:
+                    fw[s:s] = [side[i, pos[x]] for x in row[s + 1 : s + t + 1]]
             else:
                 del fw[s]
                 if fw:
@@ -368,7 +373,7 @@ class WorkingGraph:
             tree[i] += 1
             i += i & -i
         self.n -= 1
-        self.m += len(chords) - d
+        self.m += nc - d
 
         reach = ball
         if short:
@@ -376,7 +381,7 @@ class WorkingGraph:
             reach = set(ball)
             x = ring[0]
             r = rot[x]
-            y = r[slots[0][0] % len(r)]
+            y = r[slots[0] % len(r)]
             for _ in range(short):
                 r = rot[y]
                 reach.add(y)

@@ -224,9 +224,9 @@ class TestDischarge:
         passes = []
         transfer_pass = discharging._transfer_pass
 
-        def counted(g):
+        def counted(g, *moves):
             passes.append(g)
-            return transfer_pass(g)
+            return transfer_pass(g, *moves)
 
         monkeypatch.setattr(discharging, "_transfer_pass", counted)
         code, rows = run_lines(

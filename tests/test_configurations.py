@@ -2,12 +2,13 @@
 
 import json
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecolor import configurations, reducer
+from planecolor import reducer
 from planecolor.configurations import (
     _FAMILIES,
     _FAR,
@@ -212,7 +213,7 @@ def test_first_heap_is_the_eager_heap_at_current_degree(n, seed, monkeypatch):
         original(queue, r)
         k, deg = _PRIORITY[r].degree, queue._ctx.deg
         eager = {v for v, d in enumerate(start) if d == k}
-        eager.update(v for v in queue._logs[k][: queue._read[r]] if deg[v] == k)
+        eager.update(v for v in queue._rank_log[r][: queue._read[r]] if deg[v] == k)
         want = sorted(v for v in eager if deg[v] == k)
         assert queue._heaps[r] == want and queue._queued[r] == set(want)
         built.append(want != [v for v, d in enumerate(start) if d == k])
@@ -458,12 +459,12 @@ def frames_by_formula(g, v: int) -> list[tuple]:
     return out
 
 
-def assert_pairs_index_formula(ctx, v: int, ref: list, corners) -> None:
-    """The pair query names, in frame order, the formula's frames that
+def assert_indices_match_formula(ctx, v: int, ref: list, corners) -> None:
+    """The index query names, in frame order, the formula's frames that
     show ``corners``, and the frame query builds each of them."""
-    pairs = ctx.shown(v, corners)
-    assert list(pairs) == [(k, c) for k, (_, c) in enumerate(ref) if c in corners], v
-    assert [(ctx.frame(v, k), c) for k, c in pairs] == [ref[k] for k, _ in pairs]
+    ks = ctx.shown(v, corners)
+    assert list(ks) == [k for k, (_, c) in enumerate(ref) if c in corners], v
+    assert [ctx.frame(v, k) for k in ks] == [ref[k][0] for k in ks]
 
 
 def assert_frames_match_formula(g, live) -> None:
@@ -478,7 +479,7 @@ def assert_frames_match_formula(g, live) -> None:
     for v, ref in refs.items():
         for rule in _PRIORITY:
             if rule.degree == g.deg[v]:
-                assert_pairs_index_formula(ctx, v, ref, rule.corners)
+                assert_indices_match_formula(ctx, v, ref, rule.corners)
 
 
 def color16_steps(g: PlaneGraph):
@@ -579,6 +580,56 @@ def test_resumed_search_drops_a_kept_centre_whose_degree_moved(n, seed):
     assert all(queue._queued[r] == set(queue._heaps[r]) for r in built)
 
 
+def live_ids(m, live: list[int]):
+    """A match on the densely relabelled graph, in the working graph's ids."""
+    return m._replace(binding={r: live[x] for r, x in m.binding.items()})
+
+
+REFUSAL_GRAPHS = {
+    **{
+        f"random_plane({n}, {s})": lambda n=n, s=s: random_plane(n, seed=s)
+        for n, s in ((60, 2), (100, 0), (150, 1))
+    },
+    **{f"medial_plus(40, {s})": lambda s=s: medial_plus(40, s, extra=30) for s in range(2)},
+    **{
+        f"snub({name})": lambda name=name: snub(name)
+        for name in ("cube", "dodecahedron", "triangulation(40, 0)")
+    },
+}
+
+
+@pytest.mark.parametrize("name", REFUSAL_GRAPHS)
+def test_search_with_refusals_is_a_fresh_scan_at_every_state(name):
+    """At each state of a reduction, the resumed search is pulled for j
+    = 1, 2 or 3 matches in turn, refusing the first j - 1: they must be
+    the first j matches of a fresh scan of the graph rebuilt from
+    scratch.  The j-th is applied and its reach sent, so the paths for
+    refused matches and for the centres a search keeps run on real
+    inputs, whose steps ``color16`` never refuses."""
+    wg = WorkingGraph(REFUSAL_GRAPHS[name]())
+    search = MatchQueue(wg).matches()
+    reach, refused, state = None, 0, 0
+    while wg.n > PALETTE:
+        live = wg.alive()
+        fresh = (live_ids(m, live) for m in iter_matches(wg.to_plane_graph()))
+        want = list(islice(fresh, 3))
+        j = min(1 + state % 3, len(want))
+        got = [next(search) if reach is None else search.send(reach)]
+        got += [next(search) for _ in range(j - 1)]
+        assert got == want[:j], (name, state)
+        refused += j - 1
+        while True:
+            try:
+                _, _, reach = reducer._step(wg, got[-1])
+                break
+            except (EmbeddingBroken, DegreeOverflow):
+                got.append(next(search))
+                k = len(got) - 1
+                assert got[-1] == (want[k] if k < len(want) else next(fresh))
+        state += 1
+    assert state > 2 and refused
+
+
 def test_color16_opens_one_search(monkeypatch):
     opened = []
     matches = MatchQueue.matches
@@ -616,7 +667,7 @@ class TestFrames:
 def assert_query_matches_reference(g, live) -> None:
     """Asked for a rule's corners, or a degree-5 class's, at a live
     centre, the frame query returns the centre's frames that show them,
-    in frame order, and the pair query their indices.  The queries run in
+    in frame order, and the index query their indices.  The queries run in
     turn, so a centre's frame indices kept for one rule's corners serve
     every later centre with the same corner lengths."""
     ctx = _Ctx(g)
@@ -627,7 +678,7 @@ def assert_query_matches_reference(g, live) -> None:
         for v, ref in frames.items():
             got = ctx.showing(v, corners)
             assert got == [w for w, c in ref if c in corners], v
-            assert_pairs_index_formula(ctx, v, ref, corners)
+            assert_indices_match_formula(ctx, v, ref, corners)
             shown += len(got)
     assert shown or not frames
     assert set(_SHOWN) <= set(sets)  # one table per corner set of the rules
@@ -698,14 +749,16 @@ class TestFramesBuilt:
         # that read past a centre's ring look one step further; when
         # every rank also read the ball's neighbours, these inputs made
         # 1,113 examinations for 625 steps
+        # an examination asks which of the centre's frames show the
+        # rule's corners
         examined = []
 
-        def counted(ctx, rule, v):
+        def counted(ctx, v, corners):
             examined.append(v)
-            return center_matches(ctx, rule, v)
+            return shown(ctx, v, corners)
 
-        center_matches = configurations._center_matches
-        monkeypatch.setattr(configurations, "_center_matches", counted)
+        shown = _Ctx.shown
+        monkeypatch.setattr(_Ctx, "shown", counted)
         steps = sum(
             len(color16(random_plane(20 + 13 * i, seed=i))[1]) for i in range(10)
         )

@@ -214,8 +214,8 @@ class TestAuditShortcuts:
             with monkeypatch.context() as m:
                 m.setattr(discharging, "TransferRecord", no_records)
                 rep = audit(g)
-                after, moves = discharging._transfer_pass(g)
-            assert rep["transfers"] == len(records) == len(moves), i
+                after, count = discharging._transfer_pass(g)
+            assert rep["transfers"] == len(records) == count, i
             assert after == ledger == replay(g, records), i
             assert rep["final_total"] == ledger.to_json()["total"]
             assert [(n["kind"], n["id"]) for n in rep["negatives"]] == [

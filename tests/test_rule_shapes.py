@@ -77,7 +77,7 @@ class WorldCtx:
         self._in2, self._bad = WORLDS[world]
 
     def shown(self, v, corners):
-        return [(k, c) for k, c in enumerate(self._corners) if c in corners]
+        return [k for k, c in enumerate(self._corners) if c in corners]
 
     def frame(self, v, k):
         return tuple(range(k * self.d + 1, k * self.d + self.d + 1))
