@@ -804,6 +804,22 @@ _FAR: tuple[bool, ...] = tuple(
     for r in _PRIORITY
 )
 
+# per rank, the next rank of its degree; per degree, its first rank and
+# its first far rank; _END for none
+_END = len(_PRIORITY)
+_NEXT: tuple[int, ...] = tuple(
+    next((s for s in range(r + 1, _END) if _PRIORITY[s].degree == rule.degree), _END)
+    for r, rule in enumerate(_PRIORITY)
+)
+_FIRST: tuple[int, ...] = tuple(
+    next((r for r, rule in enumerate(_PRIORITY) if rule.degree == d), _END)
+    for d in range(6)
+)
+_FIRST_FAR: tuple[int, ...] = tuple(
+    next((r for r, rule in enumerate(_PRIORITY) if rule.degree == d and _FAR[r]), _END)
+    for d in range(6)
+)
+
 
 def rule_table() -> tuple[ReductionRule, ...]:
     """The full reducible-configuration table, in table order."""
@@ -875,123 +891,82 @@ class MatchQueue:
     fresh queue read to the end; ``color16`` resumes one search
     (``matches``) across all its steps.
 
-    Each rule rank keeps a heap of centres still to examine.  A centre
-    examined without a match leaves the heap until a step's reach holds
-    it; a centre with a match stays while it keeps its degree.  A rank
-    reads its log only when a search reaches it, so ranks past the first
-    applicable match cost nothing.  It takes the log's entries of its
-    degree, read at the current degree; that is exact, since a degree
-    changes only on a step's ring, within its reach, so a vertex whose
-    degree moved since an entry has a later one.
-
-    A rule's matches at a centre read the centre's corners, its ring,
-    ring degrees, ``in2`` of ring pairs and the centre's d2: all of it
-    changes only at the centres of a step's reach (``WorkingGraph.delete``).
-    So a reported step appends its reach to the near log, which the
-    *near* ranks read: the rules with no binding and no neighbour test.
-    The *far* ranks, R-deg, R-degmid and the strong, good and support
-    classes, also read a ring vertex's ``bad_kind``, or its rotation,
-    corners, d2 and neighbours' degrees, which change only where that
-    ring vertex is in the reach; so their centres lie in the reach or
-    next to it.  They read the far log, filled when a search reaches a
-    far rank after a step: a fill appends the near log's entries since
-    the last fill and each entry's neighbours under the current
-    rotations.  That is exact although the rotations may have moved on
-    since the entry was logged: an edge vanishes only with a deleted
-    endpoint, and that deletion logged its own ball, which holds the
-    other endpoint.  A fill runs at most once per step, and the far log
-    stays empty while no search goes past the near ranks.  A step
-    touches a bounded ball, so the logs stay within a constant times the
-    number of vertices.
-
-    A rank's heap is built when a search first reaches it, from the
-    vertices of the rank's degree at that time, with its log read up to
-    then: the heap the queue would hold had it started with every rank
-    filled, since a vertex whose degree changed since then is logged.
+    Each vertex has one pending rank, the first rank of its degree that
+    it may still match at, and one heap of keys ``rank * n + centre``
+    holds it there: a bucket queue (Dial, CACM 12, 1969) whose pops come
+    out in priority order.  An examined centre moves on to the next rank
+    of its degree.  Once a step lands, a centre the search yielded a
+    match at goes back to the first rank it matched at, and the step's
+    reach to the first rank of its degree.  The *far* ranks (``_FAR``)
+    also read a ring vertex's ``bad_kind`` or rotation, which change only
+    where that ring vertex is in the reach, so the reach's neighbours go
+    back to their first far rank.  That is exact under the current
+    rotations: an edge vanishes only with a deleted endpoint, whose ball
+    holds the other.
     """
 
     def __init__(self, g) -> None:
         self._ctx = _Ctx(g)
-        self._heaps: list[Optional[list[int]]] = [None] * len(_PRIORITY)
-        self._queued: list[Optional[set[int]]] = [None] * len(_PRIORITY)
-        self._near: list[int] = []
-        self._far: list[int] = []
-        self._rank_log = [self._far if far else self._near for far in _FAR]
-        self._read = [0] * len(_PRIORITY)
-        self._filled = 0  # near log entries already filled
-        self._stale = False  # a step was reported since the last fill
-
-    def _first_visit(self, r: int) -> None:
-        k = _PRIORITY[r].degree
-        heap = [v for v, d in enumerate(self._ctx.deg) if d == k]  # sorted: a heap
-        self._heaps[r], self._queued[r] = heap, set(heap)
-        self._read[r] = len(self._rank_log[r])
-
-    def _fill(self) -> None:
-        """Append the near log's entries since the last fill, and their
-        neighbours under the current rotations, to the far log."""
-        rot, near = self._ctx.g.rotations, self._near
-        wide: set[int] = set()
-        for v in near[self._filled :]:
-            wide.add(v)
-            wide.update(rot[v])
-        self._filled = len(near)
-        self._far.extend(wide)
-        self._stale = False
+        # a vertex above degree 5 has no rank (``color16`` colors such a
+        # graph without a search when it is small enough)
+        self._pending = [_FIRST[d] if d <= 5 else _END for d in g.deg]
+        n = len(self._pending)
+        self._heap = [r * n + v for v, r in enumerate(self._pending) if r < _END]
+        heapq.heapify(self._heap)
+        self._far_seen = False  # some far rank was examined
 
     def matches(self) -> Generator[ConfigMatch, Optional[Iterable[int]], None]:
         """One search: each match in priority order, for ``next``.  After
         applying a match, and before anything else, a caller sends the
-        step's reach: the search puts back its kept centres, logs the
-        reach for the ranks to examine again, and returns the first match
-        from the first rank on.  The graph changes by such steps alone.
-        A centre whose corners refuse the rule costs one ``shown``."""
-        ctx, deg, near = self._ctx, self._ctx.deg, self._near
-        r = 0
-        while r < len(_PRIORITY):
+        step's reach: the search puts back its kept centres and the
+        reach's, and returns the next match in priority order.  The graph
+        changes by such steps alone.  A centre whose corners refuse the
+        rule costs one ``shown``."""
+        ctx, deg, pending, heap = self._ctx, self._ctx.deg, self._pending, self._heap
+        rot, n = ctx.g.rotations, len(pending)
+        push, pop = heapq.heappush, heapq.heappop
+        kept: dict[int, int] = {}  # centre: the lowest rank it matched at
+        while heap:
+            r, v = divmod(pop(heap), n)
             rule = _PRIORITY[r]
-            k, corners = rule.degree, rule.corners
-            if self._stale and _FAR[r]:
-                self._fill()
-            if self._heaps[r] is None:
-                self._first_visit(r)
-            heap, queued, log = self._heaps[r], self._queued[r], self._rank_log[r]
-            for v in log[self._read[r] :]:
-                if deg[v] == k and v not in queued:
-                    queued.add(v)
-                    heapq.heappush(heap, v)
-            self._read[r] = len(log)
-            kept: list[int] = []
+            if pending[v] != r or deg[v] != rule.degree:
+                continue  # a stale key, or a deleted centre
+            pending[v] = nxt = _NEXT[r]
+            if nxt < _END:
+                push(heap, nxt * n + v)
+            if _FAR[r]:
+                self._far_seen = True
             reach = None
-            try:
-                while reach is None and heap:
-                    v = heapq.heappop(heap)
-                    found = False
-                    if deg[v] == k:
-                        for f in ctx.shown(v, corners):
-                            for m in _frame_matches(ctx, rule, v, f):
-                                if not found:
-                                    found = True
-                                    kept.append(v)
-                                reach = yield m
-                                if reach is not None:
-                                    break
-                            if reach is not None:
-                                break
-                    if not found:
-                        queued.discard(v)
-            finally:
-                # a kept centre that left the degree was deleted, or is
-                # in the step's reach and so logged at its new degree
-                for v in kept:
-                    if deg[v] == k:
-                        heapq.heappush(heap, v)
-                    else:
-                        queued.discard(v)
-            r += 1
-            if reach is not None:
-                near.extend(reach)
-                self._stale, r = True, 0
+            for f in ctx.shown(v, rule.corners):
+                for m in _frame_matches(ctx, rule, v, f):
+                    kept.setdefault(v, r)
+                    reach = yield m
+                    if reach is not None:
+                        break
+                if reach is not None:
+                    break
+            if reach is None:
+                continue
+            for c, r in kept.items():
+                if deg[c] == _PRIORITY[r].degree:
+                    pending[c] = r
+                    push(heap, r * n + c)
+            kept.clear()
+            for x in reach:
+                r = _FIRST[deg[x]]
+                if pending[x] != r:
+                    pending[x] = r
+                    if r < _END:
+                        push(heap, r * n + x)
+            # until a far rank is examined no centre is pending past its
+            # first far rank, so the widening would change nothing
+            if self._far_seen:
+                for x in reach:
+                    for u in rot[x]:
+                        r = _FIRST_FAR[deg[u]]
+                        if r < pending[u]:
+                            pending[u] = r
+                            push(heap, r * n + u)
 
 
 def detect(g: PlaneGraph) -> Optional[ConfigMatch]:

@@ -87,8 +87,8 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     neighbours): the centres where a rule that reads only its centre's
     corners, ring, ring degrees, ring ``in2`` and d2 can change its
     matches.  A rule that also reads a ring vertex's corners or
-    rotation can change them one step further out, and the queue
-    widens the reach for those rules alone.
+    rotation can change them one step further out, so the queue puts
+    the reach's neighbours back at the first such rule's rank.
 
     Raises:
         EmbeddingBroken: the patched graph would come out non-planar,

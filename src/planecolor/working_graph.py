@@ -42,7 +42,8 @@ which it already holds: every centre whose own corners, ring, ring
 degrees, ring ``in2`` or d2 can change lies in it, but for the
 vertices near a deleted leaf's shortened face, which the step adds.
 The rules that also read a ring vertex's corners or rotation look one
-step further, and the match queue widens the reach for them alone.
+step further, so the match queue puts the reach's neighbours back at
+the first of those rules' ranks.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ class WorkingGraph:
         exception to both: a face of length 6 there becomes a 4-face
         through a vertex three steps from dv, so a leaf's face that comes
         out of length at most 4 adds its vertices and their neighbours.
-        Reads past a neighbour's edges (its corners, its rotation) are
-        ``MatchQueue``'s to widen.
+        ``MatchQueue`` puts the reach's neighbours back for the rules
+        that read past a neighbour's edges (its corners, its rotation).
 
         Raises:
             EmbeddingBroken: a pair of dv's neighbours ends up more

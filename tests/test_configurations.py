@@ -38,6 +38,8 @@ from test_working_graph import SNUB_GRAPHS, medial_plus, snub, snub_rotations
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
+RANK = {rule.id: r for r, rule in enumerate(_PRIORITY)}
+
 # ring chords of these rules cross inside the deletion hole, so the
 # in-place patch cannot stay plane when both chords are missing; apply
 # refuses them and the search moves on (README, "Known rule-table caveat")
@@ -191,37 +193,26 @@ class TestDetection:
 
 
 @pytest.mark.parametrize("g", [named("c5"), random_plane(100, seed=0)], ids=["c5", "rp100"])
-def test_detect_builds_only_the_first_rank(g):
-    queue = MatchQueue(g)
-    first = next(queue.matches())
-    assert first == detect(g) and first.rule_id == _PRIORITY[0].id == "R-2v"
-    assert queue._heaps[0] is not None
-    assert queue._heaps[1:] == [None] * (len(_PRIORITY) - 1)
+def test_detect_examines_nothing_past_its_match(g, monkeypatch):
+    # a search examines a centre with one ``shown`` call; detect's must
+    # be the (rank, centre) pairs up to its match's, in that order
+    shown = _Ctx.shown
+    examined = []
 
+    def counted(ctx, v, corners):
+        examined.append((v, corners))
+        return shown(ctx, v, corners)
 
-@pytest.mark.parametrize("n,seed", [(150, 2), (300, 3)])
-def test_first_heap_is_the_eager_heap_at_current_degree(n, seed, monkeypatch):
-    # a queue that filled every rank at set-up would hold, on a rank's
-    # first visit, the centres of that degree at set-up plus the logged
-    # ones; popping skips those whose degree has moved on
-    g = random_plane(n, seed=seed)
-    start = g.deg
-    original = MatchQueue._first_visit
-    built = []
-
-    def checked(queue, r):
-        original(queue, r)
-        k, deg = _PRIORITY[r].degree, queue._ctx.deg
-        eager = {v for v, d in enumerate(start) if d == k}
-        eager.update(v for v in queue._rank_log[r][: queue._read[r]] if deg[v] == k)
-        want = sorted(v for v in eager if deg[v] == k)
-        assert queue._heaps[r] == want and queue._queued[r] == set(want)
-        built.append(want != [v for v, d in enumerate(start) if d == k])
-
-    monkeypatch.setattr(MatchQueue, "_first_visit", checked)
-    color16(g)
-    # some rank is first built mid-run, on degrees the steps have moved
-    assert len(built) > 1 and any(built)
+    monkeypatch.setattr(_Ctx, "shown", counted)
+    first = detect(g)
+    assert first.rule_id == _PRIORITY[0].id == "R-2v"
+    last = (RANK[first.rule_id], first.binding["v"])
+    assert examined == [
+        (v, rule.corners)
+        for r, rule in enumerate(_PRIORITY)
+        for v in range(g.n)
+        if g.deg[v] == rule.degree and (r, v) <= last
+    ]
 
 
 def brute_force_matches(g) -> list:
@@ -561,8 +552,8 @@ def test_resumed_search_keeps_a_refused_centre(n, seed):
 @pytest.mark.parametrize("n,seed", [(120, 3), (100, 0), (60, 2)])
 def test_resumed_search_drops_a_kept_centre_whose_degree_moved(n, seed):
     """The first centre's match is passed over and a step next to it
-    changes its degree: once the search is sent that step, it no longer
-    counts the centre as queued at its old rank."""
+    changes its degree: once the search is sent that step, the centre is
+    pending at a rank of its new degree, as every live vertex is."""
     wg = WorkingGraph(random_plane(n, seed=seed))
     queue = MatchQueue(wg)
     search = queue.matches()
@@ -574,10 +565,14 @@ def test_resumed_search_drops_a_kept_centre_whose_degree_moved(n, seed):
             break
     _, _, reach = reducer._step(wg, m)
     assert wg.deg[centre] not in (0, degree)
-    rest = [search.send(reach), *search]
-    assert rest == list(MatchQueue(wg).matches())
-    built = [r for r, heap in enumerate(queue._heaps) if heap is not None]
-    assert all(queue._queued[r] == set(queue._heaps[r]) for r in built)
+    rest = [search.send(reach)]
+    # every live vertex is pending at a rank of its degree, or past the last
+    pending, deg = queue._pending, wg.deg
+    assert all(
+        pending[v] == len(_PRIORITY) or _PRIORITY[pending[v]].degree == deg[v]
+        for v in wg.alive()
+    )
+    assert rest + list(search) == list(MatchQueue(wg).matches())
 
 
 def live_ids(m, live: list[int]):
@@ -628,6 +623,41 @@ def test_search_with_refusals_is_a_fresh_scan_at_every_state(name):
                 assert got[-1] == (want[k] if k < len(want) else next(fresh))
         state += 1
     assert state > 2 and refused
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in REFUSAL_GRAPHS if name != "snub(triangulation(40, 0))"]
+)
+def test_search_past_the_far_ranks_is_a_fresh_scan_at_every_state(name):
+    """At each state of a reduction, the resumed search is pulled up to
+    its first match at a far rank, or up to as many matches as a fresh
+    scan of the rebuilt graph has, and must give that scan's first
+    matches.  The last pulled match that lands is applied and its reach
+    sent, so the search keeps centres at several ranks, some of them far,
+    and puts them back after a step it did not yield last."""
+    wg = WorkingGraph(REFUSAL_GRAPHS[name]())
+    search = MatchQueue(wg).matches()
+    reach, state = None, 0
+    while wg.n > PALETTE:
+        live = wg.alive()
+        want = []
+        for m in iter_matches(wg.to_plane_graph()):
+            want.append(live_ids(m, live))
+            if _FAR[RANK[m.rule_id]]:
+                break
+        got = [next(search) if reach is None else search.send(reach)]
+        got += [next(search) for _ in want[1:]]
+        assert got == want, (name, state)
+        for m in reversed(got):
+            try:
+                _, _, reach = reducer._step(wg, m)
+                break
+            except (EmbeddingBroken, DegreeOverflow):
+                pass
+        else:
+            raise AssertionError(f"{name}, state {state}: no pulled match lands")
+        state += 1
+    assert state > 2
 
 
 def test_color16_opens_one_search(monkeypatch):

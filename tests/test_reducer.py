@@ -128,6 +128,13 @@ class TestColor16:
         assert max(coloring.colors.values()) <= PALETTE
         assert all(t.rule != "anomaly-exact-fallback" for t in traces)
 
+    def test_small_graph_above_degree_five_needs_no_step(self):
+        # at most 16 vertices get distinct colors, whatever their degrees
+        star7 = PlaneGraph([[1, 2, 3, 4, 5, 6, 7]] + [[0]] * 7)
+        coloring, traces = color16(star7)
+        assert sorted(coloring.colors.values()) == list(range(1, 9))
+        assert traces == []
+
     def test_random_plane_90_validates(self):
         g = random_plane(90, seed=13)
         coloring, traces = color16(g)
