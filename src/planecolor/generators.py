@@ -147,8 +147,17 @@ def named(name: str) -> PlaneGraph:
 def _grow_triangulation(n: int, rng: random.Random):
     rots: list[list[int]] = [[1, 2], [2, 0], [0, 1]]
     faces: list[tuple[int, int, int]] = [(0, 1, 2), (0, 2, 1)]
+    getrandbits = rng.getrandbits
     while len(rots) < n:
-        fi = rng.randrange(len(faces))
+        # the face index drawn as rng.randrange(len(faces)) draws it:
+        # k = its bit length, redrawn while out of range.  Written out
+        # on purpose, it ties the graphs to the Mersenne Twister's bit
+        # stream rather than to randrange's code, and saves two frames
+        nf = len(faces)
+        k = nf.bit_length()
+        fi = getrandbits(k)
+        while fi >= nf:
+            fi = getrandbits(k)
         a, b, c = faces[fi]
         w = len(rots)
         # w sits inside (a,b,c); splitting keeps everything triangular
@@ -167,10 +176,12 @@ def _trim_to_degree_five(rots: list[list[int]]) -> None:
     # before it reaches degree 6 again: edges go in least-id-first order.
     # v drops edges toward its heaviest neighbour, smallest id on ties,
     # one at a time; a drop changes only the degrees of v and of the
-    # neighbour, which then leaves the row, so one sort gives them all
+    # neighbour, which then leaves the row, so one sort gives them all.
+    # The key t - n * deg(t) orders as (-deg(t), t) since 0 <= t < n
+    n = len(rots)
     for v, row in enumerate(rots):
         if len(row) >= 6:
-            for u in sorted(row, key=lambda t: (-len(rots[t]), t))[: len(row) - 5]:
+            for u in sorted(row, key=lambda t: t - n * len(rots[t]))[: len(row) - 5]:
                 row.remove(u)
                 rots[u].remove(v)
 
@@ -193,6 +204,8 @@ def _largest_component(rots: list[list[int]]):
                     stack.append(y)
                     size += 1
         sizes.append(size)
+    if len(sizes) == 1:  # the trim left one component: nothing to relabel
+        return rots
     # the largest component, the one found first on ties
     best = sizes.index(max(sizes))
     keep = [v for v in range(n) if comp[v] == best]

@@ -189,10 +189,11 @@ class PlaneGraph:
     # ==================================================================
 
     def to_rotation_text(self) -> str:
-        lines = [f"{self.n} {self.m}"]
-        for v, row in enumerate(self.rotations):
-            lines.append(f"{v}: " + " ".join(map(str, row)) if row else f"{v}:")
-        return "\n".join(lines) + "\n"
+        body = "".join([
+            f"{v}: {' '.join(map(str, row))}\n" if row else f"{v}:\n"
+            for v, row in enumerate(self.rotations)
+        ])
+        return f"{self.n} {self.m}\n{body}"
 
     def to_json(self) -> dict:
         return {

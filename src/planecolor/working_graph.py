@@ -49,6 +49,7 @@ the first of those rules' ranks.
 from __future__ import annotations
 
 from array import array
+from math import isqrt
 
 from .errors import DegreeOverflow, EmbeddingBroken
 from .plane_graph import PlaneGraph, two_hop
@@ -116,7 +117,8 @@ class WorkingGraph:
         "m",
         "_size",
         "_alive",
-        "_dead_tree",
+        "_block",
+        "_dead_in",
         "_faces",
         "_up",
         "_flen",
@@ -132,7 +134,10 @@ class WorkingGraph:
         self.deg = [len(row) for row in self.rotations]
         self.n, self.m = g.n, g.m
         self._alive = bytearray(b"\x01") * size
-        self._dead_tree = [0] * (size + 1)  # Fenwick tree over tombstones
+        # tombstones per block of ids, so a label counts whole blocks
+        # below v and then v's own block up to v
+        self._block = block = max(64, isqrt(size) + 1)
+        self._dead_in = [0] * (size // block + 1)
         face, rs = g.face_of_dart, g.rot_start
         # corner i of v is traced by the dart v -> rot[v][i + 1]
         self._faces = [
@@ -196,12 +201,8 @@ class WorkingGraph:
 
     def label(self, v: int) -> int:
         """v's id in the dense relabelling of the live vertices."""
-        tree = self._dead_tree
-        i, below = v, 0
-        while i > 0:
-            below += tree[i]
-            i -= i & -i
-        return v - below
+        b = v // self._block
+        return v - sum(self._dead_in[:b]) - self._alive.count(0, b * self._block, v)
 
     def to_plane_graph(self) -> PlaneGraph:
         """The live part as a freshly built ``PlaneGraph``, densely relabelled."""
@@ -368,11 +369,7 @@ class WorkingGraph:
         faces[dv] = []
         deg[dv] = 0
         self._alive[dv] = 0
-        tree, size = self._dead_tree, self._size
-        i = dv + 1
-        while i <= size:
-            tree[i] += 1
-            i += i & -i
+        self._dead_in[dv // self._block] += 1
         self.n -= 1
         self.m += nc - d
 

@@ -208,6 +208,33 @@ class TestWorkingGraph:
         _, traces = color16(g)
         assert steps == traces and len(traces) == g.n - PALETTE
 
+    def test_labels_across_blocks(self, monkeypatch):
+        """A label counts the tombstones of whole blocks below v, then of
+        v's own block; the rebuild checks above see only the least block
+        size.  Here blocks are bigger, and at every 97th step each
+        block's first and last live id gets its dense label."""
+        g = PlaneGraph(snub_rotations(_grow_triangulation(700, random.Random(0))))
+        original = reducer._step
+        checked = []
+
+        def sampled(wg, match, step):
+            out = original(wg, match, step)
+            if step % 97 == 0:
+                live, block = wg.alive(), wg._block
+                first, last = {}, {}
+                for v in live:
+                    first.setdefault(v // block, v)
+                    last[v // block] = v
+                for v in {*first.values(), *last.values()}:
+                    assert wg.label(v) == live.index(v), (step, v)
+                checked.append(len(first))
+            return out
+
+        monkeypatch.setattr(reducer, "_step", sampled)
+        color16(g)
+        assert g.n == 4188 and WorkingGraph(g)._block > 64
+        assert len(checked) == 44 and min(checked) > 1
+
     @pytest.mark.parametrize("name", ["fig2b", "fig2c"])
     def test_refused_step_rolls_back(self, name):
         g = named(name)

@@ -3,7 +3,9 @@
     python3 tools/ab_engine.py CHECKOUT_A CHECKOUT_B [--rounds N]
 
 Loads ``src/planecolor`` of each checkout under its own module name and
-asserts that both give equal colorings, traces and audits on the inputs
+asserts that both make byte-identical inputs (rotation texts) for each
+workload, naming the workload and the first input that differs, before
+it asserts that both give equal colorings, traces and audits on the inputs
 of perfbench's ``batch-sweep`` and ``color-large`` workloads, and equal
 ``chi2_exact`` values on those of ``chi2-small`` (default seed), made by
 ``perfbench/run.py`` of this repository; on ``chi2-small`` every search
@@ -112,6 +114,12 @@ def rule_inputs() -> list:
     return [[list(row) for row in g] for g in rows]
 
 
+def first_difference(a: list, b: list) -> int:
+    """The index of the first item where a and b differ; the length of
+    the shorter when one is a prefix of the other."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("a")
@@ -129,6 +137,11 @@ def main() -> None:
     assert found[0] == found[1], "medial and snub matches"
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
+        texts = [[g.to_rotation_text() for g in gs] for gs in inputs]
+        assert texts[0] == texts[1], (
+            f"{w}: the inputs differ, first at input {first_difference(*texts)} "
+            f"({len(texts[0])} and {len(texts[1])} made)"
+        )
         assert run(sides[0], w, inputs[0]) == run(sides[1], w, inputs[1]), w
         if w == "chi2-small":
             trees = [searches(pc, graphs) for pc, graphs in zip(sides, inputs)]
