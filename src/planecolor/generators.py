@@ -223,12 +223,16 @@ def random_plane(n: int, seed: int) -> PlaneGraph:
 
     An attempt grows a triangulation on n vertices, trims it to degree
     5 and keeps its largest component; only the kept attempt builds a
-    ``PlaneGraph``.  On a 2-core VM (Python 3.11), attempt 0 of seed 1
-    at n = 20000 takes about 0.1 s to grow, 0.06 s to trim and 0.05 s
-    to keep the component, and the build of its 12,447 vertices 0.15 s.
-    At n = 80000 the stages take about 0.6, 0.3, 0.3 and 1.0 s, and
-    ``random_plane(80000, 1)`` rejects 35 attempts and keeps 51,838
-    vertices in the 36th, about 60 s in all.
+    ``PlaneGraph``.  The face each new vertex splits is drawn with
+    ``getrandbits`` exactly as ``randrange`` draws it, on purpose, so
+    the graphs stay those that ``randrange`` made.  On a 2-core VM
+    (Python 3.11) whose speed varied twofold, attempt 0 of seed 1 at
+    n = 20000 takes 0.05-0.09 s to grow, 0.03-0.06 s to trim and
+    0.035-0.075 s to keep the component, and the build of its 12,447
+    vertices 0.04-0.1 s.  At n = 80000 attempt 0 takes about 0.7 s to
+    grow, 0.25-0.3 s to trim and 0.14-0.17 s to keep its 20,279
+    vertices, and ``random_plane(80000, 1)`` rejects 35 attempts and
+    keeps 51,838 vertices in the 36th, 45-52 s in all.
 
     Raises:
         BadArgument: n or seed is not an int.

@@ -75,10 +75,12 @@ def kept_vertices(workload: str, seed: int) -> int:
     """The vertices of every graph ``random_plane`` returns while the
     workload's inputs are made."""
     made = []
-    recording = SimpleNamespace(
-        random_plane=lambda n, seed: made.append(pc.random_plane(n, seed)) or made[-1]
-    )
-    make_inputs(recording, workload, seed)
+
+    def random_plane(n, seed):
+        made.append(pc.random_plane(n, seed))
+        return made[-1]
+
+    make_inputs(SimpleNamespace(random_plane=random_plane), workload, seed)
     return sum(g.n for g in made)
 
 
