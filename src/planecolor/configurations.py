@@ -864,12 +864,6 @@ def _frame_matches(ctx: _Ctx, rule, v: int, k: int) -> tuple[ConfigMatch, ...]:
     return tuple([m for m in ms if m is not None])
 
 
-def _center_matches(ctx: _Ctx, rule, v: int) -> Iterator[ConfigMatch]:
-    """Matches of one rule centred at v, in frame order."""
-    for k in ctx.shown(v, rule.corners):
-        yield from _frame_matches(ctx, rule, v, k)
-
-
 def iter_matches(g: PlaneGraph) -> Iterator[ConfigMatch]:
     """All verified matches, in detection priority order: rule rank,
     then centre vertex id, then frame.  This is a fresh ``MatchQueue``

@@ -83,10 +83,11 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     graph before the step; the unwinding record ``(dv, ball)``, with
     dv's distance-two ball as ``WorkingGraph.delete`` reports it; and
     the step's reach, for the ``MatchQueue`` search to be sent.  The
-    reach is that ball (with a deleted leaf's shortened face and its
-    neighbours): the centres where a rule that reads only its centre's
-    corners, ring, ring degrees, ring ``in2`` and d2 can change its
-    matches.  A rule that also reads a ring vertex's corners or
+    reach is that ball (and, when a deleted leaf's face comes out of
+    length at most 4, the distance-two ball of the leaf's neighbour,
+    which holds that face, and its neighbours): the centres where a
+    rule that reads only its centre's corners, ring, ring degrees, ring
+    ``in2`` and d2 can change its matches.  A rule that also reads a ring vertex's corners or
     rotation can change them one step further out, so the queue puts
     the reach's neighbours back at the first such rule's rank.
 

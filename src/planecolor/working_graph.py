@@ -20,7 +20,9 @@ and the chords alone: the chords cut the hole into regions, nested as
 intervals over the deleted vertex's corners, and a region's face has
 the length of its old faces together, less 2 for each of its corners,
 plus 1 for each chord side it has.  A region of chords alone is a new
-face; regions that share an old face (at a cut vertex) are one face.
+face.  Regions merge one after another, and a merge counts each face
+once, whatever ids stand for it, so a region that shares an old face
+with an earlier one (at a cut vertex) takes in that one's face whole.
 A patched rotation splices its corner ids as it splices its
 neighbours: the corners beside the deleted vertex's slot take the id
 of their new face, and the corners between two chords at one vertex
@@ -39,8 +41,10 @@ It answers the queries detection makes of a ``PlaneGraph`` (``deg``,
 ``d2``), so the predicates in ``configurations`` run on it unchanged.
 A step reports as its reach the deleted vertex's distance-two ball,
 which it already holds: every centre whose own corners, ring, ring
-degrees, ring ``in2`` or d2 can change lies in it, but for the
-vertices near a deleted leaf's shortened face, which the step adds.
+degrees, ring ``in2`` or d2 can change lies in it, but near a deleted
+leaf's face that comes out of length at most 4.  That face lies in the
+distance-two ball of the leaf's neighbour, so the step adds that ball
+and its neighbours, and walks no face.
 The rules that also read a ring vertex's corners or rotation look one
 step further, so the match queue puts the reach's neighbours back at
 the first of those rules' ranks.
@@ -88,20 +92,24 @@ def _root(up, f: int) -> int:
 
 
 def _merge(up, flen, cap, faces, cut: int) -> int:
-    """Unite the distinct roots ``faces`` into one face, ``cut`` shorter
-    than they are together.  The longest keeps its id, which is
-    returned, so that the corners far from the hole, most of them on
-    long faces, still read a root."""
-    root = faces[0]
+    """Unite the faces that the ids ``faces`` stand for into one face,
+    ``cut`` shorter than they are together, and return its id.  An id
+    may repeat, or stand for a face merged into another since it was
+    read: each face counts once.  The longest keeps its id, so that the
+    corners far from the hole, most of them on long faces, still read a
+    root."""
+    root = faces[0] if cap[faces[0]] else _root(up, faces[0])
     total = flen[root] - cut
-    if len(faces) > 1:
-        for f in faces[1:]:
-            total += flen[f]
-            if flen[f] > flen[root]:
-                root = f
-        for f in faces:
-            up[f] = root
-            cap[f] = 0
+    for f in faces[1:]:
+        if not cap[f]:  # merged since it was read, or earlier in this call
+            f = _root(up, f)
+        if f == root:
+            continue
+        total += flen[f]
+        if flen[f] > flen[root]:
+            f, root = root, f
+        up[f] = root
+        cap[f] = 0
     flen[root] = total
     cap[root] = total if total < 5 else 5
     return root
@@ -186,15 +194,6 @@ class WorkingGraph:
     # other queries
     # ==================================================================
 
-    def corner_face_lens(self, v: int) -> list[int]:
-        """Exact face length in each corner of v."""
-        up, flen = self._up, self._flen
-        return [flen[_root(up, f)] for f in self._faces[v]]
-
-    def n2(self, v: int) -> set[int]:
-        """Vertices within distance two of v, v excluded."""
-        return two_hop(self.rotations, v)
-
     def alive(self) -> list[int]:
         """Live vertices in ascending id order."""
         return [v for v in range(self._size) if self._alive[v]]
@@ -226,8 +225,8 @@ class WorkingGraph:
         graph unchanged.
 
         The faces at dv are merged into the faces of the hole without a
-        walk (module docstring).  Only the face of a deleted leaf is
-        walked, and only when it comes out of length at most 4.
+        walk (module docstring); no face is walked, not even a deleted
+        leaf's.
 
         Returns dv's distance-two ball before the step (the set ``d2(dv)``
         counted, when that was the last ``d2`` asked) and the step's
@@ -243,8 +242,9 @@ class WorkingGraph:
         d > 1, so the edge has an end on the ring.  A capped corner length
         changes only in the ball too.  The face of a deleted leaf is the
         exception to both: a face of length 6 there becomes a 4-face
-        through a vertex three steps from dv, so a leaf's face that comes
-        out of length at most 4 adds its vertices and their neighbours.
+        through a vertex three steps from dv.  A leaf's face that comes
+        out of length at most 4 lies in the distance-two ball of the
+        leaf's neighbour, so the reach adds that ball and its neighbours.
         ``MatchQueue`` puts the reach's neighbours back for the rules
         that read past a neighbour's edges (its corners, its rotation).
 
@@ -309,43 +309,32 @@ class WorkingGraph:
         ball = self._ball if self._ball_of == dv else two_hop(rot, dv)
         self._ball_of = -1
 
-        # corner i of dv lies on the face between ring[i] and ring[i + 1]
+        # corner i of dv lies on the face between ring[i] and ring[i + 1];
+        # at a cut vertex two corners share a face, and a merge of the
+        # second corner's region takes in the first one's face whole
         up, flen, cap, faces = self._up, self._flen, self._cap, self._faces
-        roots = faces[dv]
-        for f in roots:
-            if not cap[f]:  # a face merged since dv's corners were read
-                roots = [f if cap[f] else _root(up, f) for f in roots]
-                break
-        side, short = None, 0
+        ids = faces[dv]
+        side, short = None, False
         if nc > 1:
-            side, into = self._split_hole(roots, chords, pos)
-        elif len(set(roots)) < d:
-            # dv is a cut vertex; with at most one chord its hole is one
-            # face, as Euler's formula leaves c + 1 - (d - k) faces there
-            # for c chords and k distinct faces at dv
-            root = _merge(up, flen, cap, list(set(roots)), 2 * (d - nc))
-            into = [root] * d
-        elif nc and d == 2:  # the chord takes dv's place on both faces
-            for f in roots:
+            side, into = self._split_hole(ids, chords, pos)
+        elif nc and d == 2:
+            # the chord takes dv's place at each corner, so a face at both
+            # (at a cut vertex) is shortened twice
+            into = [f if cap[f] else _root(up, f) for f in ids]
+            for f in into:
                 flen[f] -= 1
                 cap[f] = flen[f] if flen[f] < 5 else 5
-            into = roots
         elif nc:
             # two regions: dv's corners p..q-1, and the others
-            a, b = chords[0]
-            p, q = ring.index(a), ring.index(b)
-            if p > q:
-                p, q = q, p
-            inner, outer = roots[p:q], roots[q:] + roots[:p]
-            ra = _merge(up, flen, cap, inner, 2 * len(inner) - 1)
-            rb = _merge(up, flen, cap, outer, 2 * len(outer) - 1)
+            p, q = sorted(map(ring.index, chords[0]))
+            ra = _merge(up, flen, cap, ids[p:q], 2 * (q - p) - 1)
+            rb = _merge(up, flen, cap, ids[q:] + ids[:p], 2 * (d - q + p) - 1)
             into = [rb] * d
             into[p:q] = [ra] * (q - p)
         elif d:  # an isolated dv (a one-vertex graph) meets no face
-            root = _merge(up, flen, cap, roots, 2 * d)
+            root = _merge(up, flen, cap, ids, 2 * d)
             into = [root] * d
-            if d == 1 and flen[root] <= 4:
-                short = flen[root]
+            short = d == 1 and flen[root] <= 4
 
         deg = self.deg
         for i, w in enumerate(ring):
@@ -373,34 +362,30 @@ class WorkingGraph:
         self.n -= 1
         self.m += nc - d
 
-        reach = ball
-        if short:
-            # walk the leaf's face from the corner its neighbour merged
-            reach = set(ball)
-            x = ring[0]
-            r = rot[x]
-            y = r[slots[0] % len(r)]
-            for _ in range(short):
-                r = rot[y]
-                reach.add(y)
-                reach.update(r)
-                x, y = y, r[(r.index(x) + 1) % len(r)]
-        return ball, reach
+        if not short:
+            return ball, ball
+        # the leaf's face, of length at most 4, lies in its neighbour's
+        # distance-two ball
+        near = two_hop(rot, ring[0])
+        near.add(ring[0])
+        return ball, ball.union(near, *[rot[y] for y in near])
 
-    def _split_hole(self, roots, chords, pos) -> tuple[dict, list[int]]:
+    def _split_hole(self, ids, chords, pos) -> tuple[dict, list[int]]:
         """Merge the faces at dv into the faces of the regions that two or
         more chords, which do not cross, cut its hole into.
 
         A chord between the ring positions p < q spans dv's corners p to
         q - 1; spans nest, so each is the region inside it less its
         children's, and the corners no span holds, with the outer sides
-        of the top spans, are one more region.  Returns the face id on
-        each side of each chord, keyed ``(x, y)`` for the side that faces
-        the corners from x forward to y, and the face id that each of
-        dv's corners went into.
+        of the top spans, are one more region.  Regions merge in turn, so
+        one that shares a face with an earlier one (at a cut vertex)
+        takes in that one's face.  Returns the face id on each side of
+        each chord, keyed ``(x, y)`` for the side that faces the corners
+        from x forward to y, and the face id that each of dv's corners
+        went into.
         """
         up, flen, cap = self._up, self._flen, self._cap
-        d = len(roots)
+        d = len(ids)
         spans = sorted(
             (sorted((pos[a], pos[b])) for a, b in chords), key=lambda s: (s[0], -s[1])
         )
@@ -418,33 +403,21 @@ class WorkingGraph:
         cut = [-1] * top + [0]  # the inside of a span is one chord side
         for k in parent:
             cut[k] -= 1
-        held: list[set] = [set() for _ in cut]
+        held: list[list[int]] = [[] for _ in cut]
         for c, k in enumerate(region):
-            held[k].add(roots[c])
+            held[k].append(ids[c])
             cut[k] += 2
-        # regions that share an old face are one face
-        groups: list[tuple[set, set, int]] = []
+        into = [0] * len(cut)
         for k, fs in enumerate(held):
-            if not fs:
-                continue
-            ks, total = {k}, cut[k]
-            for g in [g for g in groups if not g[0].isdisjoint(fs)]:
-                groups.remove(g)
-                fs, ks, total = fs | g[0], ks | g[1], total + g[2]
-            groups.append((fs, ks, total))
-        ids = [0] * len(cut)
-        for fs, ks, total in groups:
-            root = _merge(up, flen, cap, list(fs), total)
-            for k in ks:
-                ids[k] = root
-        for k, fs in enumerate(held):
-            if not fs:  # a region of chords alone: a new face
-                ids[k] = len(up)
+            if fs:
+                into[k] = _merge(up, flen, cap, fs, cut[k])
+            else:  # a region of chords alone: a new face
+                into[k] = len(up)
                 up.append(len(up))
                 flen.append(-cut[k])
                 cap.append(min(-cut[k], 5))
         side = {}
         for k, (p, q) in enumerate(spans):
-            side[p, q] = ids[k]
-            side[q, p] = ids[parent[k]]
-        return side, [ids[k] for k in region]
+            side[p, q] = into[k]
+            side[q, p] = into[parent[k]]
+        return side, [into[k] for k in region]

@@ -16,7 +16,6 @@ from planecolor.configurations import (
     _SHOWN,
     SPECIAL_KINDS,
     MatchQueue,
-    _center_matches,
     _Ctx,
     _frame_corners,
     classify_special,
@@ -34,7 +33,13 @@ from planecolor.generators import DESIGNATED_VERTEX, NAMED_GRAPHS, named, random
 from planecolor.plane_graph import PlaneGraph
 from planecolor.reducer import PALETTE, color16
 from planecolor.working_graph import WorkingGraph, _crossing
-from test_working_graph import SNUB_GRAPHS, medial_plus, snub, snub_rotations
+from test_working_graph import (
+    SNUB_GRAPHS,
+    center_matches,
+    medial_plus,
+    snub,
+    snub_rotations,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -136,7 +141,7 @@ class TestRuleTable:
                 for v in range(g.n):
                     if g.deg[v] != rule.degree:
                         continue
-                    for m in _center_matches(ctx, rule, v):
+                    for m in center_matches(ctx, rule, v):
                         pos = {w: i for i, w in enumerate(g.rotations[m.deleted])}
                         assert not _crossing(m.added_edges(), pos), m
                         seen[m.rule_id] += 1
@@ -223,7 +228,7 @@ def brute_force_matches(g) -> list:
         for rule in _PRIORITY
         for v in range(g.n)
         if g.deg[v] == rule.degree
-        for m in _center_matches(ctx, rule, v)
+        for m in center_matches(ctx, rule, v)
     ]
 
 
@@ -770,7 +775,7 @@ class TestFramesBuilt:
         for rule in _PRIORITY:
             for v in range(g.n):
                 if g.deg[v] == rule.degree and not ctx.shown(v, rule.corners):
-                    assert list(_center_matches(ctx, rule, v)) == []
+                    assert list(center_matches(ctx, rule, v)) == []
                     refused += 1
         assert built == [] and refused
 
@@ -868,7 +873,7 @@ def test_near_rules_read_nothing_past_the_ring(monkeypatch):
                 if g.deg[v] != rule.degree:
                     continue
                 try:
-                    list(_center_matches(_Ctx(CentreView(g, v)), rule, v))
+                    list(center_matches(_Ctx(CentreView(g, v)), rule, v))
                 except ReadPastRing:
                     assert _FAR[r], (name, rule.id, v)
                     far.add(rule.id)

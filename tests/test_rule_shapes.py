@@ -7,8 +7,9 @@ stands for "5 or more" (a 1-vertex's frame carries no corner), and ring
 degrees in {2, 3, 4, 5}^d.  What a predicate reads besides degrees is
 fixed by a *world*: which ring chords w_i w_(i+1) lie in two triangles
 (``in2``) and the ``bad_kind`` of each ring position.  Each frame goes
-through ``_center_matches`` on a stand-in context whose graph has every
-chord and d2 = 0, so a match says the rule accepts the frame.
+through ``center_matches`` (tests/test_working_graph.py) on a stand-in
+context whose graph has every chord and d2 = 0, so a match says the
+rule accepts the frame.
 
 ``rule_shapes.json`` holds, per world and rule, the count and the sha256
 of the accepted set.  The pins were written by
@@ -28,7 +29,8 @@ from pathlib import Path
 import pytest
 
 from planecolor import configurations
-from planecolor.configurations import _center_matches, rule_table
+from planecolor.configurations import rule_table
+from test_working_graph import center_matches
 
 PINNED = Path(__file__).with_name("rule_shapes.json")
 LENGTHS = (3, 4, 5)
@@ -102,7 +104,7 @@ def accepted(rule, world: str, corner_tuples) -> list:
     out = []
     for degs in product(DEGREES, repeat=d):
         ctx.deg = [d] + list(degs) * len(corner_tuples)
-        for m in _center_matches(ctx, rule, 0):
+        for m in center_matches(ctx, rule, 0):
             out.append((corner_tuples[(m.binding["v1"] - 1) // d], degs))
     return sorted(out)
 

@@ -11,6 +11,7 @@ graph per step.  Both are kept here only as oracles.
 import copy
 import json
 import random
+from array import array
 from collections import Counter, deque
 from itertools import combinations
 
@@ -22,8 +23,8 @@ from planecolor.configurations import (
     _FAR,
     _PRIORITY,
     MatchQueue,
-    _center_matches,
     _Ctx,
+    _frame_matches,
     iter_matches,
 )
 from planecolor.conflict import Coloring, validate
@@ -37,7 +38,7 @@ from planecolor.errors import (
 )
 from planecolor.exact_solver import UNKNOWN
 from planecolor.generators import NAMED_GRAPHS, _grow_triangulation, named, random_plane
-from planecolor.plane_graph import PlaneGraph
+from planecolor.plane_graph import PlaneGraph, two_hop
 from planecolor.reducer import (
     PALETTE,
     ReductionTrace,
@@ -46,7 +47,13 @@ from planecolor.reducer import (
     extend,
     is_proper_wrt,
 )
-from planecolor.working_graph import WorkingGraph, _crossing, _targets_in_order
+from planecolor.working_graph import (
+    WorkingGraph,
+    _crossing,
+    _merge,
+    _root,
+    _targets_in_order,
+)
 from strategies import rotation_systems
 from test_kernels import reference_walks
 
@@ -131,6 +138,12 @@ def stepwise_color16(g: PlaneGraph):
     return Coloring(palette=PALETTE, colors=colors), [t for _, t in stack]
 
 
+def center_matches(ctx: _Ctx, rule, v: int):
+    """Matches of one rule centred at v, in frame order."""
+    for k in ctx.shown(v, rule.corners):
+        yield from _frame_matches(ctx, rule, v, k)
+
+
 def _as_json(coloring, traces) -> str:
     return json.dumps(
         {"coloring": coloring.to_json(), "trace": [t.to_json() for t in traces]},
@@ -167,7 +180,8 @@ def assert_matches_rebuild(wg: WorkingGraph) -> None:
         # corner i of v is traced by the dart v -> rot[v][i + 1]
         lo, hi = h.rot_start[i], h.rot_start[i + 1]
         faces = h.face_of_dart[lo + 1 : hi] + h.face_of_dart[lo : min(lo + 1, hi)]
-        assert wg.corner_face_lens(v) == [h.face_lens[f] for f in faces]
+        exact = [wg._flen[_root(wg._up, f)] for f in wg._faces[v]]
+        assert exact == [h.face_lens[f] for f in faces]
         assert wg.corner_lens(v) == tuple(min(ln, 5) for ln in h.corner_lens(i))
 
 
@@ -191,7 +205,12 @@ class TestWorkingGraph:
     def test_fresh_graph_matches_rebuild(self, name):
         assert_matches_rebuild(WorkingGraph(named(name)))
 
-    @pytest.mark.parametrize("n,seed", [(60, 1), (150, 2), (300, 3), (200, 11)])
+    # (214, 194) and (258, 518) delete a leaf whose face comes out of
+    # length at most 4, and have holes of many chords whose regions
+    # share a face
+    @pytest.mark.parametrize(
+        "n,seed", [(60, 1), (150, 2), (300, 3), (200, 11), (214, 194), (258, 518)]
+    )
     def test_every_color16_step_matches_rebuild(self, n, seed, monkeypatch):
         original = reducer._step
         steps = []
@@ -435,7 +454,7 @@ def record_balls(monkeypatch) -> list:
     delete = WorkingGraph.delete
 
     def recorded(self, dv, chords, rule=""):
-        want = self.n2(dv)
+        want = two_hop(self.rotations, dv)
         out = delete(self, dv, chords, rule)
         balls.append((out[0], want))
         return out
@@ -554,7 +573,7 @@ class TestSplice:
         wg = WorkingGraph(PlaneGraph(rows + [[0, 5]]))
         m = next(MatchQueue(wg).matches())
         assert (m.rule_id, m.binding) == ("R-2v", {"v": 1, "v1": 2, "v2": 0})
-        near = wg.n2(1) | {1}
+        near = two_hop(wg.rotations, 1) | {1}
         wg.rotations = RowReads(wg.rotations)
         reducer._step(wg, m)
         # the chord 0-2 closes faces of length 6 and 9, each through a
@@ -579,8 +598,17 @@ class TestSplice:
             # the cut vertex 0 between a triangle and the path 0-3-4:
             # the chord 2-3 is a bridge, so its two sides are one face
             ([[1, 2, 3], [2, 0], [0, 1], [0, 4], [3]], 0, [(2, 3)], [6]),
+            # the middle of the path 1-0-2: the chord takes its place at
+            # both corners of the one face
+            ([[1, 2], [0], [0]], 0, [(1, 2)], [2]),
         ],
-        ids=["3adj4-wedge", "chord-triangle", "5n5-pentagon", "cut-vertex-bridge"],
+        ids=[
+            "3adj4-wedge",
+            "chord-triangle",
+            "5n5-pentagon",
+            "cut-vertex-bridge",
+            "cut-vertex-two-corners",
+        ],
     )
     def test_hole_faces(self, rows, dv, chords, lens):
         g = PlaneGraph(rows)
@@ -589,12 +617,25 @@ class TestSplice:
             rule = next(r for r in _PRIORITY if r.id == rule_id)
             chords = next(
                 m.added_edges()
-                for m in _center_matches(_Ctx(g), rule, dv)
+                for m in center_matches(_Ctx(g), rule, dv)
                 if m.binding["v1"] == v1
             )
         wg = WorkingGraph(g)
         delete_and_check(wg, dv, chords)
         assert sorted(wg.to_plane_graph().face_lens) == lens
+
+    def test_merge_counts_each_face_once(self):
+        up = array("i", range(4))
+        flen = array("i", [3, 7, 4, 5])
+        cap = array("b", [3, 5, 4, 5])
+        assert _merge(up, flen, cap, [0, 2], 1) == 2
+        assert (flen[2], cap[2], cap[0], _root(up, 0)) == (6, 5, 0, 2)
+        # id 0 now stands for face 2, and id 1 comes twice: faces 1, 2
+        # and 3 count once each, and 1, the longest, keeps its id
+        assert _merge(up, flen, cap, [0, 3, 1, 2, 1], 4) == 1
+        assert (flen[1], cap[1]) == (7 + 6 + 5 - 4, 5)
+        assert [cap[f] for f in (0, 2, 3)] == [0, 0, 0]
+        assert [_root(up, f) for f in range(4)] == [1, 1, 1, 1]
 
     def test_leaf_face_reaches_past_the_ball(self):
         # the 4-cycle 0, 1, 2, 3 with a leaf 4 at 0 inside it and a leaf
@@ -618,7 +659,7 @@ def all_matches(ctx: _Ctx, wg: WorkingGraph) -> dict:
     for rule in _PRIORITY:
         for v in wg.alive():
             if wg.deg[v] == rule.degree:
-                got = list(_center_matches(ctx, rule, v))
+                got = list(center_matches(ctx, rule, v))
                 if got:
                     out[rule.id, v] = got
     return out

@@ -18,6 +18,11 @@ on the snubs of the icosahedron, dodecahedron and cube, built by this
 checkout's ``tests/test_working_graph.py`` (so pytest and hypothesis
 must be importable): these apply R-4three3f, R-4m2-4f-adj,
 R-4m2-n5-adj, R-5m34-c and R-5m34-d, which ``batch-sweep`` never does.
+It asserts the same on ``random_plane(214, 194)`` and
+``random_plane(258, 518)``: each deletes a leaf whose face comes out of
+length at most 4, which no workload's default-seed input does, and each
+has holes of many chords whose regions share a face (7 and 3 times a
+region takes in an earlier region's face).
 On those inputs and on ``batch-sweep``'s, every match ``iter_matches``
 yields must be equal too, in order, not only the ones the steps apply.
 Then it times ``--rounds`` whole rounds of each workload (20 by
@@ -104,13 +109,14 @@ def all_matches(pc, graphs) -> list:
 
 
 def rule_inputs() -> list:
-    """The rotations of the medial and snub inputs, as lists."""
+    """The rotations of the medial, snub and leaf-face inputs, as lists."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from planecolor.generators import named
+    from planecolor.generators import named, random_plane
     from test_working_graph import medial_plus, snub_rotations
 
     rows = [medial_plus(40, s, extra=30).rotations for s in range(3)]
     rows += [snub_rotations(named(p).rotations) for p in ("icosahedron", "dodecahedron", "cube")]
+    rows += [random_plane(n, seed=s).rotations for n, s in ((214, 194), (258, 518))]
     return [[list(row) for row in g] for g in rows]
 
 
@@ -131,10 +137,10 @@ def main() -> None:
     sides = (load(args.a, "planecolor_a"), load(args.b, "planecolor_b"))
     rows = rule_inputs()
     graphs = [[pc.PlaneGraph(r) for r in rows] for pc in sides]
-    outs = [run(pc, "medial-snub", gs) for pc, gs in zip(sides, graphs)]
-    assert outs[0] == outs[1], "medial and snub inputs"
+    outs = [run(pc, "rule-inputs", gs) for pc, gs in zip(sides, graphs)]
+    assert outs[0] == outs[1], "medial, snub and leaf-face inputs"
     found = [all_matches(pc, gs) for pc, gs in zip(sides, graphs)]
-    assert found[0] == found[1], "medial and snub matches"
+    assert found[0] == found[1], "medial, snub and leaf-face matches"
     for w in WORKLOADS:
         inputs = [make_inputs(pc, w, 0) for pc in sides]
         texts = [[g.to_rotation_text() for g in gs] for gs in inputs]
