@@ -124,11 +124,13 @@ def _cmd_detect(args) -> int:
 
 def _cmd_discharge(args) -> int:
     from . import discharging
+    from .configurations import detect
 
     g = _read_graph(args.infile)
+    match = detect(g)  # refuses a degree above 5 before the transfer pass
     # one transfer pass gives both the audit and the transfer list
     after, records = discharging.apply_rules(g)
-    report = discharging._report(g, after, len(records))
+    report = discharging._report(g, after, len(records), match)
     if args.transfers:
         report["transfer_list"] = [r.to_json() for r in records]
     _emit(report, args.format)

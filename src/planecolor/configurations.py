@@ -56,7 +56,7 @@ __all__ = [
 SPECIAL_KINDS = ("bad", "semi-bad", "strong", "good", "support")
 
 _ROLE_ORDER = ("v", "v1", "v2", "v3", "v4", "v5", "x", "y")
-_FRAME_ROLES = ("v", "v1", "v2", "v3", "v4", "v5")  # the centre, then w0..w4
+_new = tuple.__new__  # a NamedTuple built without its __new__ frame
 
 
 class ReductionRule(NamedTuple):
@@ -178,7 +178,11 @@ class _Ctx:
     def shown(self, v: int, corners) -> tuple[int, ...]:
         """The indices of v's frames whose corner lengths lie in
         ``corners``, in frame order; v's corner lengths say which they
-        are."""
+        are.  A set that holds every corner tuple of v's degree shows
+        all of v's frames, so it reads no corner (``_EVERY``)."""
+        every = _EVERY.get(corners)
+        if every is not None and self.deg[v] == every[0]:
+            return every[1]
         cl = self.g.corner_lens(v)
         table = _SHOWN.get(corners)
         if table is None:
@@ -234,6 +238,14 @@ def _corners(pattern: str) -> frozenset[tuple[int, ...]]:
         for alt in pattern.split("|")
         for c in product(*(_LETTERS[ch] for ch in alt))
     )
+
+
+# the set of every corner tuple of degree d -> (d, all frame indices of a
+# d-vertex): every face of a connected simple graph on 3 or more vertices
+# has length 3 or more, so every frame shows it (R-1v, R-2v, R-3adj4, R-5n5)
+_EVERY: dict[frozenset, tuple[int, tuple[int, ...]]] = {
+    _corners("*" * d): (d, tuple(range(d if d < 3 else 2 * d))) for d in range(1, 6)
+}
 
 
 def _bad_middle(ctx, w):
@@ -836,19 +848,18 @@ def _make_match(ctx: _Ctx, rule, binding: dict) -> Optional[ConfigMatch]:
     deleted = binding[rule.delete]
     # no vertex may pass degree 5 once ``deleted`` goes and the missing
     # chords come in; ``WorkingGraph.delete`` refuses the same steps
-    gain: dict[int, int] = {}
+    ends = []  # both ends of each missing chord
     for a, b in rule.add_edges:
         a, b = binding[a], binding[b]
         if not g.has_edge(a, b):
-            gain[a] = gain.get(a, 0) + 1
-            gain[b] = gain.get(b, 0) + 1
-    for x, extra in gain.items():
-        if ctx.deg[x] - g.has_edge(x, deleted) + extra > 5:
+            ends += a, b
+    for x in ends:
+        if ctx.deg[x] - g.has_edge(x, deleted) + ends.count(x) > 5:
             return None
     observed = g.d2(deleted)
     if observed > rule.claimed_d2_bound:
         return None
-    return ConfigMatch(rule.id, binding, rule.claimed_d2_bound, observed)
+    return _new(ConfigMatch, (rule.id, binding, rule.claimed_d2_bound, observed))
 
 
 def _frame_matches(ctx: _Ctx, rule, v: int, k: int) -> tuple[ConfigMatch, ...]:
@@ -858,7 +869,19 @@ def _frame_matches(ctx: _Ctx, rule, v: int, k: int) -> tuple[ConfigMatch, ...]:
     if rule.pred is not None and not rule.pred(ctx, w):
         return ()
     if rule.bind is None:
-        m = _make_match(ctx, rule, dict(zip(_FRAME_ROLES, (v, *w))))
+        # v and v1..v5 bound to the centre and the ring, one display per degree
+        d = len(w)
+        if d == 2:
+            b = {"v": v, "v1": w[0], "v2": w[1]}
+        elif d == 3:
+            b = {"v": v, "v1": w[0], "v2": w[1], "v3": w[2]}
+        elif d == 4:
+            b = {"v": v, "v1": w[0], "v2": w[1], "v3": w[2], "v4": w[3]}
+        elif d == 5:
+            b = {"v": v, "v1": w[0], "v2": w[1], "v3": w[2], "v4": w[3], "v5": w[4]}
+        else:
+            b = {"v": v, "v1": w[0]}
+        m = _make_match(ctx, rule, b)
         return () if m is None else (m,)
     ms = [_make_match(ctx, rule, b) for b in rule.bind(ctx, v, w)]
     return tuple([m for m in ms if m is not None])

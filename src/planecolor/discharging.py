@@ -261,18 +261,28 @@ def audit(g: PlaneGraph) -> dict:
     treat it as a hard failure.
 
     Raises:
-        BadArgument: g is not a PlaneGraph (from ``initial_charges``).
+        BadArgument: g is not a PlaneGraph.
+        DegreeTooHigh: some vertex has degree above 5 (from ``detect``,
+            which runs before the transfer pass).
     """
-    return _report(g, *_transfer_pass(g))
-
-
-def _report(g: PlaneGraph, after: ChargeLedger, transfers: int) -> dict:
-    """The audit of g, from its transfer pass: the ledger and the count."""
     match = detect(g)
-    negatives = [
-        {"kind": kind, "id": i, "charge": _fmt(c)}
-        for kind, i, c in after.negatives()
-    ]
+    return _report(g, *_transfer_pass(g), match)
+
+
+def _report(g: PlaneGraph, after: ChargeLedger, transfers: int, match) -> dict:
+    """The audit of g, from its transfer pass (the ledger and the count)
+    and ``detect(g)``."""
+    # the negatives in ``after.negatives()`` order, each distinct charge
+    # formatted once
+    text: dict[int, str] = {}
+    negatives = []
+    for kind, charges in (("vertex", after.vertices), ("face", after.faces)):
+        for i, c in enumerate(charges):
+            if c < 0:
+                s = text.get(c)
+                if s is None:
+                    s = text[c] = _fmt(c)
+                negatives.append({"kind": kind, "id": i, "charge": s})
     return {
         "n": g.n,
         "m": g.m,

@@ -35,6 +35,8 @@ from .working_graph import WorkingGraph
 __all__ = ["ReductionTrace", "color16", "PALETTE"]
 
 PALETTE = 16
+_new = tuple.__new__  # a NamedTuple built without its __new__ frame
+_COLORS = tuple(range(1, PALETTE + 1))
 
 
 class ReductionTrace(NamedTuple):
@@ -111,8 +113,9 @@ def _step(wg: WorkingGraph, match: ConfigMatch, step: int = -1):
     before = wg.n + wg.m
     deleted = label(dv)
     ball, reach = wg.delete(dv, adds, rule_id)
-    trace = ReductionTrace(
-        step, rule_id, deleted, tuple(added), before, wg.n + wg.m, observed
+    trace = _new(
+        ReductionTrace,
+        (step, rule_id, deleted, tuple(added), before, wg.n + wg.m, observed),
     )
     return trace, (dv, tuple(ball)), reach
 
@@ -135,8 +138,11 @@ def apply(g: PlaneGraph, match: ConfigMatch) -> tuple[PlaneGraph, ReductionTrace
 
 
 def _least_free(colors: dict[int, int], ball, dv: int) -> int:
-    seen = set(map(colors.__getitem__, ball))
-    for c in range(1, PALETTE + 1):
+    # a ball holds 15 vertices at most, too few to pay for a map object
+    seen = set()
+    for u in ball:
+        seen.add(colors[u])
+    for c in _COLORS:
         if c not in seen:
             return c
     raise NoAvailableColor(

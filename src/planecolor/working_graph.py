@@ -146,11 +146,10 @@ class WorkingGraph:
         # below v and then v's own block up to v
         self._block = block = max(64, isqrt(size) + 1)
         self._dead_in = [0] * (size // block + 1)
-        face, rs = g.face_of_dart, g.rot_start
+        face, rs = list(g.face_of_dart), g.rot_start
         # corner i of v is traced by the dart v -> rot[v][i + 1]
         self._faces = [
-            list(face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1])
-            for v in range(size)
+            face[rs[v] + 1 : rs[v + 1]] + face[rs[v] : rs[v] + 1] for v in range(size)
         ]
         self._up = array("i", range(len(g.face_lens)))
         self._flen = array("i", g.face_lens)

@@ -19,6 +19,7 @@ from planecolor.cli import EXIT_FALSIFIED, EXIT_INPUT, EXIT_OK, _build_parser, r
 from planecolor.generators import named
 from planecolor.plane_graph import PlaneGraph
 from strategies import rotation_systems
+from test_discharging import wheel6
 
 
 def break_unwinding(monkeypatch) -> None:
@@ -217,6 +218,21 @@ class TestDischarge:
         assert code == EXIT_OK
         assert rows[0]["conservation"] == "-8"
         assert rows[0]["falsification"] is False
+
+    def test_degree_above_five_exits_2_before_the_pass(
+        self, capsys, caplog, tmp_path, monkeypatch
+    ):
+        def no_pass(g):
+            raise AssertionError("the transfer pass ran")
+
+        monkeypatch.setattr(discharging, "apply_rules", no_pass)
+        path = tmp_path / "w6.rot"
+        path.write_text(wheel6().to_rotation_text())
+        code, rows = run_lines(capsys, ["discharge", "--in", str(path)])
+        assert (code, rows) == (EXIT_INPUT, [])
+        assert [r.getMessage() for r in caplog.records] == [
+            "DegreeTooHigh: max degree 6 > 5"
+        ]
 
     def test_transfer_list(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "ico.rot"

@@ -2,7 +2,7 @@
 
 import json
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from planecolor import reducer
 from planecolor.configurations import (
+    _EVERY,
     _FAMILIES,
     _FAR,
     _PRIORITY,
@@ -740,6 +741,59 @@ class TestFrameQuery:
         g = QUERY_GRAPHS[name]()
         wg = reduced(g, (g.n - PALETTE) // 2)
         assert_query_matches_reference(wg, wg.alive())
+
+
+def assert_every_corner_is_shown(g, live) -> int:
+    """Every corner of a live vertex of degree 2 or more has capped
+    length 3, 4 or 5, so ``shown``, which answers the set of every
+    corner tuple of the vertex's degree without reading its corners,
+    answers what filtering its frames' corners gives.  Returns the
+    number of vertices checked."""
+    ctx = _Ctx(g)
+    checked = 0
+    for v in live:
+        d = g.deg[v]
+        if d < 2:
+            continue
+        cl = g.corner_lens(v)
+        assert set(cl) <= {3, 4, 5}, (v, cl)
+        if d > 5:
+            continue
+        every = frozenset(product((3, 4, 5), repeat=d))
+        assert every in _EVERY
+        assert ctx.shown(v, every) == tuple(
+            k for k, c in enumerate(_frame_corners(cl)) if c in every
+        ), v
+        checked += 1
+    return checked
+
+
+class TestEveryCornerShown:
+    def test_named_corpus(self, corpus_graph):
+        g = corpus_graph
+        assert_every_corner_is_shown(g, range(g.n))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_plane(self, seed):
+        g = random_plane(20 + 23 * seed, seed=seed)
+        assert assert_every_corner_is_shown(g, range(g.n))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_plane(150, seed=7),
+            lambda: medial_plus(40, 0, extra=30),
+            lambda: snub("dodecahedron"),
+        ],
+        ids=["random_plane(150, 7)", "medial_plus(40, 0)", "snub(dodecahedron)"],
+    )
+    def test_working_graph_during_color16(self, make):
+        # every 7th graph that color16's steps leave, down to its last
+        checked = 0
+        for i, (wg, _, _) in enumerate(color16_steps(make())):
+            if i % 7 == 0 or wg.n <= PALETTE:
+                checked += assert_every_corner_is_shown(wg, wg.alive())
+        assert checked
 
 
 def count_frames(monkeypatch) -> list:

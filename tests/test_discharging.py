@@ -20,12 +20,20 @@ from planecolor.discharging import (
     audit,
     initial_charges,
 )
-from planecolor.errors import EulerIdentityViolated
+from planecolor.errors import DegreeTooHigh, EulerIdentityViolated
 from planecolor.generators import NAMED_GRAPHS, named, random_plane
+from planecolor.plane_graph import PlaneGraph
 from test_kernels import reference_walks
 from test_working_graph import medial_plus
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+def wheel6() -> PlaneGraph:
+    """The wheel W6: hub 0 and the rim 1..6."""
+    return PlaneGraph(
+        [[1, 2, 3, 4, 5, 6]] + [[0, 1 + (i - 2) % 6, 1 + i % 6] for i in range(1, 7)]
+    )
 
 
 def as_fraction(text):
@@ -192,6 +200,15 @@ class TestAudit:
 
     def test_audit_is_json_serializable(self, corpus_graph):
         json.dumps(audit(corpus_graph))
+
+    def test_degree_above_five_raises_before_the_pass(self, monkeypatch):
+        # the wheel W6: a valid plane graph whose hub has degree 6
+        def no_pass(g, moves=None):
+            raise AssertionError("the transfer pass ran")
+
+        monkeypatch.setattr(discharging, "_transfer_pass", no_pass)
+        with pytest.raises(DegreeTooHigh, match=r"^max degree 6 > 5$"):
+            audit(wheel6())
 
     def test_k1_keeps_falsification_false_via_negatives(self):
         rep = audit(named("k1"))

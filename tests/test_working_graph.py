@@ -227,6 +227,31 @@ class TestWorkingGraph:
         _, traces = color16(g)
         assert steps == traces and len(traces) == g.n - PALETTE
 
+    # random_plane(354, 5287) deletes a leaf whose face comes out of length
+    # at most 4 with a corner of that face past the leaf's ball: when a
+    # step reports the ball alone as its reach, a centre there is not
+    # examined again, and color16 takes another match and colors the
+    # graph otherwise
+    @pytest.mark.parametrize("n,seed", [(354, 5287), (214, 194), (258, 518)])
+    def test_each_step_takes_a_fresh_queues_first_match(self, n, seed, monkeypatch):
+        original = reducer._step
+        refused = []  # the matches refused since the last step landed
+
+        def checked(wg, match, step):
+            fresh = MatchQueue(wg).matches()
+            assert match == next(m for m in fresh if m not in refused), step
+            try:
+                out = original(wg, match, step)
+            except (EmbeddingBroken, DegreeOverflow):
+                refused.append(match)
+                raise
+            refused.clear()
+            return out
+
+        monkeypatch.setattr(reducer, "_step", checked)
+        g = random_plane(n, seed=seed)
+        assert len(color16(g)[1]) == g.n - PALETTE
+
     def test_labels_across_blocks(self, monkeypatch):
         """A label counts the tombstones of whole blocks below v, then of
         v's own block; the rebuild checks above see only the least block

@@ -18,11 +18,13 @@ on the snubs of the icosahedron, dodecahedron and cube, built by this
 checkout's ``tests/test_working_graph.py`` (so pytest and hypothesis
 must be importable): these apply R-4three3f, R-4m2-4f-adj,
 R-4m2-n5-adj, R-5m34-c and R-5m34-d, which ``batch-sweep`` never does.
-It asserts the same on ``random_plane(214, 194)`` and
-``random_plane(258, 518)``: each deletes a leaf whose face comes out of
-length at most 4, which no workload's default-seed input does, and each
-has holes of many chords whose regions share a face (7 and 3 times a
-region takes in an earlier region's face).
+It asserts the same on ``random_plane(214, 194)``,
+``random_plane(258, 518)`` and ``random_plane(354, 5287)``: each deletes
+a leaf whose face comes out of length at most 4, which no workload's
+default-seed input does; the first two have holes of many chords whose
+regions share a face (7 and 3 times a region takes in an earlier
+region's face), and on the third a step that reported the leaf's ball
+alone as its reach would change the coloring.
 On those inputs and on ``batch-sweep``'s, every match ``iter_matches``
 yields must be equal too, in order, not only the ones the steps apply.
 Then it times ``--rounds`` whole rounds of each workload (20 by
@@ -116,7 +118,9 @@ def rule_inputs() -> list:
 
     rows = [medial_plus(40, s, extra=30).rotations for s in range(3)]
     rows += [snub_rotations(named(p).rotations) for p in ("icosahedron", "dodecahedron", "cube")]
-    rows += [random_plane(n, seed=s).rotations for n, s in ((214, 194), (258, 518))]
+    rows += [
+        random_plane(n, seed=s).rotations for n, s in ((214, 194), (258, 518), (354, 5287))
+    ]
     return [[list(row) for row in g] for g in rows]
 
 

@@ -1,7 +1,7 @@
 """Count the bytecodes a reduction step, or making an input, runs, by function.
 
-    python3 tools/opcount.py [--seed S] [--workload W]
-    python3 tools/opcount.py --inputs [--seed S] [--workload W]
+    python3 tools/opcount.py [--seed S] [--workload W] [--lines N]
+    python3 tools/opcount.py --inputs [--seed S] [--workload W] [--lines N]
 
 Makes the inputs of one of perfbench's workloads (``batch-sweep`` by
 default, or ``color-large``) as ``perfbench/run.py`` makes them.  By
@@ -19,6 +19,14 @@ untraced and once traced, per kept vertex, that is per vertex of the
 graphs that ``random_plane`` returns (on ``color-large`` all twelve
 draws, of which the workload keeps one).
 
+With ``--lines N`` it also prints the N source lines that run the most
+bytecodes per step (or per kept vertex), most first, each as
+``file:line`` with its count and its text.  A line that calls into C,
+such as a ``set`` operation, a ``dict`` display's build or a
+``list.index``, counts its call as one bytecode however long the call
+runs, so a cut that removes such a call saves more time than its
+bytecodes show.
+
 Time on a shared host moves with the host's speed; this count does not,
 and repeats exactly on one Python version, so it shows which layer a
 change made cheaper.  It is not a measure of time: bytecodes differ in
@@ -27,6 +35,7 @@ cost, and C calls such as ``set`` operations count as one.
 
 import argparse
 import json
+import linecache
 import platform
 import sys
 from collections import Counter
@@ -44,12 +53,13 @@ def name(code) -> str:
 
 
 def traced(work) -> tuple[Counter, object]:
-    """Bytecodes per code object over ``work()``, and what it returned."""
+    """Bytecodes per (code object, line) over ``work()``, and what it
+    returned."""
     counts: Counter = Counter()
 
     def opcode(frame, event, arg):
         if event == "opcode":
-            counts[frame.f_code] += 1
+            counts[frame.f_code, frame.f_lineno] += 1
         return opcode
 
     def call(frame, event, arg):
@@ -67,7 +77,8 @@ def traced(work) -> tuple[Counter, object]:
 
 
 def traced_round(graphs) -> tuple[Counter, int]:
-    """Bytecodes per code object over one round, and the steps taken."""
+    """Bytecodes per (code object, line) over one round, and the steps
+    taken."""
     return traced(lambda: sum(len(pc.color16(g)[1]) for g in graphs))
 
 
@@ -94,6 +105,8 @@ def main() -> None:
     p.add_argument("--workload", default="batch-sweep", choices=("batch-sweep", "color-large"))
     p.add_argument("--inputs", action="store_true",
                    help="count making the inputs and their rotation texts")
+    p.add_argument("--lines", type=int, default=0, metavar="N",
+                   help="also print the N source lines with the most bytecodes")
     args = p.parse_args()
     w, seed = args.workload, args.seed
     if args.inputs:
@@ -109,8 +122,14 @@ def main() -> None:
         head = {"graphs": len(graphs), "vertices": sum(g.n for g in graphs), "steps": per}
         unit = "bytecodes_per_step"
     per_fn: Counter = Counter()
-    for code, c in counts.items():
+    per_line: Counter = Counter()
+    for (code, line), c in counts.items():
         per_fn[name(code)] += c
+        per_line[code.co_filename, line] += c
+    lines = {
+        f"{Path(f).name}:{line}": [round(c / per, 1), linecache.getline(f, line).strip()]
+        for (f, line), c in per_line.most_common(args.lines)
+    } if args.lines > 0 else {}
     print(json.dumps({
         "python": platform.python_version(),
         "workload": w,
@@ -120,6 +139,7 @@ def main() -> None:
         "per_function": {
             fn: round(c / per, 1) for fn, c in per_fn.most_common()
         },
+        **({"per_line": lines} if lines else {}),
     }, indent=1))
 
 
